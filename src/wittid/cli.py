@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .fields import Field
 from .grammar import PolynomialSyntaxError, format_monomial, format_polynomial, parse_polynomial
@@ -33,6 +32,7 @@ from .verify import (
     minimality_sweep,
     no_finite_basis_demo,
     revalidate_entry,
+    summarize,
     variable_independence_check,
     verify_basis_theorem,
 )
@@ -129,13 +129,7 @@ def _emit(args, text_lines, json_obj) -> None:
             handle.write("\n")
 
 
-def _require_witt(model: GradedModel) -> WittModel:
-    if not isinstance(model, WittModel):
-        raise UsageError(f"verb needs the u1 or w1 model, got {model.name}")
-    return model
-
-
-def _cmd_is_identity(args, field: Field) -> int:
+def _cmd_is_identity(args, field: Field) -> tuple:
     model = parse_model(args.model, field)
     poly = parse_polynomial(args.polynomial, field)
     if not poly.terms:
@@ -155,38 +149,31 @@ def _cmd_is_identity(args, field: Field) -> int:
         raise UsageError(
             "only monomials (u1/w1) or multilinear polynomials can be decided"
         )
-    _emit(
-        args,
-        [f"{'identity' if verdict else 'not an identity'} of {model.name} over {field}"],
-        {
-            "command": "is-identity",
-            "model": model.name,
-            "field": str(field),
-            "polynomial": format_polynomial(poly),
-            "is_identity": verdict,
-            "method": method,
-        },
-    )
-    return 0 if verdict else 1
+    lines = [f"{'identity' if verdict else 'not an identity'} of {model.name} over {field}"]
+    return (0 if verdict else 1), lines, {
+        "command": "is-identity",
+        "model": model.name,
+        "field": str(field),
+        "polynomial": format_polynomial(poly),
+        "is_identity": verdict,
+        "method": method,
+    }
 
 
-def _cmd_normal_form(args, field: Field) -> int:
+def _cmd_normal_form(args, field: Field) -> tuple:
+    if field.characteristic != 2:
+        raise UsageError(f"normal-form works in characteristic two, not over {field}")
     poly = parse_polynomial(args.monomial, field)
     if len(poly.terms) != 1:
         raise UsageError("normal-form expects a single monomial")
     (mono,) = poly.terms
     normal = monomial_normal_form(mono)
     text = "0" if normal is None else format_monomial(normal)
-    _emit(
-        args,
-        [text],
-        {
-            "command": "normal-form",
-            "monomial": format_monomial(mono),
-            "normal_form": text,
-        },
-    )
-    return 0
+    return 0, [text], {
+        "command": "normal-form",
+        "monomial": format_monomial(mono),
+        "normal_form": text,
+    }
 
 
 def _parse_substitution(text: str, poly, model: GradedModel) -> dict:
@@ -218,7 +205,7 @@ def _parse_substitution(text: str, poly, model: GradedModel) -> dict:
     return out
 
 
-def _cmd_evaluate(args, field: Field) -> int:
+def _cmd_evaluate(args, field: Field) -> tuple:
     model = parse_model(args.model, field)
     poly = parse_polynomial(args.polynomial, field)
     if args.at:
@@ -237,36 +224,31 @@ def _cmd_evaluate(args, field: Field) -> int:
             substitution[v] = model.basis_element(v.degree, 0)
     value = evaluate(poly, substitution, model)
     text = model.format_element(value)
-    _emit(
-        args,
-        [text],
-        {
-            "command": "evaluate",
-            "model": model.name,
-            "field": str(field),
-            "polynomial": format_polynomial(poly),
-            "value": text,
-            "is_zero": value.is_zero(),
-        },
-    )
-    return 0
+    return 0, [text], {
+        "command": "evaluate",
+        "model": model.name,
+        "field": str(field),
+        "polynomial": format_polynomial(poly),
+        "value": text,
+        "is_zero": value.is_zero(),
+    }
 
 
-def _cmd_verify_basis(args, field_spec: str, seed: Optional[int]) -> tuple:
+def _cmd_verify_basis(args, field: Field) -> tuple:
     config = SweepConfig(
         model=args.model,
         family_range=args.range,
         nmax=args.nmax,
         dmax=args.dmax,
-        field=field_spec,
+        field=args.field,
         workers=args.workers,
         space_budget_s=args.budget,
-        seed=seed,
+        seed=args.seed,
     )
     report = verify_basis_theorem(config)
     s = report.summary
     lines = [
-        f"model {args.model} over {field_spec}: {len(report.spaces)} components",
+        f"model {args.model} over {args.field}: {len(report.spaces)} components",
         f"passed {s['passed']}, failed {s['failed']}, skipped {s['skipped']}",
     ]
     for entry in report.spaces:
@@ -305,14 +287,14 @@ def _cmd_independence(args, field: Field) -> tuple:
     return (0 if result.ok else 1), lines, result.to_json_dict()
 
 
-def _cmd_minimality(args, field_spec: str) -> tuple:
+def _cmd_minimality(args, field: Field) -> tuple:
     report = minimality_sweep(
         args.model,
         member_bound=args.bound,
         separation_bound=args.separation_bound,
         nmax=args.nmax,
         dmax=args.dmax,
-        field_spec=field_spec,
+        field_spec=args.field,
     )
     lines = [f"model {args.model}: {len(report.member_rows)} bracket members checked"]
     for row in report.member_rows:
@@ -328,7 +310,7 @@ def _cmd_minimality(args, field_spec: str) -> tuple:
     return (0 if report.ok else 1), lines, report.to_json_dict()
 
 
-def _cmd_contrast(args) -> tuple:
+def _cmd_contrast(args, field: Field) -> tuple:
     report = char_contrast(args.p, bound=args.bound)
     lines = [f"over gf{args.p}:"]
     for row in report.rows:
@@ -336,16 +318,23 @@ def _cmd_contrast(args) -> tuple:
     return 0, lines, report.to_json_dict()
 
 
-def _cmd_report(args) -> tuple:
+def _cmd_report(args, field: Field) -> tuple:
     with open(args.path) as handle:
         report = VerificationReport.from_json(handle.read())
     s = report.summary
     lines = [
-        f"report for {report.config.get('model')} over {report.config.get('field')}: "
+        f"report for {report.config['model']} over {report.config['field']}: "
         f"{len(report.spaces)} components",
         f"passed {s['passed']}, failed {s['failed']}, skipped {s['skipped']}",
     ]
     code = 0 if report.passed else 1
+    recount = summarize(report.spaces)
+    if recount != s:
+        lines.append(
+            "SUMMARY MISMATCH: the entries count "
+            + ", ".join(f"{key} {value}" for key, value in recount.items())
+        )
+        code = 1
     revalidated = None
     if args.revalidate:
         bad = []
@@ -363,29 +352,26 @@ def _cmd_report(args) -> tuple:
     return code, lines, obj
 
 
+#: verb -> handler; each takes (args, field) and returns (exit code,
+#: text lines, JSON object).
+COMMANDS = {
+    "is-identity": _cmd_is_identity,
+    "normal-form": _cmd_normal_form,
+    "evaluate": _cmd_evaluate,
+    "verify-basis": _cmd_verify_basis,
+    "independence": _cmd_independence,
+    "minimality": _cmd_minimality,
+    "contrast": _cmd_contrast,
+    "report": _cmd_report,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         field = Field.from_spec(args.field)
-        if args.verb == "is-identity":
-            return _cmd_is_identity(args, field)
-        if args.verb == "normal-form":
-            return _cmd_normal_form(args, field)
-        if args.verb == "evaluate":
-            return _cmd_evaluate(args, field)
-        if args.verb == "verify-basis":
-            code, lines, obj = _cmd_verify_basis(args, args.field, args.seed)
-        elif args.verb == "independence":
-            code, lines, obj = _cmd_independence(args, field)
-        elif args.verb == "minimality":
-            code, lines, obj = _cmd_minimality(args, args.field)
-        elif args.verb == "contrast":
-            code, lines, obj = _cmd_contrast(args)
-        elif args.verb == "report":
-            code, lines, obj = _cmd_report(args)
-        else:  # pragma: no cover
-            raise UsageError(f"unknown verb {args.verb}")
+        code, lines, obj = COMMANDS[args.verb](args, field)
         _emit(args, lines, obj)
         return code
     except (UsageError, PolynomialSyntaxError, ValueError, OSError) as exc:

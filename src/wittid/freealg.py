@@ -316,8 +316,9 @@ def expand_to_associative(x, field: Optional[Field] = None) -> AssocPoly:
     """Image under the bracket expansion ``[a, b] -> ab - ba``.
 
     Accepts a LiePoly (field attached), a tree, a variable, or a
-    left-normed monomial given as a Var tuple (those need the ``field``
-    argument). Two Lie elements are equal iff their images are equal.
+    left-normed monomial given as a tuple or list of Vars (those need the
+    ``field`` argument). Two Lie elements are equal iff their images are
+    equal.
     """
     if isinstance(x, LiePoly):
         return x.expand()
@@ -325,9 +326,9 @@ def expand_to_associative(x, field: Optional[Field] = None) -> AssocPoly:
         raise ValueError("a field is required to expand a bare tree or monomial")
     if isinstance(x, (Var, Pair)):
         return _expand_tree(x, field)
-    if isinstance(x, tuple):
+    if isinstance(x, (tuple, list)):
         out = AssocPoly(field)
-        out.terms = dict(_expand_mono(x, field))
+        out.terms = _expand_mono(tuple(x), field)
         return out
     raise TypeError(f"cannot expand {type(x).__name__}")
 
@@ -509,13 +510,6 @@ class MultilinearSpace:
                     f"(leaves {[str(v) for v in leaves]})"
                 )
 
-    def _expansion_dict(self, x) -> dict:
-        if isinstance(x, LiePoly):
-            return x.expand().terms
-        if isinstance(x, (Var, Pair)):
-            return _expand_tree(x, self.field).terms
-        return _expand_mono(tuple(x), self.field)
-
     def coordinates(self, x, certify: bool = True) -> tuple:
         """Coordinates of a multilinear element over the left-normed basis.
 
@@ -526,7 +520,7 @@ class MultilinearSpace:
         self._validate_member(x)
         self._ensure_tables()
         f = self.field
-        exp = self._expansion_dict(x)
+        exp = expand_to_associative(x, self.field).terms
         if self._gf2:
             mask = 0
             for word in exp:

@@ -99,6 +99,8 @@ class _Parser:
                 den = self.integer(signed=False)
                 if self.field.kind != "rational":
                     self.error("fractional coefficients need the rational field")
+                if den == 0:
+                    self.error("zero denominator")
                 coeff = Fraction(num, den)
             else:
                 coeff = self.field.from_int(num)

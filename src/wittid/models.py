@@ -21,10 +21,10 @@ Models are immutable after construction and evaluation is pure.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Sequence
 
 from .fields import Field, Scalar
-from .freealg import LiePoly
+from .freealg import LiePoly, Var
 
 
 class ModelElement:
@@ -311,6 +311,20 @@ def evaluate(f: LiePoly, substitution: dict, model: GradedModel) -> ModelElement
     return out
 
 
+def basis_substitutions(model: GradedModel, variables: Sequence[Var]) -> Iterator[dict]:
+    """Every substitution of component basis vectors for the variables.
+
+    Yields nothing when some variable's component is zero, since then
+    every admissible value of that variable is zero.
+    """
+    per_var = [
+        [model.basis_element(v.degree, i) for i in range(model.dim(v.degree))]
+        for v in variables
+    ]
+    for choice in itertools.product(*per_var):
+        yield dict(zip(variables, choice))
+
+
 def satisfies_multilinear(model: GradedModel, f: LiePoly) -> bool:
     """Whether a multilinear polynomial vanishes under every admissible
     substitution, decided on tuples of component basis vectors (which
@@ -319,15 +333,7 @@ def satisfies_multilinear(model: GradedModel, f: LiePoly) -> bool:
         raise ValueError("identity check by evaluation is restricted to multilinear input")
     if not f.terms:
         return True
-    vars_ = sorted(f.variables())
-    per_var = []
-    for v in vars_:
-        dim = model.dim(v.degree)
-        if dim == 0:
-            return True  # every admissible value of v is zero
-        per_var.append([model.basis_element(v.degree, i) for i in range(dim)])
-    for choice in itertools.product(*per_var):
-        substitution = dict(zip(vars_, choice))
-        if not evaluate(f, substitution, model).is_zero():
-            return False
-    return True
+    return all(
+        evaluate(f, substitution, model).is_zero()
+        for substitution in basis_substitutions(model, sorted(f.variables()))
+    )

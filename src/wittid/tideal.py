@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 from .fields import Field
 from .freealg import LiePoly, MultilinearSpace, Pair, Tree, Var, mono_to_tree
 from .linalg import SubspaceBasis, linear_dependencies
-from .models import GradedModel, WittModel, _evaluate_monomial
+from .models import GradedModel, WittModel, _evaluate_monomial, basis_substitutions
 
 
 class BudgetExceeded(RuntimeError):
@@ -164,22 +164,15 @@ def identity_subspace(model: GradedModel, space: MultilinearSpace) -> SubspaceBa
     if model.field != space.field:
         raise ValueError("model and space fields differ")
     field = space.field
-    vars_ = space.variables
-    per_var = []
-    for v in vars_:
-        dim = model.dim(v.degree)
-        if dim == 0:
-            return SubspaceBasis.full(field, space.dim)
-        per_var.append([model.basis_element(v.degree, i) for i in range(dim)])
-    total = sum(v.degree for v in vars_)
+    total = sum(v.degree for v in space.variables)
     target_dim = model.dim(total)
-    if target_dim == 0:
+    substitutions = list(basis_substitutions(model, space.variables))
+    if not substitutions or target_dim == 0:
         return SubspaceBasis.full(field, space.dim)
     rows = []
     for mono in space.basis:
         row = []
-        for choice in itertools.product(*per_var):
-            substitution = dict(zip(vars_, choice))
+        for substitution in substitutions:
             value = _evaluate_monomial(mono, substitution, model)
             row.extend(value.coeff(total, slot) for slot in range(target_dim))
         rows.append(row)

@@ -42,7 +42,7 @@ REPORT_SCHEMA = {
     "type": "object",
     "required": ["config", "spaces", "summary", "timings"],
     "properties": {
-        "config": {"type": "object"},
+        "config": {"type": "object", "required": ["model", "field"]},
         "spaces": {
             "type": "array",
             "items": {
@@ -98,6 +98,8 @@ class SweepConfig:
             raise ValueError("need nmax >= 1 and dmax >= 0")
         if self.model not in ("u1", "w1"):
             raise ValueError("basis sweeps cover the u1 and w1 models")
+        if self.workers < 1:
+            raise ValueError("need workers >= 1")
         self.extra_degree_tuples = tuple(
             tuple(t) for t in self.extra_degree_tuples
         )
@@ -156,13 +158,34 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
+        """Load a report; a malformed one raises ValueError."""
         data = json.loads(text)
+        _check_shape(data, REPORT_SCHEMA, "report")
         return cls(
             config=data["config"],
             spaces=data["spaces"],
             summary=data["summary"],
-            timings=data.get("timings", {}),
+            timings=data["timings"],
         )
+
+
+def _check_shape(value, schema: dict, where: str) -> None:
+    """Objects, arrays and required keys as REPORT_SCHEMA lays them out,
+    checked in plain Python; scalar types are left to the consumers."""
+    if schema.get("type") == "object":
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} is not a JSON object")
+        missing = [key for key in schema.get("required", ()) if key not in value]
+        if missing:
+            raise ValueError(f"{where} lacks {', '.join(missing)}")
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _check_shape(value[key], sub, f"{where}.{key}")
+    elif schema.get("type") == "array":
+        if not isinstance(value, list):
+            raise ValueError(f"{where} is not a JSON array")
+        for i, item in enumerate(value):
+            _check_shape(item, schema.get("items", {}), f"{where}[{i}]")
 
 
 def canonical_degree_tuples(n: int, dmax: int):
@@ -183,17 +206,22 @@ def orbit_size(degrees: Sequence[int]) -> int:
     return count
 
 
-def _build_model(model_spec: str, field: Field):
-    model = parse_model(model_spec, field)
-    return model
+def summarize(entries) -> dict:
+    """Pass/fail/skip count of sweep entries."""
+    return {
+        "passed": sum(1 for e in entries if e.get("sound") and e.get("complete")),
+        "failed": sum(
+            1 for e in entries if e.get("sound") is False or e.get("complete") is False
+        ),
+        "skipped": sum(1 for e in entries if e.get("skipped")),
+    }
 
 
 def _space_entry(payload: tuple) -> dict:
     """Soundness/completeness check of one multilinear component."""
-    model_spec, family_kind, family_bound, field_spec, degrees, budget_s = payload
+    model_spec, family, field_spec, degrees, budget_s = payload
     field = Field.from_spec(field_spec)
-    model = _build_model(model_spec, field)
-    family = BasisFamily(family_kind, family_bound)
+    model = parse_model(model_spec, field)
     space = MultilinearSpace.for_degrees(degrees, field)
     entry = {
         "n": len(degrees),
@@ -242,7 +270,6 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
     sweep.
     """
     start = time.monotonic()
-    family = config.family()
     tuples = []
     seen = set()
     for n in range(1, config.nmax + 1):
@@ -254,15 +281,9 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
         if key not in seen:
             tuples.append(key)
             seen.add(key)
+    family = config.family()
     payloads = [
-        (
-            config.model,
-            family.kind,
-            family.bracket_lower_bound,
-            config.field,
-            degrees,
-            config.space_budget_s,
-        )
+        (config.model, family, config.field, degrees, config.space_budget_s)
         for degrees in tuples
     ]
     if config.workers > 1:
@@ -270,16 +291,9 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
             entries = list(pool.map(_space_entry, payloads, chunksize=16))
     else:
         entries = [_space_entry(p) for p in payloads]
-    summary = {
-        "passed": sum(1 for e in entries if e.get("sound") and e.get("complete")),
-        "failed": sum(
-            1 for e in entries if e.get("sound") is False or e.get("complete") is False
-        ),
-        "skipped": sum(1 for e in entries if e.get("skipped")),
-    }
     timings = {"total_s": round(time.monotonic() - start, 3)}
     return VerificationReport(
-        config=config.to_dict(), spaces=entries, summary=summary, timings=timings
+        config=config.to_dict(), spaces=entries, summary=summarize(entries), timings=timings
     )
 
 
@@ -297,9 +311,10 @@ def revalidate_entry(entry: dict, config: dict) -> bool:
     if not witness_text:
         return False
     field = Field.from_spec(config["field"])
-    model = _build_model(config["model"], field)
-    variant = config.get("range") or "wide"
-    family = u1_family() if config["model"] == "u1" else w1_family(variant)
+    model = parse_model(config["model"], field)
+    family = SweepConfig(
+        model=config["model"], family_range=config.get("range") or "wide"
+    ).family()
     space = MultilinearSpace.for_degrees(entry["degrees"], field)
     witness = parse_polynomial(witness_text, field)
     coords = space.coordinates(witness)
@@ -318,7 +333,16 @@ def revalidate_entry(entry: dict, config: dict) -> bool:
 
 
 def _bracket_poly(field: Field, a: int, b: int) -> LiePoly:
-    return LiePoly.monomial(field, (Var(1, a), Var(2, b)))
+    return u1_family().bracket_member(a, b, field)
+
+
+def _single_poly(field: Field, c: int) -> LiePoly:
+    return LiePoly.variable(field, Var(1, c))
+
+
+def _violated(model, members) -> list:
+    """Text forms of the members that are not identities of the model."""
+    return [format_polynomial(m) for m in members if not satisfies_multilinear(model, m)]
 
 
 def _same_parity_pairs(bound: int):
@@ -369,22 +393,17 @@ def independence_check(
         raise ValueError("bound must cover |r| and |s|")
     field = field or Field.gf(2)
     model = ut3_model(field, r, s)
-    fails_member = not satisfies_multilinear(model, _bracket_poly(field, r, s))
-    violations = []
-    checked = 0
-    for (u, v) in _same_parity_pairs(bound):
-        if (u, v) == (r, s):
-            continue
-        checked += 1
-        if not satisfies_multilinear(model, _bracket_poly(field, u, v)):
-            violations.append(f"[x1^{u}, x2^{v}]")
+    fails_member = bool(_violated(model, [_bracket_poly(field, r, s)]))
+    others = [
+        _bracket_poly(field, u, v) for (u, v) in _same_parity_pairs(bound) if (u, v) != (r, s)
+    ]
     return IndependenceResult(
         r=r,
         s=s,
         bound=bound,
         fails_member=fails_member,
-        checked_pairs=checked,
-        violations=violations,
+        checked_pairs=len(others),
+        violations=_violated(model, others),
         collision_merged=model.collision_merged,
     )
 
@@ -425,27 +444,16 @@ def variable_independence_check(
     while satisfying every bracket member and every other x^c."""
     field = field or Field.gf(2)
     model = onedim_model(field, d)
-    fails_member = not satisfies_multilinear(model, LiePoly.variable(field, Var(1, d)))
-    violations = []
-    checked_pairs = 0
-    for (u, v) in _same_parity_pairs(bound):
-        checked_pairs += 1
-        if not satisfies_multilinear(model, _bracket_poly(field, u, v)):
-            violations.append(f"[x1^{u}, x2^{v}]")
-    checked_singles = 0
-    for c in range(-bound, bound + 1):
-        if c == d:
-            continue
-        checked_singles += 1
-        if not satisfies_multilinear(model, LiePoly.variable(field, Var(1, c))):
-            violations.append(f"x1^{c}")
+    fails_member = bool(_violated(model, [_single_poly(field, d)]))
+    pairs = [_bracket_poly(field, u, v) for (u, v) in _same_parity_pairs(bound)]
+    singles = [_single_poly(field, c) for c in range(-bound, bound + 1) if c != d]
     return VariableIndependenceResult(
         d=d,
         bound=bound,
         fails_member=fails_member,
-        checked_pairs=checked_pairs,
-        checked_singles=checked_singles,
-        violations=violations,
+        checked_pairs=len(pairs),
+        checked_singles=len(singles),
+        violations=_violated(model, pairs + singles),
     )
 
 
@@ -495,13 +503,10 @@ def no_finite_basis_demo(count: int, field: Optional[Field] = None) -> NoFiniteB
     rows = []
     for (r, s) in members:
         model = ut3_model(field, r, s)
-        fails_member = not satisfies_multilinear(model, _bracket_poly(field, r, s))
-        bad = [
-            f"[x1^{u}, x2^{v}]"
-            for (u, v) in members
-            if (u, v) != (r, s)
-            and not satisfies_multilinear(model, _bracket_poly(field, u, v))
-        ]
+        fails_member = bool(_violated(model, [_bracket_poly(field, r, s)]))
+        bad = _violated(
+            model, [_bracket_poly(field, u, v) for (u, v) in members if (u, v) != (r, s)]
+        )
         rows.append(
             {
                 "member": f"[x1^{r}, x2^{s}]",
@@ -579,38 +584,31 @@ def minimality_sweep(
     identities; those dimensions are reported, not asserted.
     """
     field = Field.from_spec(field_spec)
+    family = SweepConfig(model=model_name).family()
+    singles = [
+        c for c in range(-separation_bound, separation_bound + 1) if family.contains_single(c)
+    ]
     member_rows = []
-    single_rows = []
     sweeps = {}
     probes = {}
-    if model_name == "u1":
-        lower = None
-    elif model_name == "w1":
-        lower = -1
-    else:
-        raise ValueError("minimality sweeps cover the u1 and w1 models")
 
     for (r, s) in _same_parity_pairs(member_bound):
-        if lower is not None and (r < lower or s < lower):
+        if not family.contains_bracket(r, s):
             continue
-        result = independence_check(r, s, bound=separation_bound, field=field)
-        row = result.to_json_dict()
-        if model_name == "w1":
-            model = ut3_model(field, r, s)
-            single_bad = [
-                f"x1^{c}"
-                for c in range(-separation_bound, -1)
-                if not satisfies_multilinear(model, LiePoly.variable(field, Var(1, c)))
-            ]
+        row = independence_check(r, s, bound=separation_bound, field=field).to_json_dict()
+        if family.has_singletons:
+            single_bad = _violated(
+                ut3_model(field, r, s), [family.single_member(c, field) for c in singles]
+            )
             row["single_violations"] = single_bad
             row["ok"] = row["ok"] and not single_bad
         member_rows.append(row)
 
-    if model_name == "w1":
-        for c in range(-separation_bound, -1):
-            single_rows.append(
-                variable_independence_check(c, bound=separation_bound, field=field).to_json_dict()
-            )
+    single_rows = [
+        variable_independence_check(c, bound=separation_bound, field=field).to_json_dict()
+        for c in singles
+    ]
+    if family.has_singletons:
         for variant in ("wide", "tight"):
             config = SweepConfig(
                 model="w1",

@@ -284,3 +284,56 @@ def test_seed_recorded_in_report(capsys):
         "1",
     )
     assert json.loads(out)["config"]["seed"] == 7
+
+
+def _saved_report(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    run(capsys, "--out", str(out_path), "verify-basis", "--nmax", "2", "--dmax", "1")
+    return out_path, json.loads(out_path.read_text())
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("config",), ("spaces",), ("summary",), ("timings",), ("config", "field"),
+     ("summary", "skipped"), ("spaces", 0, "degrees")],
+)
+def test_report_with_missing_key_exits_two(capsys, tmp_path, path):
+    out_path, data = _saved_report(capsys, tmp_path)
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    del holder[path[-1]]
+    out_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "report", str(out_path), "--revalidate")
+    assert code == 2
+    assert out == ""
+    assert f"lacks {path[-1]}" in err
+
+
+def test_report_with_contradicting_summary_exits_one(capsys, tmp_path):
+    out_path, data = _saved_report(capsys, tmp_path)
+    assert data["summary"]["failed"] == 0
+    data["summary"] = {"passed": len(data["spaces"]) - 1, "failed": 0, "skipped": 0}
+    out_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", str(out_path))
+    assert code == 1
+    assert f"SUMMARY MISMATCH: the entries count passed {len(data['spaces'])}" in out
+
+
+def test_zero_denominator_exits_two(capsys):
+    code, out, err = run(capsys, "--field", "rational", "is-identity", "1/0*[x1^1, x2^3]")
+    assert code == 2
+    assert out == "" and "zero denominator" in err
+
+
+@pytest.mark.parametrize("field", ["gf3", "rational"])
+def test_normal_form_refuses_other_characteristics(capsys, field):
+    code, out, err = run(capsys, "--field", field, "normal-form", "[x1^1, x3^4, x2^2]")
+    assert code == 2
+    assert out == "" and "characteristic two" in err
+
+
+def test_verify_basis_refuses_zero_workers(capsys):
+    code, out, err = run(capsys, "verify-basis", "--nmax", "1", "--dmax", "0", "--workers", "0")
+    assert code == 2
+    assert out == "" and "workers" in err

@@ -115,6 +115,12 @@ def test_single_variable_space():
     assert space.coordinates(v(1, -2)) == (1,)
 
 
+def test_coordinates_accept_a_list_of_variables():
+    space = MultilinearSpace.for_degrees([1, 2, 3], GF2)
+    for mono in space.basis:
+        assert space.coordinates(list(mono)) == space.coordinates(mono)
+
+
 def test_basis_elements_have_unit_coordinates():
     space = MultilinearSpace.for_degrees([1, 2, 3], GF2)
     for i, mono in enumerate(space.basis):

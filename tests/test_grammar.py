@@ -50,6 +50,8 @@ def test_fractional_coefficients_need_rationals():
     assert format_polynomial(p) == "1/2*x1^0"
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("1/2*x1^0", GF2)
+    with pytest.raises(PolynomialSyntaxError, match="zero denominator"):
+        parse_polynomial("1/0*[x1^1, x2^3]", q)
 
 
 def test_zero_polynomial():

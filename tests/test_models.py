@@ -6,6 +6,7 @@ from wittid.fields import Field
 from wittid.freealg import LiePoly, Var
 from wittid.models import (
     ModelElement,
+    basis_substitutions,
     evaluate,
     onedim_model,
     parse_model,
@@ -193,6 +194,17 @@ def test_satisfies_multilinear_examples():
     assert not satisfies_multilinear(m, LiePoly.monomial(GF2, (Var(1, 1), Var(2, 2))))
     ut = ut3_model(GF2, 0, 2)
     assert satisfies_multilinear(ut, LiePoly.monomial(GF2, (Var(1, 0), Var(2, 4))))
+
+
+def test_basis_substitutions_cover_every_basis_tuple():
+    ut = ut3_model(GF2, 0, 0)  # one three-dimensional component
+    variables = (Var(1, 0), Var(2, 0))
+    subs = list(basis_substitutions(ut, variables))
+    assert len(subs) == 9
+    assert all(set(s) == set(variables) for s in subs)
+    assert len({tuple(tuple(s[v].entries) for v in variables) for s in subs}) == 9
+    # an empty component admits only the zero value, so no tuple at all
+    assert list(basis_substitutions(w1_model(GF2), (Var(1, 1), Var(2, -3)))) == []
 
 
 def test_satisfies_multilinear_rejects_nonmultilinear():

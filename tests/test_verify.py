@@ -1,3 +1,5 @@
+import json
+
 import jsonschema
 import pytest
 
@@ -18,6 +20,7 @@ from wittid.verify import (
     no_finite_basis_demo,
     orbit_size,
     revalidate_entry,
+    summarize,
     variable_independence_check,
     verify_basis_theorem,
 )
@@ -38,8 +41,31 @@ def test_config_validation():
         SweepConfig(model="ut3:0:2")
     with pytest.raises(ValueError):
         SweepConfig(nmax=0)
+    with pytest.raises(ValueError, match="workers"):
+        SweepConfig(workers=0)
     config = SweepConfig(model="w1", family_range="tight")
     assert config.family().bracket_lower_bound == 0
+
+
+def test_summarize_counts_entries():
+    entries = [
+        {"sound": True, "complete": True},
+        {"sound": False, "complete": True},
+        {"sound": True, "complete": False},
+        {"sound": None, "complete": None, "skipped": True},
+    ]
+    assert summarize(entries) == {"passed": 1, "failed": 2, "skipped": 1}
+    report = verify_basis_theorem(SweepConfig(model="u1", nmax=2, dmax=1))
+    assert report.summary == summarize(report.spaces)
+
+
+def test_from_json_rejects_wrong_containers():
+    data = verify_basis_theorem(SweepConfig(model="u1", nmax=1, dmax=0)).to_json_dict()
+    data["spaces"] = {"0": data["spaces"][0]}
+    with pytest.raises(ValueError, match="not a JSON array"):
+        VerificationReport.from_json(json.dumps(data))
+    with pytest.raises(ValueError, match="not a JSON object"):
+        VerificationReport.from_json("[]")
 
 
 def test_small_sweep_u1_passes():
