@@ -104,6 +104,23 @@ class Field:
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
+    def add_into(self, acc: dict, items) -> dict:
+        """Add ``(key, scalar)`` pairs into the sparse combination ``acc``.
+
+        Keys whose coefficient cancels to zero are dropped, so ``acc``
+        never stores a zero. Returns ``acc``.
+        """
+        p = self.p
+        for key, c in items:
+            s = acc.get(key, 0) + c
+            if p is not None:
+                s %= p
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+        return acc
+
     def format_scalar(self, a: Scalar) -> str:
         if self.kind == "rational" and a.denominator != 1:
             return f"{a.numerator}/{a.denominator}"

@@ -8,7 +8,8 @@ are represented as :class:`Pair` trees. Distinct left-normed monomials
 may be proportional as Lie elements (``[x2,x1] = -[x1,x2]``), so
 equality of Lie elements is decided through the expansion
 ``[a, b] -> ab - ba`` into the free associative algebra, a faithful
-embedding over any field.
+embedding over any field. One routine, :func:`_expand`, computes it on
+trees; a left-normed monomial is expanded as its tree.
 
 A :class:`MultilinearSpace` is the component of polynomials that are
 multilinear in a fixed set of distinct variables. Its dimension is
@@ -17,8 +18,9 @@ start with the highest-indexed variable. In the associative expansion of
 such a basis monomial, the only word that starts with the leading
 variable is the monomial's own letter sequence (coefficient 1), so
 coordinates can be read off the words that start with the leading
-variable; every conversion is certified by re-expanding against the full
-associative image.
+variable. Every conversion is then certified against the full
+associative image: over GF(2) by XOR of bitmasks over word ids, over
+other fields by recombining the basis expansions.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ class Pair:
 
 
 Tree = Union[Var, Pair]
-Mono = tuple  # tuple[Var, ...], a left-normed monomial
-Word = tuple  # tuple[Var, ...], an associative word
 
 
 def tree_leaves(t: Tree) -> list:
@@ -89,53 +89,11 @@ class AssocPoly:
     def zero(cls, field: Field) -> "AssocPoly":
         return cls(field)
 
-    @classmethod
-    def word(cls, field: Field, word: Sequence[Var], coeff: Optional[Scalar] = None) -> "AssocPoly":
-        c = field.one if coeff is None else coeff
-        return cls(field, {tuple(word): c})
-
-    def _check_field(self, other: "AssocPoly"):
+    def __add__(self, other: "AssocPoly") -> "AssocPoly":
         if self.field != other.field:
             raise ValueError("mixed fields")
-
-    def __add__(self, other: "AssocPoly") -> "AssocPoly":
-        self._check_field(other)
-        f = self.field
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = f.add(terms.get(w, f.zero), c)
-            if f.is_zero(s):
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        out = AssocPoly(f)
-        out.terms = terms
-        return out
-
-    def __neg__(self) -> "AssocPoly":
-        f = self.field
-        out = AssocPoly(f)
-        out.terms = {w: f.neg(c) for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "AssocPoly") -> "AssocPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "AssocPoly") -> "AssocPoly":
-        """Concatenation product."""
-        self._check_field(other)
-        f = self.field
-        terms = {}
-        for u, cu in self.terms.items():
-            for w, cw in other.terms.items():
-                key = u + w
-                s = f.add(terms.get(key, f.zero), f.mul(cu, cw))
-                if f.is_zero(s):
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
-        out = AssocPoly(f)
-        out.terms = terms
+        out = AssocPoly(self.field)
+        out.terms = self.field.add_into(dict(self.terms), other.terms.items())
         return out
 
     def scale(self, c: Scalar) -> "AssocPoly":
@@ -170,35 +128,19 @@ class AssocPoly:
         return " + ".join(bits)
 
 
-def _expand_mono(mono: Mono, field: Field) -> dict:
-    """Expansion of a left-normed monomial as a word -> coefficient dict."""
-    f = field
-    acc = {(mono[0],): f.one}
-    for v in mono[1:]:
-        nxt = {}
-        for w, c in acc.items():
-            right = w + (v,)
-            s = f.add(nxt.get(right, f.zero), c)
-            if f.is_zero(s):
-                nxt.pop(right, None)
-            else:
-                nxt[right] = s
-            left = (v,) + w
-            s = f.add(nxt.get(left, f.zero), f.neg(c))
-            if f.is_zero(s):
-                nxt.pop(left, None)
-            else:
-                nxt[left] = s
-        acc = nxt
-    return acc
-
-
-def _expand_tree(t: Tree, field: Field) -> AssocPoly:
+def _expand(t: Tree, field: Field) -> dict:
+    """Image of a tree under ``[a, b] -> ab - ba``, as a word -> coefficient
+    dict with no zero coefficients."""
     if isinstance(t, Var):
-        return AssocPoly.word(field, (t,))
-    left = _expand_tree(t.left, field)
-    right = _expand_tree(t.right, field)
-    return left * right - right * left
+        return {(t,): field.one}
+    left = _expand(t.left, field)
+    right = _expand(t.right, field)
+    terms = []
+    for u, a in left.items():
+        for w, b in right.items():
+            c = field.mul(a, b)
+            terms += ((u + w, c), (w + u, field.neg(c)))
+    return field.add_into({}, terms)
 
 
 class LiePoly:
@@ -233,16 +175,8 @@ class LiePoly:
 
     def __add__(self, other: "LiePoly") -> "LiePoly":
         self._check_field(other)
-        f = self.field
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = f.add(terms.get(m, f.zero), c)
-            if f.is_zero(s):
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        out = LiePoly(f)
-        out.terms = terms
+        out = LiePoly(self.field)
+        out.terms = self.field.add_into(dict(self.terms), other.terms.items())
         return out
 
     def __neg__(self) -> "LiePoly":
@@ -264,11 +198,10 @@ class LiePoly:
 
     def expand(self) -> AssocPoly:
         f = self.field
-        out = AssocPoly.zero(f)
+        out = AssocPoly(f)
         for mono, c in self.terms.items():
-            part = AssocPoly(f)
-            part.terms = dict(_expand_mono(mono, f))
-            out = out + part.scale(c)
+            words = _expand(mono_to_tree(mono), f)
+            f.add_into(out.terms, ((w, f.mul(c, a)) for w, a in words.items()))
         return out
 
     def variables(self) -> set:
@@ -324,13 +257,13 @@ def expand_to_associative(x, field: Optional[Field] = None) -> AssocPoly:
         return x.expand()
     if field is None:
         raise ValueError("a field is required to expand a bare tree or monomial")
-    if isinstance(x, (Var, Pair)):
-        return _expand_tree(x, field)
     if isinstance(x, (tuple, list)):
-        out = AssocPoly(field)
-        out.terms = _expand_mono(tuple(x), field)
-        return out
-    raise TypeError(f"cannot expand {type(x).__name__}")
+        x = mono_to_tree(x)
+    if not isinstance(x, (Var, Pair)):
+        raise TypeError(f"cannot expand {type(x).__name__}")
+    out = AssocPoly(field)
+    out.terms = _expand(x, field)
+    return out
 
 
 def zdegree(x) -> int:
@@ -476,11 +409,9 @@ class MultilinearSpace:
         self._word_id = {
             word: i for i, word in enumerate(itertools.permutations(self.variables))
         }
-        lead, rest = self.variables[-1], self.variables[:-1]
-        self._lead_word_ids = [
-            self._word_id[(lead,) + perm] for perm in itertools.permutations(rest)
-        ]
-        expansions = [_expand_mono(m, self.field) for m in self.basis]
+        # A basis monomial's letter sequence is also its lead word.
+        self._lead_word_ids = [self._word_id[m] for m in self.basis]
+        expansions = [_expand(mono_to_tree(m), self.field) for m in self.basis]
         if self._gf2:
             masks = []
             for exp in expansions:
@@ -510,50 +441,35 @@ class MultilinearSpace:
                     f"(leaves {[str(v) for v in leaves]})"
                 )
 
-    def coordinates(self, x, certify: bool = True) -> tuple:
+    def coordinates(self, x) -> tuple:
         """Coordinates of a multilinear element over the left-normed basis.
 
         Read off the words that start with the leading variable, then
-        (by default) certified by checking that the recombination has the
-        same associative expansion as the input.
+        certified by checking that the recombination has the same
+        associative expansion as the input.
         """
         self._validate_member(x)
         self._ensure_tables()
         f = self.field
-        exp = expand_to_associative(x, self.field).terms
+        exp = expand_to_associative(x, f).terms
         if self._gf2:
             mask = 0
             for word in exp:
                 mask |= 1 << self._word_id[word]
-            coords = tuple(
-                (mask >> wid) & 1 for wid in self._lead_word_ids
-            )
-            if certify:
-                check = mask
-                for c, row in zip(coords, self._basis_masks):
-                    if c:
-                        check ^= row
-                if check != 0:
-                    raise AssertionError("certification failed: not a Lie element?")
-            return coords
-        coords = []
-        lead, rest = self.variables[-1], self.variables[:-1]
-        for perm in itertools.permutations(rest):
-            coords.append(exp.get((lead,) + perm, f.zero))
-        coords = tuple(coords)
-        if certify:
-            acc = {}
-            for c, rowexp in zip(coords, self._basis_expansions):
-                if f.is_zero(c):
-                    continue
-                for word, a in rowexp.items():
-                    s = f.add(acc.get(word, f.zero), f.mul(c, a))
-                    if f.is_zero(s):
-                        acc.pop(word, None)
-                    else:
-                        acc[word] = s
-            if acc != exp:
+            coords = tuple((mask >> wid) & 1 for wid in self._lead_word_ids)
+            for c, row in zip(coords, self._basis_masks):
+                if c:
+                    mask ^= row
+            if mask != 0:
                 raise AssertionError("certification failed: not a Lie element?")
+            return coords
+        coords = tuple(exp.get(m, f.zero) for m in self.basis)
+        acc = {}
+        for c, rowexp in zip(coords, self._basis_expansions):
+            if not f.is_zero(c):
+                f.add_into(acc, ((w, f.mul(c, a)) for w, a in rowexp.items()))
+        if acc != exp:
+            raise AssertionError("certification failed: not a Lie element?")
         return coords
 
     def poly_from_coords(self, coords: Sequence[Scalar]) -> LiePoly:
@@ -572,6 +488,6 @@ def leftnormed_basis(space: MultilinearSpace) -> list:
     return list(space.basis)
 
 
-def leftnormed_coordinates(x, space: MultilinearSpace, certify: bool = True) -> tuple:
+def leftnormed_coordinates(x, space: MultilinearSpace) -> tuple:
     """Coordinate vector of a multilinear element over the space basis."""
-    return space.coordinates(x, certify=certify)
+    return space.coordinates(x)

@@ -126,21 +126,20 @@ class SubspaceBasis:
 
     def insert(self, vec: Sequence[Scalar]) -> bool:
         """Add a vector to the span; returns True if the rank grew."""
-        if len(vec) != self.ncols:
-            raise ValueError(f"expected length {self.ncols}, got {len(vec)}")
+        self._check_length(vec)
         if self._gf2:
             return self._insert_mask(self._encode(vec))
         return self._insert_list(list(vec))
 
     def reduce(self, vec: Sequence[Scalar]) -> tuple:
         """Residual of a vector after elimination by the stored rows."""
-        if len(vec) != self.ncols:
-            raise ValueError(f"expected length {self.ncols}, got {len(vec)}")
+        self._check_length(vec)
         if self._gf2:
             return self._decode(self._reduce_mask(self._encode(vec)))
         return tuple(self._reduce_list(list(vec)))
 
     def contains_vector(self, vec: Sequence[Scalar]) -> bool:
+        self._check_length(vec)
         if self._gf2:
             return self._reduce_mask(self._encode(vec)) == 0
         f = self.field
@@ -158,6 +157,10 @@ class SubspaceBasis:
 
     def pivots(self) -> tuple:
         return tuple(self._pivots)
+
+    def _check_length(self, vec: Sequence[Scalar]):
+        if len(vec) != self.ncols:
+            raise ValueError(f"expected length {self.ncols}, got {len(vec)}")
 
     def _check_ambient(self, other: "SubspaceBasis"):
         if not isinstance(other, SubspaceBasis):

@@ -47,16 +47,8 @@ class ModelElement:
     def __add__(self, other: "ModelElement") -> "ModelElement":
         if self.field != other.field:
             raise ValueError("mixed fields")
-        f = self.field
-        entries = dict(self.entries)
-        for key, c in other.entries.items():
-            s = f.add(entries.get(key, f.zero), c)
-            if f.is_zero(s):
-                entries.pop(key, None)
-            else:
-                entries[key] = s
-        out = ModelElement(f)
-        out.entries = entries
+        out = ModelElement(self.field)
+        out.entries = self.field.add_into(dict(self.entries), other.entries.items())
         return out
 
     def scale(self, c: Scalar) -> "ModelElement":

@@ -42,7 +42,11 @@ REPORT_SCHEMA = {
     "type": "object",
     "required": ["config", "spaces", "summary", "timings"],
     "properties": {
-        "config": {"type": "object", "required": ["model", "field"]},
+        "config": {
+            "type": "object",
+            "required": ["model", "field"],
+            "properties": {"model": {"type": "string"}, "field": {"type": "string"}},
+        },
         "spaces": {
             "type": "array",
             "items": {
@@ -169,10 +173,20 @@ class VerificationReport:
         )
 
 
+# JSON Schema scalar type -> test; a JSON boolean is not an integer.
+_SCALAR_TYPES = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+}
+
+
 def _check_shape(value, schema: dict, where: str) -> None:
-    """Objects, arrays and required keys as REPORT_SCHEMA lays them out,
-    checked in plain Python; scalar types are left to the consumers."""
-    if schema.get("type") == "object":
+    """Types and required keys as REPORT_SCHEMA lays them out, checked in
+    plain Python."""
+    kind = schema.get("type")
+    if kind == "object":
         if not isinstance(value, dict):
             raise ValueError(f"{where} is not a JSON object")
         missing = [key for key in schema.get("required", ()) if key not in value]
@@ -181,11 +195,15 @@ def _check_shape(value, schema: dict, where: str) -> None:
         for key, sub in schema.get("properties", {}).items():
             if key in value:
                 _check_shape(value[key], sub, f"{where}.{key}")
-    elif schema.get("type") == "array":
+    elif kind == "array":
         if not isinstance(value, list):
             raise ValueError(f"{where} is not a JSON array")
         for i, item in enumerate(value):
             _check_shape(item, schema.get("items", {}), f"{where}[{i}]")
+    elif kind is not None:
+        kinds = kind if isinstance(kind, list) else [kind]
+        if not any(_SCALAR_TYPES[k](value) for k in kinds):
+            raise ValueError(f"{where} is not of type {' or '.join(kinds)}")
 
 
 def canonical_degree_tuples(n: int, dmax: int):
@@ -300,27 +318,36 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
 def revalidate_entry(entry: dict, config: dict) -> bool:
     """Independently re-check one report entry.
 
-    Skipped or passing entries revalidate trivially. A completeness
-    witness must be an identity of the model that row reduction leaves
-    outside the consequence span; a soundness witness must lie in the
-    consequence span yet take a nonzero value in the model.
+    Skipped entries revalidate trivially. Every other entry must match a
+    recomputation of its dimensions and of its soundness and completeness
+    flags. A completeness witness must then be an identity of the model
+    that row reduction leaves outside the consequence span; a soundness
+    witness must lie in the consequence span yet take a nonzero value in
+    the model.
     """
-    if entry.get("skipped") or (entry.get("sound") and entry.get("complete")):
+    if entry.get("skipped"):
         return True
-    witness_text = entry.get("witness")
-    if not witness_text:
-        return False
     field = Field.from_spec(config["field"])
     model = parse_model(config["model"], field)
     family = SweepConfig(
         model=config["model"], family_range=config.get("range") or "wide"
     ).family()
     space = MultilinearSpace.for_degrees(entry["degrees"], field)
-    witness = parse_polynomial(witness_text, field)
-    coords = space.coordinates(witness)
     ident = identity_subspace(model, space)
     cons = consequence_subspace(family, space)
-    if entry.get("sound") is False:
+    sound = subspace_contains(ident, cons)
+    complete = subspace_contains(cons, ident)
+    stored = (entry["dimIdentity"], entry["dimConsequence"], entry["sound"], entry["complete"])
+    if stored != (ident.dim, cons.dim, sound, complete):
+        return False
+    if sound and complete:
+        return True
+    witness_text = entry.get("witness")
+    if not witness_text:
+        return False
+    witness = parse_polynomial(witness_text, field)
+    coords = space.coordinates(witness)
+    if not sound:
         return cons.contains_vector(coords) and not satisfies_multilinear(model, witness)
     return (
         satisfies_multilinear(model, witness)

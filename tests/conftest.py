@@ -1,17 +1,19 @@
-"""Shared test helpers: random trees and independent linear-algebra oracles.
+"""Shared test helpers: random trees and independent oracles.
 
-The oracles here deliberately avoid the library's own row-reduction and
-coordinate paths: coordinates are recovered by a from-scratch Gaussian
-solve on the full word-coordinate system, so they can certify the
-first-letter extraction used by the package.
+The oracles here deliberately avoid the library's own expansion,
+row-reduction and coordinate paths: associative images are summed over
+every orientation of the tree, and coordinates are recovered by a
+from-scratch Gaussian solve on the full word-coordinate system, so they
+can certify the first-letter extraction used by the package.
 """
 
 import itertools
+from functools import reduce
 
 import pytest
 
 from wittid.fields import Field
-from wittid.freealg import Pair, Var, expand_to_associative
+from wittid.freealg import Pair, Var, tree_leaves
 
 
 def random_shape(rng, leaves):
@@ -93,6 +95,33 @@ def solve_exact(rows, rhs, field):
     return tuple(solution)
 
 
+def oracle_expand(x, field):
+    """Associative image of a tree, or of a left-normed monomial given as a
+    tuple of Vars, as a word -> coefficient dict without zeros.
+
+    Each of the 2^(internal nodes) orientations of the tree reads its
+    leaves as one word: a Pair read as left+right contributes sign +1, read
+    as right+left sign -1. The image is the signed sum of those words.
+    """
+    tree = reduce(Pair, x) if isinstance(x, tuple) else x
+    internal = len(tree_leaves(tree)) - 1
+
+    def read(t, flips):
+        if isinstance(t, Var):
+            return (t,)
+        flipped = next(flips)
+        left, right = read(t.left, flips), read(t.right, flips)
+        return right + left if flipped else left + right
+
+    total = {}
+    for mask in range(1 << internal):
+        flips = iter([(mask >> i) & 1 for i in range(internal)])
+        word = read(tree, flips)
+        sign = field.from_int(-1 if bin(mask).count("1") % 2 else 1)
+        total[word] = field.add(total.get(word, field.zero), sign)
+    return {w: c for w, c in total.items() if not field.is_zero(c)}
+
+
 def oracle_coordinates(space, element):
     """Coordinates over the space basis via the full word-coordinate solve."""
     field = space.field
@@ -100,9 +129,8 @@ def oracle_coordinates(space, element):
     col = {w: j for j, w in enumerate(words)}
 
     def word_vector(x):
-        exp = expand_to_associative(x, field)
         vec = [field.zero] * len(words)
-        for w, c in exp.terms.items():
+        for w, c in oracle_expand(x, field).items():
             vec[col[w]] = c
         return vec
 

@@ -337,3 +337,36 @@ def test_verify_basis_refuses_zero_workers(capsys):
     code, out, err = run(capsys, "verify-basis", "--nmax", "1", "--dmax", "0", "--workers", "0")
     assert code == 2
     assert out == "" and "workers" in err
+
+
+def test_report_revalidate_refuses_forged_dims(capsys, tmp_path):
+    out_path, data = _saved_report(capsys, tmp_path)
+    entry = next(e for e in data["spaces"] if e["sound"] and e["complete"])
+    entry["dimIdentity"] = entry["dimConsequence"] = 7
+    out_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", str(out_path))
+    assert code == 0  # the summary still agrees with the flags
+    code, out, _ = run(capsys, "report", str(out_path), "--revalidate")
+    assert code == 1
+    assert f"INVALID witnesses at [{entry['degrees']}]" in out
+
+
+@pytest.mark.parametrize(
+    "path, value, want",
+    [(("config", "field"), 3, "string"),
+     (("spaces", 0, "dimIdentity"), "0", "integer or null"),
+     (("spaces", 0, "degrees"), [1.5], "integer"),
+     (("spaces", 0, "dimP"), True, "integer"),
+     (("spaces", 0, "sound"), 1, "boolean or null")],
+)
+def test_report_with_wrong_scalar_type_exits_two(capsys, tmp_path, path, value, want):
+    out_path, data = _saved_report(capsys, tmp_path)
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    out_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "report", str(out_path), "--revalidate")
+    assert code == 2
+    assert out == ""
+    assert f"is not of type {want}" in err

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_coordinates, random_multilinear_tree
+from conftest import oracle_coordinates, oracle_expand, random_multilinear_tree, random_shape
 from wittid.fields import Field
 from wittid.freealg import (
     LiePoly,
@@ -172,6 +172,20 @@ def test_roundtrip_through_coordinates(field):
             coords = leftnormed_coordinates(tree, space)
             rebuilt = space.poly_from_coords(coords)
             assert rebuilt.expand() == expand_to_associative(tree, field)
+
+
+@pytest.mark.parametrize("field", [GF2, Field.gf(3), Q])
+def test_expansion_matches_orientation_oracle(field):
+    rng = random.Random(31)
+    for n in range(1, 6):
+        vs = [v(i + 1, rng.randint(-2, 2)) for i in range(n)]
+        for _ in range(15):
+            tree = random_multilinear_tree(rng, vs)
+            mono = tuple(rng.sample(vs, n))
+            # Leaves drawn with repetition, so that words can cancel.
+            repeated = random_shape(rng, [rng.choice(vs) for _ in range(n)])
+            for x in (tree, mono, repeated):
+                assert expand_to_associative(x, field).terms == oracle_expand(x, field)
 
 
 @pytest.mark.parametrize("field", [GF2, Field.gf(3), Q])

@@ -44,6 +44,14 @@ def test_contains_vector():
     assert b.reduce((1, 1, 0, 0)) == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("field", [GF2, GF3])
+@pytest.mark.parametrize("vec", [(1, 0, 0, 1), (1, 0)])
+def test_contains_vector_checks_length(field, vec):
+    b = SubspaceBasis.from_vectors(field, 3, [(1, 0, 0)])
+    with pytest.raises(ValueError, match="expected length 3"):
+        b.contains_vector(vec)
+
+
 def test_subspace_comparisons():
     a = SubspaceBasis.from_vectors(GF2, 3, [(1, 0, 0), (0, 1, 0)])
     c = SubspaceBasis.from_vectors(GF2, 3, [(1, 1, 0)])
