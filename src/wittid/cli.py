@@ -17,6 +17,7 @@ Exit codes: 0 pass/true, 1 fail/false, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -33,6 +34,7 @@ from .verify import (
     no_finite_basis_demo,
     revalidate_entry,
     summarize,
+    sweep_tuples,
     variable_independence_check,
     verify_basis_theorem,
 )
@@ -335,6 +337,18 @@ def _cmd_report(args, field: Field) -> tuple:
             + ", ".join(f"{key} {value}" for key, value in recount.items())
         )
         code = 1
+    config = report.config
+    expected = sweep_tuples(config["nmax"], config["dmax"], config["extra_degree_tuples"])
+    listed = (tuple(entry["degrees"]) for entry in report.spaces)
+    for i, (want, got) in enumerate(itertools.zip_longest(expected, listed)):
+        if want != got:
+            got, want = ("nothing" if d is None else list(d) for d in (got, want))
+            lines.append(
+                f"COVERAGE MISMATCH: at entry {i} the report has {got} "
+                f"and the configured sweep has {want}"
+            )
+            code = 1
+            break
     revalidated = None
     if args.revalidate:
         bad = []

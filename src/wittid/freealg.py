@@ -20,7 +20,9 @@ variable is the monomial's own letter sequence (coefficient 1), so
 coordinates can be read off the words that start with the leading
 variable. Every conversion is then certified against the full
 associative image: over GF(2) by XOR of bitmasks over word ids, over
-other fields by recombining the basis expansions.
+other fields by recombining the basis expansions. Inside a space, words
+are tuples of small-int letters (a variable's position in the space)
+rather than of Vars, so they hash in C.
 """
 
 from __future__ import annotations
@@ -128,13 +130,17 @@ class AssocPoly:
         return " + ".join(bits)
 
 
-def _expand(t: Tree, field: Field) -> dict:
+def _expand(t: Tree, field: Field, letter: Optional[dict] = None) -> dict:
     """Image of a tree under ``[a, b] -> ab - ba``, as a word -> coefficient
-    dict with no zero coefficients."""
+    dict with no zero coefficients.
+
+    Words are tuples of Vars, or tuples of ``letter[v]`` when a letter map
+    is given.
+    """
     if isinstance(t, Var):
-        return {(t,): field.one}
-    left = _expand(t.left, field)
-    right = _expand(t.right, field)
+        return {(t if letter is None else letter[t],): field.one}
+    left = _expand(t.left, field, letter)
+    right = _expand(t.right, field, letter)
     terms = []
     for u, a in left.items():
         for w, b in right.items():
@@ -197,12 +203,7 @@ class LiePoly:
         return out
 
     def expand(self) -> AssocPoly:
-        f = self.field
-        out = AssocPoly(f)
-        for mono, c in self.terms.items():
-            words = _expand(mono_to_tree(mono), f)
-            f.add_into(out.terms, ((w, f.mul(c, a)) for w, a in words.items()))
-        return out
+        return expand_to_associative(self)
 
     def variables(self) -> set:
         out = set()
@@ -254,16 +255,28 @@ def expand_to_associative(x, field: Optional[Field] = None) -> AssocPoly:
     equal.
     """
     if isinstance(x, LiePoly):
-        return x.expand()
-    if field is None:
+        field = x.field
+    elif field is None:
         raise ValueError("a field is required to expand a bare tree or monomial")
+    out = AssocPoly(field)
+    out.terms = _expand_element(x, field)
+    return out
+
+
+def _expand_element(x, field: Field, letter: Optional[dict] = None) -> dict:
+    """:func:`_expand` of a LiePoly (summed over its monomials), a tree, a
+    variable, or a left-normed monomial given as a tuple or list."""
+    if isinstance(x, LiePoly):
+        acc = {}
+        for mono, c in x.terms.items():
+            words = _expand(mono_to_tree(mono), field, letter)
+            field.add_into(acc, ((w, field.mul(c, a)) for w, a in words.items()))
+        return acc
     if isinstance(x, (tuple, list)):
         x = mono_to_tree(x)
     if not isinstance(x, (Var, Pair)):
         raise TypeError(f"cannot expand {type(x).__name__}")
-    out = AssocPoly(field)
-    out.terms = _expand(x, field)
-    return out
+    return _expand(x, field, letter)
 
 
 def zdegree(x) -> int:
@@ -371,10 +384,11 @@ class MultilinearSpace:
         self.variables = tuple(vs)
         self.n = len(vs)
         self._basis = None
-        self._word_id = None
-        self._lead_word_ids = None
+        self._letter = None            # Var -> its position in self.variables
+        self._word_id = None           # GF(2): letter word -> bit position
+        self._lead_words = None        # the basis monomials as letter words
         self._basis_masks = None       # GF(2): int masks over word ids
-        self._basis_expansions = None  # generic: word -> coeff dicts
+        self._basis_expansions = None  # generic: letter word -> coeff dicts
         self._gf2 = field.kind == "prime" and field.p == 2
 
     @classmethod
@@ -404,15 +418,17 @@ class MultilinearSpace:
         return self._basis
 
     def _ensure_tables(self):
-        if self._word_id is not None:
+        if self._letter is not None:
             return
-        self._word_id = {
-            word: i for i, word in enumerate(itertools.permutations(self.variables))
-        }
+        n = self.n
+        self._letter = {v: i for i, v in enumerate(self.variables)}
         # A basis monomial's letter sequence is also its lead word.
-        self._lead_word_ids = [self._word_id[m] for m in self.basis]
-        expansions = [_expand(mono_to_tree(m), self.field) for m in self.basis]
+        self._lead_words = [(n - 1,) + p for p in itertools.permutations(range(n - 1))]
+        expansions = [
+            _expand(mono_to_tree(m), self.field, self._letter) for m in self.basis
+        ]
         if self._gf2:
+            self._word_id = {w: i for i, w in enumerate(itertools.permutations(range(n)))}
             masks = []
             for exp in expansions:
                 mask = 0
@@ -451,19 +467,19 @@ class MultilinearSpace:
         self._validate_member(x)
         self._ensure_tables()
         f = self.field
-        exp = expand_to_associative(x, f).terms
+        exp = _expand_element(x, f, self._letter)
+        zero = f.zero
+        coords = tuple([exp.get(w, zero) for w in self._lead_words])
         if self._gf2:
             mask = 0
             for word in exp:
                 mask |= 1 << self._word_id[word]
-            coords = tuple((mask >> wid) & 1 for wid in self._lead_word_ids)
             for c, row in zip(coords, self._basis_masks):
                 if c:
                     mask ^= row
             if mask != 0:
                 raise AssertionError("certification failed: not a Lie element?")
             return coords
-        coords = tuple(exp.get(m, f.zero) for m in self.basis)
         acc = {}
         for c, rowexp in zip(coords, self._basis_expansions):
             if not f.is_zero(c):

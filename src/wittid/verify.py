@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
@@ -44,15 +45,24 @@ REPORT_SCHEMA = {
     "properties": {
         "config": {
             "type": "object",
-            "required": ["model", "field"],
-            "properties": {"model": {"type": "string"}, "field": {"type": "string"}},
+            "required": ["model", "field", "nmax", "dmax", "extra_degree_tuples"],
+            "properties": {
+                "model": {"type": "string"},
+                "field": {"type": "string"},
+                "nmax": {"type": "integer"},
+                "dmax": {"type": "integer"},
+                "extra_degree_tuples": {
+                    "type": "array",
+                    "items": {"type": "array", "items": {"type": "integer"}},
+                },
+            },
         },
         "spaces": {
             "type": "array",
             "items": {
                 "type": "object",
                 "required": [
-                    "n", "degrees", "dimP", "dimIdentity",
+                    "n", "degrees", "orbit", "dimP", "dimIdentity",
                     "dimConsequence", "sound", "complete",
                 ],
                 "properties": {
@@ -216,6 +226,22 @@ def canonical_degree_tuples(n: int, dmax: int):
     return itertools.combinations_with_replacement(range(-dmax, dmax + 1), n)
 
 
+def sweep_tuples(nmax: int, dmax: int, extra_degree_tuples=()):
+    """The degree tuples a sweep covers, in sweep order: the canonical
+    tuples for n = 1..nmax, then each extra tuple, sorted, unless it is
+    already listed. A generator, so a check can stop at a mismatch."""
+    seen = set()
+    for n in range(1, nmax + 1):
+        for degrees in canonical_degree_tuples(n, dmax):
+            seen.add(degrees)
+            yield degrees
+    for extra in extra_degree_tuples:
+        key = tuple(sorted(extra))
+        if key not in seen:
+            seen.add(key)
+            yield key
+
+
 def orbit_size(degrees: Sequence[int]) -> int:
     """Number of distinct reorderings of the degree tuple."""
     count = factorial(len(degrees))
@@ -288,24 +314,16 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
     sweep.
     """
     start = time.monotonic()
-    tuples = []
-    seen = set()
-    for n in range(1, config.nmax + 1):
-        for degrees in canonical_degree_tuples(n, config.dmax):
-            tuples.append(degrees)
-            seen.add(degrees)
-    for extra in config.extra_degree_tuples:
-        key = tuple(sorted(extra))
-        if key not in seen:
-            tuples.append(key)
-            seen.add(key)
     family = config.family()
     payloads = [
         (config.model, family, config.field, degrees, config.space_budget_s)
-        for degrees in tuples
+        for degrees in sweep_tuples(config.nmax, config.dmax, config.extra_degree_tuples)
     ]
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # The report keeps the requested count; the pool gets no more
+        # processes than the machine has cores.
+        workers = min(config.workers, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_space_entry, payloads, chunksize=16))
     else:
         entries = [_space_entry(p) for p in payloads]
@@ -318,21 +336,27 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
 def revalidate_entry(entry: dict, config: dict) -> bool:
     """Independently re-check one report entry.
 
-    Skipped entries revalidate trivially. Every other entry must match a
-    recomputation of its dimensions and of its soundness and completeness
-    flags. A completeness witness must then be an identity of the model
-    that row reduction leaves outside the consequence span; a soundness
-    witness must lie in the consequence span yet take a nonzero value in
-    the model.
+    Every entry must match the ``n``, ``dimP`` and ``orbit`` of its
+    degrees; beyond that, skipped entries revalidate trivially. Every other
+    entry must match a recomputation of its dimensions and of its
+    soundness and completeness flags. A completeness witness must then be
+    an identity of the model that row reduction leaves outside the
+    consequence span; a soundness witness must lie in the consequence span
+    yet take a nonzero value in the model.
     """
+    field = Field.from_spec(config["field"])
+    degrees = entry["degrees"]
+    space = MultilinearSpace.for_degrees(degrees, field)
+    if (entry["n"], entry["dimP"], entry["orbit"]) != (
+        len(degrees), space.dim, orbit_size(degrees)
+    ):
+        return False
     if entry.get("skipped"):
         return True
-    field = Field.from_spec(config["field"])
     model = parse_model(config["model"], field)
     family = SweepConfig(
         model=config["model"], family_range=config.get("range") or "wide"
     ).family()
-    space = MultilinearSpace.for_degrees(entry["degrees"], field)
     ident = identity_subspace(model, space)
     cons = consequence_subspace(family, space)
     sound = subspace_contains(ident, cons)

@@ -4,7 +4,7 @@ import jsonschema
 import pytest
 
 from wittid.cli import main
-from wittid.verify import REPORT_SCHEMA
+from wittid.verify import REPORT_SCHEMA, summarize
 
 
 def run(capsys, *argv):
@@ -295,7 +295,8 @@ def _saved_report(capsys, tmp_path):
 @pytest.mark.parametrize(
     "path",
     [("config",), ("spaces",), ("summary",), ("timings",), ("config", "field"),
-     ("summary", "skipped"), ("spaces", 0, "degrees")],
+     ("summary", "skipped"), ("spaces", 0, "degrees"), ("config", "nmax"),
+     ("config", "extra_degree_tuples"), ("spaces", 0, "orbit")],
 )
 def test_report_with_missing_key_exits_two(capsys, tmp_path, path):
     out_path, data = _saved_report(capsys, tmp_path)
@@ -351,13 +352,57 @@ def test_report_revalidate_refuses_forged_dims(capsys, tmp_path):
     assert f"INVALID witnesses at [{entry['degrees']}]" in out
 
 
+@pytest.mark.parametrize("key, value", [("n", 9), ("dimP", 5), ("orbit", 3)])
+def test_report_revalidate_refuses_forged_shape(capsys, tmp_path, key, value):
+    out_path, data = _saved_report(capsys, tmp_path)
+    entry = next(e for e in data["spaces"] if e["degrees"] == [-1, 1])
+    assert entry[key] != value
+    entry[key] = value
+    out_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", str(out_path))
+    assert code == 0  # only the revalidation recomputes the entry
+    code, out, _ = run(capsys, "report", str(out_path), "--revalidate")
+    assert code == 1
+    assert "INVALID witnesses at [[-1, 1]]" in out
+
+
+def _duplicate_last(spaces):
+    spaces.append(dict(spaces[-1]))
+
+
+def _drop_second(spaces):
+    del spaces[1]
+
+
+def _swap_first_two(spaces):
+    spaces[0], spaces[1] = spaces[1], spaces[0]
+
+
+@pytest.mark.parametrize(
+    "edit, want",
+    [(_duplicate_last, "at entry 9 the report has [1, 1] and the configured sweep has nothing"),
+     (_drop_second, "at entry 1 the report has [1] and the configured sweep has [0]"),
+     (_swap_first_two, "at entry 0 the report has [0] and the configured sweep has [-1]")],
+)
+def test_report_refuses_entries_that_miss_the_sweep(capsys, tmp_path, edit, want):
+    out_path, data = _saved_report(capsys, tmp_path)
+    edit(data["spaces"])
+    data["summary"] = summarize(data["spaces"])
+    out_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", str(out_path))
+    assert code == 1
+    assert f"COVERAGE MISMATCH: {want}" in out
+
+
 @pytest.mark.parametrize(
     "path, value, want",
     [(("config", "field"), 3, "string"),
      (("spaces", 0, "dimIdentity"), "0", "integer or null"),
      (("spaces", 0, "degrees"), [1.5], "integer"),
      (("spaces", 0, "dimP"), True, "integer"),
-     (("spaces", 0, "sound"), 1, "boolean or null")],
+     (("spaces", 0, "sound"), 1, "boolean or null"),
+     (("config", "dmax"), "1", "integer"),
+     (("config", "extra_degree_tuples"), [[1, "2"]], "integer")],
 )
 def test_report_with_wrong_scalar_type_exits_two(capsys, tmp_path, path, value, want):
     out_path, data = _saved_report(capsys, tmp_path)

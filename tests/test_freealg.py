@@ -17,6 +17,7 @@ from wittid.freealg import (
     is_regular,
     leftnormed_basis,
     leftnormed_coordinates,
+    mono_to_tree,
     multilinearize,
     zdegree,
 )
@@ -144,11 +145,49 @@ def test_coordinates_match_linear_solve_oracle():
 @pytest.mark.parametrize("field", [GF2, Field.gf(3), Q])
 def test_coordinates_match_oracle_on_random_trees(field):
     rng = random.Random(41)
-    for n in range(1, 5):
-        space = MultilinearSpace.for_degrees(list(range(-1, n - 1)), field)
+    spaces = [
+        MultilinearSpace.for_degrees(list(range(-1, n - 1)), field) for n in range(1, 6)
+    ]
+    # Indices neither contiguous nor sorted on input, so that a variable's
+    # letter (its position in the space) is not its index.
+    spaces.append(MultilinearSpace([v(7, 1), v(2, -1), v(5, 0)], field))
+    spaces.append(MultilinearSpace([v(9, 0), v(4, 2), v(11, -2), v(3, 1)], field))
+    for space in spaces:
         for _ in range(15):
             tree = random_multilinear_tree(rng, space.variables)
             assert space.coordinates(tree) == oracle_coordinates(space, tree)
+        for _ in range(5):
+            terms = {
+                tuple(rng.sample(space.variables, space.n)): field.from_int(rng.randint(1, 6))
+                for _ in range(rng.randint(2, 4))
+            }
+            poly = LiePoly(field, terms)
+            want = [field.zero] * space.dim
+            for mono, c in poly.terms.items():
+                for j, x in enumerate(oracle_coordinates(space, mono)):
+                    want[j] = field.add(want[j], field.mul(c, x))
+            assert space.coordinates(poly) == tuple(want)
+
+
+def test_certification_is_live_on_both_paths():
+    # A corrupted basis table must make the certification fail, on the
+    # GF(2) mask path and on the generic recombination path alike.
+    space = MultilinearSpace.for_degrees([0, 1, 2, 3], GF2)
+    mono = space.basis[2]
+    assert space.coordinates(mono_to_tree(mono)) == (0, 0, 1, 0, 0, 0)
+    space._basis_masks[2] ^= 1 << 23
+    with pytest.raises(AssertionError, match="certification failed"):
+        space.coordinates(mono_to_tree(mono))
+
+    gf3 = Field.gf(3)
+    space = MultilinearSpace.for_degrees([0, 1, 2, 3], gf3)
+    mono = space.basis[2]
+    assert space.coordinates(mono_to_tree(mono)) == (0, 0, 1, 0, 0, 0)
+    row = space._basis_expansions[2]
+    word = next(iter(row))
+    row[word] = gf3.add(row[word], 1)
+    with pytest.raises(AssertionError, match="certification failed"):
+        space.coordinates(mono_to_tree(mono))
 
 
 def test_coordinates_reject_non_members():

@@ -1,8 +1,10 @@
 import json
+import os
 
 import jsonschema
 import pytest
 
+from wittid import verify
 from wittid.fields import Field
 from wittid.freealg import LiePoly, Var
 from wittid.grammar import parse_polynomial
@@ -21,6 +23,7 @@ from wittid.verify import (
     orbit_size,
     revalidate_entry,
     summarize,
+    sweep_tuples,
     variable_independence_check,
     verify_basis_theorem,
 )
@@ -142,6 +145,32 @@ def test_parallel_workers_match_sequential():
     assert sequential.spaces == parallel.spaces
 
 
+def test_pool_is_clamped_to_the_cores(monkeypatch):
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+    report = verify_basis_theorem(SweepConfig(model="u1", nmax=2, dmax=1, workers=10_000))
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    verify_basis_theorem(SweepConfig(model="u1", nmax=1, dmax=0, workers=2))
+    monkeypatch.undo()
+    assert requested == [min(10_000, os.cpu_count() or 1), 1]
+    assert report.config["workers"] == 10_000
+    assert report.spaces == verify_basis_theorem(SweepConfig(model="u1", nmax=2, dmax=1)).spaces
+
+
 def test_budget_flags_skipped_spaces():
     config = SweepConfig(model="u1", nmax=4, dmax=2, space_budget_s=0.0)
     report = verify_basis_theorem(config)
@@ -159,6 +188,10 @@ def test_extra_degree_tuples_are_included_once():
     report = verify_basis_theorem(config)
     assert report.entry_for([-1, 3]) is not None
     assert sum(1 for e in report.spaces if e["degrees"] == [-1, 1]) == 1
+    assert [tuple(e["degrees"]) for e in report.spaces] == list(
+        sweep_tuples(2, 1, ((-1, 3), (1, -1)))
+    )
+    assert list(sweep_tuples(1, 1, ((3, -1), (1,), (-1, 3)))) == [(-1,), (0,), (1,), (-1, 3)]
 
 
 # -- separation certificates ---------------------------------------------------
