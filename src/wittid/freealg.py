@@ -22,15 +22,20 @@ variable. Every conversion is then certified against the full
 associative image: over GF(2) by XOR of bitmasks over word ids, over
 other fields by recombining the basis expansions. Inside a space, words
 are tuples of small-int letters (a variable's position in the space)
-rather than of Vars, so they hash in C.
+rather than of Vars, so they hash in C. The tables this needs (lead
+words, word ids, basis bitmasks or expansions) then depend only on the
+number of variables and the field: :func:`_letter_tables` builds them
+once per ``(n, field)``, read-only, and every space shares them; a space
+keeps only its own variable -> letter map.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
 
 from .fields import Field, Scalar
@@ -63,9 +68,15 @@ Tree = Union[Var, Pair]
 
 
 def tree_leaves(t: Tree) -> list:
-    if isinstance(t, Var):
-        return [t]
-    return tree_leaves(t.left) + tree_leaves(t.right)
+    """The leaves of a tree, left to right."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Pair):
+            stack += (t.right, t.left)
+        else:
+            out.append(t)
+    return out
 
 
 def mono_to_tree(mono: Sequence[Var]) -> Tree:
@@ -365,6 +376,31 @@ def multilinearize(
     return out
 
 
+@lru_cache(maxsize=None)
+def _letter_tables(n: int, field: Field) -> tuple:
+    """Coordinate tables shared by every space on n variables over ``field``.
+
+    Inside a space a variable is its letter, so basis monomial i is the
+    letter word ``lead_words[i]`` in every such space, and the tables
+    depend on ``(n, field)`` alone. Returns ``(lead_words, word_id,
+    basis_masks, basis_expansions)``: over GF(2) the word ids and the
+    basis bitmasks over them, elsewhere the basis expansions; the other
+    two are None. Everything is immutable, since every space shares it.
+    """
+    leaves = [Var(i + 1, 0) for i in range(n)]
+    letter = {v: i for i, v in enumerate(leaves)}
+    # A basis monomial's letter sequence is also its lead word.
+    lead_words = tuple((n - 1,) + p for p in itertools.permutations(range(n - 1)))
+    expansions = [
+        _expand(mono_to_tree([leaves[a] for a in w]), field, letter) for w in lead_words
+    ]
+    if field.kind == "prime" and field.p == 2:
+        word_id = {w: i for i, w in enumerate(itertools.permutations(range(n)))}
+        masks = tuple(sum(1 << word_id[w] for w in exp) for exp in expansions)
+        return lead_words, MappingProxyType(word_id), masks, None
+    return lead_words, None, None, tuple(MappingProxyType(e) for e in expansions)
+
+
 class MultilinearSpace:
     """Multilinear component on distinct graded variables, over a field.
 
@@ -383,12 +419,14 @@ class MultilinearSpace:
         self.field = field
         self.variables = tuple(vs)
         self.n = len(vs)
+        self._var_set = frozenset(vs)
         self._basis = None
         self._letter = None            # Var -> its position in self.variables
-        self._word_id = None           # GF(2): letter word -> bit position
-        self._lead_words = None        # the basis monomials as letter words
-        self._basis_masks = None       # GF(2): int masks over word ids
-        self._basis_expansions = None  # generic: letter word -> coeff dicts
+        # Shared per (n, field) by _letter_tables; see there.
+        self._lead_words = None
+        self._word_id = None
+        self._basis_masks = None
+        self._basis_expansions = None
         self._gf2 = field.kind == "prime" and field.p == 2
 
     @classmethod
@@ -420,27 +458,16 @@ class MultilinearSpace:
     def _ensure_tables(self):
         if self._letter is not None:
             return
-        n = self.n
         self._letter = {v: i for i, v in enumerate(self.variables)}
-        # A basis monomial's letter sequence is also its lead word.
-        self._lead_words = [(n - 1,) + p for p in itertools.permutations(range(n - 1))]
-        expansions = [
-            _expand(mono_to_tree(m), self.field, self._letter) for m in self.basis
-        ]
-        if self._gf2:
-            self._word_id = {w: i for i, w in enumerate(itertools.permutations(range(n)))}
-            masks = []
-            for exp in expansions:
-                mask = 0
-                for word in exp:
-                    mask |= 1 << self._word_id[word]
-                masks.append(mask)
-            self._basis_masks = masks
-        else:
-            self._basis_expansions = expansions
+        (
+            self._lead_words,
+            self._word_id,
+            self._basis_masks,
+            self._basis_expansions,
+        ) = _letter_tables(self.n, self.field)
 
     def _validate_member(self, x):
-        want = set(self.variables)
+        want = self._var_set
         if isinstance(x, LiePoly):
             if x.field != self.field:
                 raise ValueError("polynomial field does not match the space")

@@ -21,6 +21,17 @@ append the remaining variables on the right in all orders: the
 left-normed monomials with a fixed first letter form a basis of the
 multilinear component over the extended alphabet, so placing the
 substituted generator first already spans everything.
+
+:func:`consequence_instances` yields these instances one by one; it is
+the reference enumeration and the source of soundness witnesses.
+:func:`consequence_subspace` computes their span without enumerating
+them: an instance either uses every variable of its component in the
+core, or it is ``[instance on the other variables, v]`` with v appended
+last, so the span of a component is the span of its cores plus the
+images, under ``ad_v``, of the spans of its sub-components with one
+variable less. Sub-components keep their variables in index order, so
+their coordinates are those of the component on the same degrees and
+need no relabelling.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from .models import GradedModel, WittModel, _evaluate_monomial, basis_substituti
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a consequence enumeration runs past its deadline."""
+    """Raised when a consequence span computation runs past its deadline."""
 
 
 @dataclass(frozen=True)
@@ -246,17 +257,119 @@ def consequence_subspace(
     """Span of all multilinear substitution instances of family members
     inside the component, as a row-echelon subspace.
 
+    Computed by recursion over the subsets T of the space's variables,
+    memoized within the call. An instance on T is either a core (a
+    substituted generator that uses all of T) or ``[instance on T - v, v]``
+    for the variable v appended last, so
+
+        cons(T) = span(cores(T)) + sum over v in T of ad_v(cons(T - v)).
+
+    The cores of T are the brackets ``[L, R]`` of basis monomials with
+    ``L | R = T`` whose degree sums form a family bracket; when T's degree
+    sum is a single-variable member, the basis monomials of T are cores
+    too, so T is full. ``ad_v`` is linear, so the image of cons(T - v) is
+    spanned by the images of its echelon rows, through the matrix whose
+    rows are the certified coordinates of ``[b, v]`` for the basis
+    monomials b of T - v. T takes no more rows once it is full. Each T is
+    its own MultilinearSpace on its variables in index order, so its
+    coordinates are those of :meth:`MultilinearSpace.for_degrees` on its
+    degrees and no relabelling is needed. :func:`consequence_instances`
+    enumerates the same instances one by one and is the reference for
+    this recursion.
+
     ``deadline`` is an absolute time.monotonic() bound; running past it
-    raises BudgetExceeded (checked between instances).
+    raises BudgetExceeded. It is checked before each core and each ad_v
+    image, so a component without instances never raises.
     """
-    acc = SubspaceBasis.zero(space.field, space.dim)
-    for count, tree in enumerate(consequence_instances(family, space)):
-        if deadline is not None and count % 32 == 0 and time.monotonic() > deadline:
-            raise BudgetExceeded(f"consequence enumeration in {space!r}")
-        acc.insert(space.coordinates(tree))
-        if acc.is_full():
-            break
-    return acc
+    return _SubSpans(family, space, deadline).cons(tuple(range(space.n)))
+
+
+class _SubSpans:
+    """The consequence spans of one space's sub-components, by subset of
+    variable positions, computed on demand and kept for one
+    :func:`consequence_subspace` call. A class rather than recursive
+    closures: those form a reference cycle, which keeps the memo alive
+    until the garbage collector runs."""
+
+    def __init__(self, family: BasisFamily, space: MultilinearSpace, deadline):
+        self.family = family
+        self.space = space
+        self.deadline = deadline
+        self.spaces = {}
+        self.spans = {}
+
+    def space_of(self, subset: tuple) -> MultilinearSpace:
+        if subset not in self.spaces:
+            vars_ = self.space.variables
+            self.spaces[subset] = MultilinearSpace(
+                (vars_[i] for i in subset), self.space.field
+            )
+        return self.spaces[subset]
+
+    def check_deadline(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded(f"consequence span in {self.space!r}")
+
+    def cons(self, subset: tuple) -> SubspaceBasis:
+        if subset not in self.spans:
+            self.spans[subset] = self._span_of(subset)
+        return self.spans[subset]
+
+    def _span_of(self, subset: tuple) -> SubspaceBasis:
+        field = self.space.field
+        vars_ = self.space.variables
+        sub = self.space_of(subset)
+        if self.family.contains_single(sum(vars_[i].degree for i in subset)):
+            self.check_deadline()
+            return SubspaceBasis.full(field, sub.dim)
+        acc = SubspaceBasis.zero(field, sub.dim)
+        for core in self._cores(subset):
+            self.check_deadline()
+            acc.insert(sub.coordinates(core))
+            if acc.is_full():
+                return acc
+        if len(subset) == 1:
+            return acc
+        for pos, i in enumerate(subset):
+            rest = subset[:pos] + subset[pos + 1:]
+            inner = self.cons(rest)
+            if inner.is_zero():
+                continue
+            self.check_deadline()
+            v = vars_[i]
+            ad = [
+                [(j, c) for j, c in enumerate(sub.coordinates(b + (v,))) if c]
+                for b in self.space_of(rest).basis
+            ]
+            for row in inner.rows():
+                image = [field.zero] * sub.dim
+                for a, targets in zip(row, ad):
+                    if a:
+                        for j, c in targets:
+                            image[j] = field.add(image[j], field.mul(a, c))
+                acc.insert(image)
+                if acc.is_full():
+                    return acc
+        return acc
+
+    def _cores(self, subset: tuple):
+        """The bracket cores ``[L, R]`` on the subset, as trees: L and R
+        run over the basis monomials of the blocks of each split of the
+        subset whose degree sums form a family bracket."""
+        vars_ = self.space.variables
+        for left_size in range(1, len(subset)):
+            for left in itertools.combinations(subset, left_size):
+                right = tuple(i for i in subset if i not in left)
+                if not self.family.contains_bracket(
+                    sum(vars_[i].degree for i in left),
+                    sum(vars_[i].degree for i in right),
+                ):
+                    continue
+                right_basis = [mono_to_tree(m) for m in self.space_of(right).basis]
+                for inner_left in self.space_of(left).basis:
+                    tree_left = mono_to_tree(inner_left)
+                    for tree_right in right_basis:
+                        yield Pair(tree_left, tree_right)
 
 
 def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:

@@ -309,7 +309,7 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
 
     Every canonical degree tuple with n <= nmax variables and degrees
     bounded by dmax is swept once; failures carry an explicit witness
-    polynomial. Components whose consequence enumeration exceeds the
+    polynomial. Components whose consequence span computation exceeds the
     per-space budget are flagged as skipped rather than aborting the
     sweep.
     """

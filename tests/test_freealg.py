@@ -171,23 +171,54 @@ def test_coordinates_match_oracle_on_random_trees(field):
 
 def test_certification_is_live_on_both_paths():
     # A corrupted basis table must make the certification fail, on the
-    # GF(2) mask path and on the generic recombination path alike.
+    # GF(2) mask path and on the generic recombination path alike. The
+    # tables are shared by every space with the same (n, field), so the
+    # corruption goes into a copy bound to this one space, and a fresh
+    # space must still certify.
     space = MultilinearSpace.for_degrees([0, 1, 2, 3], GF2)
     mono = space.basis[2]
     assert space.coordinates(mono_to_tree(mono)) == (0, 0, 1, 0, 0, 0)
-    space._basis_masks[2] ^= 1 << 23
+    masks = list(space._basis_masks)
+    masks[2] ^= 1 << 23
+    space._basis_masks = tuple(masks)
     with pytest.raises(AssertionError, match="certification failed"):
         space.coordinates(mono_to_tree(mono))
+    fresh = MultilinearSpace.for_degrees([0, 1, 2, 3], GF2)
+    assert fresh.coordinates(mono_to_tree(fresh.basis[2])) == (0, 0, 1, 0, 0, 0)
 
     gf3 = Field.gf(3)
     space = MultilinearSpace.for_degrees([0, 1, 2, 3], gf3)
     mono = space.basis[2]
     assert space.coordinates(mono_to_tree(mono)) == (0, 0, 1, 0, 0, 0)
-    row = space._basis_expansions[2]
+    expansions = list(space._basis_expansions)
+    row = dict(expansions[2])
     word = next(iter(row))
     row[word] = gf3.add(row[word], 1)
+    expansions[2] = row
+    space._basis_expansions = tuple(expansions)
     with pytest.raises(AssertionError, match="certification failed"):
         space.coordinates(mono_to_tree(mono))
+    fresh = MultilinearSpace.for_degrees([0, 1, 2, 3], gf3)
+    assert fresh.coordinates(mono_to_tree(fresh.basis[2])) == (0, 0, 1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("field", [GF2, Field.gf(3)])
+def test_shared_tables_are_read_only(field):
+    a = MultilinearSpace.for_degrees([0, 1, 2], field)
+    b = MultilinearSpace((v(9, 5), v(4, -1), v(7, 0)), field)
+    a.coordinates(mono_to_tree(a.basis[0]))
+    b.coordinates(mono_to_tree(b.basis[0]))
+    assert a._lead_words is b._lead_words
+    if field == GF2:
+        assert a._basis_masks is b._basis_masks
+        with pytest.raises(TypeError):
+            a._basis_masks[0] = 0
+        with pytest.raises(TypeError):
+            a._word_id[(0, 1, 2)] = 0
+    else:
+        assert a._basis_expansions is b._basis_expansions
+        with pytest.raises(TypeError):
+            a._basis_expansions[0][(2, 0, 1)] = 1
 
 
 def test_coordinates_reject_non_members():

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -21,6 +22,7 @@ from wittid.tideal import (
     u1_family,
     w1_family,
 )
+from wittid.verify import canonical_degree_tuples
 
 GF2 = Field.gf(2)
 
@@ -313,6 +315,41 @@ def test_consequence_matches_exhaustive_tree_oracle(family, degrees):
     )
 
 
+def _instance_span(family, space):
+    span = SubspaceBasis.zero(space.field, space.dim)
+    for tree in consequence_instances(family, space):
+        span.insert(space.coordinates(tree))
+        if span.is_full():
+            break
+    return span
+
+
+def _gate_components():
+    families = (u1_family(), w1_family("wide"), w1_family("tight"))
+    gf3 = Field.gf(3)
+    for family in families:
+        for n in range(1, 6):
+            for degrees in canonical_degree_tuples(n, 2):
+                yield family, degrees, GF2
+        for n in range(1, 5):
+            for degrees in canonical_degree_tuples(n, 2):
+                yield family, degrees, gf3
+    rng = random.Random(5)
+    for family in families:
+        for degrees in rng.sample(list(canonical_degree_tuples(5, 2)), 6):
+            yield family, degrees, gf3
+
+
+def test_consequence_subspace_matches_instance_span():
+    # the recursion over sub-components against the instance enumeration
+    mismatches = []
+    for family, degrees, field in _gate_components():
+        space = MultilinearSpace.for_degrees(list(degrees), field)
+        if consequence_subspace(family, space) != _instance_span(family, space):
+            mismatches.append((family, degrees, str(field)))
+    assert mismatches == []
+
+
 def test_consequence_instances_are_actual_consequences():
     # every enumerated instance evaluates to zero in the matching model
     u1 = u1_model(GF2)
@@ -324,8 +361,9 @@ def test_consequence_instances_are_actual_consequences():
         assert ident.contains_vector(space.coordinates(tree))
 
 
-def test_budget_exceeded():
-    space = MultilinearSpace.for_degrees([0, 0, 1, 2, 2], GF2)
+@pytest.mark.parametrize("degrees", [(0, 0, 1, 2, 2), (0, 1, 2)])
+def test_budget_exceeded(degrees):
+    space = MultilinearSpace.for_degrees(list(degrees), GF2)
     with pytest.raises(BudgetExceeded):
         consequence_subspace(u1_family(), space, deadline=time.monotonic() - 1.0)
 

@@ -6,9 +6,10 @@ import pytest
 
 from wittid import verify
 from wittid.fields import Field
-from wittid.freealg import LiePoly, Var
+from wittid.freealg import LiePoly, MultilinearSpace, Var
 from wittid.grammar import parse_polynomial
 from wittid.models import onedim_model, satisfies_multilinear
+from wittid.tideal import consequence_instances
 from wittid.verify import (
     PROBE_TUPLES,
     REPORT_SCHEMA,
@@ -172,12 +173,20 @@ def test_pool_is_clamped_to_the_cores(monkeypatch):
 
 
 def test_budget_flags_skipped_spaces():
+    # With no time at all, exactly the components that have a consequence
+    # instance are skipped: the deadline is checked before the first one.
     config = SweepConfig(model="u1", nmax=4, dmax=2, space_budget_s=0.0)
     report = verify_basis_theorem(config)
     assert report.summary["skipped"] > 0
     assert not report.passed
-    skipped = [e for e in report.spaces if e.get("skipped")]
-    assert all(e["dimConsequence"] is None for e in skipped)
+    for entry in report.spaces:
+        space = MultilinearSpace.for_degrees(entry["degrees"], GF2)
+        has_instance = next(consequence_instances(config.family(), space), None) is not None
+        assert bool(entry.get("skipped")) == has_instance, entry["degrees"]
+        if has_instance:
+            assert entry["dimConsequence"] is None
+        else:
+            assert entry["dimConsequence"] == 0
     jsonschema.validate(report.to_json_dict(), REPORT_SCHEMA)
 
 
