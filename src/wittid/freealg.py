@@ -26,7 +26,9 @@ rather than of Vars, so they hash in C. The tables this needs (lead
 words, word ids, basis bitmasks or expansions) then depend only on the
 number of variables and the field: :func:`_letter_tables` builds them
 once per ``(n, field)``, read-only, and every space shares them; a space
-keeps only its own variable -> letter map.
+keeps only its own variable -> letter map. :func:`_core_rows` and
+:func:`_ad_rows` keep certified coordinates of brackets on letters in
+the same way, for the consequence-span recursion.
 """
 
 from __future__ import annotations
@@ -399,6 +401,31 @@ def _letter_tables(n: int, field: Field) -> tuple:
         masks = tuple(sum(1 << word_id[w] for w in exp) for exp in expansions)
         return lead_words, MappingProxyType(word_id), masks, None
     return lead_words, None, None, tuple(MappingProxyType(e) for e in expansions)
+
+
+@lru_cache(maxsize=None)
+def _core_rows(k: int, left: tuple, field: Field) -> tuple:
+    """Coordinates on k letters of ``[L, R]``, for L over the basis monomials
+    on the letters in ``left`` and, inside, R over those on the others;
+    certified once by :meth:`MultilinearSpace.coordinates`, then shared."""
+    space = MultilinearSpace.for_degrees((0,) * k, field)
+    vs = space.variables
+    rights = MultilinearSpace((x for i, x in enumerate(vs) if i not in left), field).basis
+    rights = [mono_to_tree(m) for m in rights]
+    return tuple(
+        space.coordinates(Pair(mono_to_tree(m), r))
+        for m in MultilinearSpace((vs[i] for i in left), field).basis
+        for r in rights
+    )
+
+
+@lru_cache(maxsize=None)
+def _ad_rows(k: int, pos: int, field: Field) -> tuple:
+    """Matrix of ``ad`` of letter ``pos``: row j holds the nonzero ``(i, c)``
+    of ``[b_j, pos]``, b_j the basis monomials on the other letters, i.e.
+    the core rows of the split that puts ``pos`` alone on the right."""
+    rows = _core_rows(k, tuple(i for i in range(k) if i != pos), field)
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
 
 
 class MultilinearSpace:

@@ -29,9 +29,10 @@ them: an instance either uses every variable of its component in the
 core, or it is ``[instance on the other variables, v]`` with v appended
 last, so the span of a component is the span of its cores plus the
 images, under ``ad_v``, of the spans of its sub-components with one
-variable less. Sub-components keep their variables in index order, so
-their coordinates are those of the component on the same degrees and
-need no relabelling.
+variable less. In coordinates, cores and ``ad_v`` depend only on
+letters, so their rows come from certified tables shared per size and
+field; degrees only pick the family brackets, so a sub-component's span
+is determined by its degree tuple.
 """
 
 from __future__ import annotations
@@ -39,10 +40,14 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import reduce
+from math import factorial
 from typing import Iterator, Optional
 
 from .fields import Field
-from .freealg import LiePoly, MultilinearSpace, Pair, Tree, Var, mono_to_tree
+from .freealg import (
+    LiePoly, MultilinearSpace, Pair, Tree, Var, _ad_rows, _core_rows, mono_to_tree,
+)
 from .linalg import SubspaceBasis, linear_dependencies
 from .models import GradedModel, WittModel, _evaluate_monomial, basis_substitutions
 
@@ -190,11 +195,17 @@ def identity_subspace(model: GradedModel, space: MultilinearSpace) -> SubspaceBa
     return linear_dependencies(rows, field)
 
 
-def _append_right(core: Tree, suffix) -> Tree:
-    tree = core
-    for v in suffix:
-        tree = Pair(tree, v)
-    return tree
+def _bracket_splits(family: BasisFamily, degrees, positions) -> Iterator[tuple]:
+    """The splits ``(left, right)`` of ``positions`` into two nonempty
+    blocks, each in the order of ``positions``, whose degree sums form a
+    family bracket; ``degrees[i]`` is the degree at position i."""
+    for left_size in range(1, len(positions)):
+        for left in itertools.combinations(positions, left_size):
+            right = tuple(i for i in positions if i not in left)
+            if family.contains_bracket(
+                sum(degrees[i] for i in left), sum(degrees[i] for i in right)
+            ):
+                yield left, right
 
 
 def consequence_instances(
@@ -203,6 +214,7 @@ def consequence_instances(
     """Spanning instances of the family inside the component, as trees."""
     field = space.field
     vars_ = space.variables
+    degrees = space.degrees
     n = space.n
     indices = tuple(range(n))
     block_cache = {}
@@ -215,17 +227,14 @@ def consequence_instances(
         return block_cache[subset]
 
     def wrapped(core, rest_indices):
-        rest = tuple(vars_[i] for i in rest_indices)
-        if not rest:
-            yield core
-            return
-        for perm in itertools.permutations(rest):
-            yield _append_right(core, perm)
+        # the rest appended on the right in every order; none when empty
+        for perm in itertools.permutations(vars_[i] for i in rest_indices):
+            yield reduce(Pair, perm, core)
 
     if family.has_singletons:
         for size in range(1, n + 1):
             for block in itertools.combinations(indices, size):
-                if not family.contains_single(sum(vars_[i].degree for i in block)):
+                if not family.contains_single(sum(degrees[i] for i in block)):
                     continue
                 rest = tuple(i for i in indices if i not in block)
                 for inner in block_basis(block):
@@ -233,20 +242,13 @@ def consequence_instances(
 
     for size in range(2, n + 1):
         for chosen in itertools.combinations(indices, size):
-            chosen_set = set(chosen)
-            rest = tuple(i for i in indices if i not in chosen_set)
-            for left_size in range(1, size):
-                for left in itertools.combinations(chosen, left_size):
-                    right = tuple(i for i in chosen if i not in set(left))
-                    d_left = sum(vars_[i].degree for i in left)
-                    d_right = sum(vars_[i].degree for i in right)
-                    if not family.contains_bracket(d_left, d_right):
-                        continue
-                    for inner_left in block_basis(left):
-                        tree_left = mono_to_tree(inner_left)
-                        for inner_right in block_basis(right):
-                            core = Pair(tree_left, mono_to_tree(inner_right))
-                            yield from wrapped(core, rest)
+            rest = tuple(i for i in indices if i not in chosen)
+            for left, right in _bracket_splits(family, degrees, chosen):
+                for inner_left in block_basis(left):
+                    tree_left = mono_to_tree(inner_left)
+                    for inner_right in block_basis(right):
+                        core = Pair(tree_left, mono_to_tree(inner_right))
+                        yield from wrapped(core, rest)
 
 
 def consequence_subspace(
@@ -257,10 +259,10 @@ def consequence_subspace(
     """Span of all multilinear substitution instances of family members
     inside the component, as a row-echelon subspace.
 
-    Computed by recursion over the subsets T of the space's variables,
-    memoized within the call. An instance on T is either a core (a
-    substituted generator that uses all of T) or ``[instance on T - v, v]``
-    for the variable v appended last, so
+    Computed by recursion over the sub-components T of the space (its
+    variables minus some, in index order), memoized within the call. An
+    instance on T is either a core (a substituted generator that uses all
+    of T) or ``[instance on T - v, v]`` for the variable v appended last, so
 
         cons(T) = span(cores(T)) + sum over v in T of ad_v(cons(T - v)).
 
@@ -268,81 +270,66 @@ def consequence_subspace(
     ``L | R = T`` whose degree sums form a family bracket; when T's degree
     sum is a single-variable member, the basis monomials of T are cores
     too, so T is full. ``ad_v`` is linear, so the image of cons(T - v) is
-    spanned by the images of its echelon rows, through the matrix whose
-    rows are the certified coordinates of ``[b, v]`` for the basis
-    monomials b of T - v. T takes no more rows once it is full. Each T is
-    its own MultilinearSpace on its variables in index order, so its
-    coordinates are those of :meth:`MultilinearSpace.for_degrees` on its
-    degrees and no relabelling is needed. :func:`consequence_instances`
-    enumerates the same instances one by one and is the reference for
-    this recursion.
+    spanned by the images of its echelon rows. T takes no more rows once
+    it is full. The rows of the cores and of ``ad_v`` depend only on
+    letters (positions in T), so they are read from the certified tables
+    :func:`~wittid.freealg._core_rows` and :func:`~wittid.freealg._ad_rows`,
+    and cons(T) depends only on T's degree tuple, which keys the memo.
+    :func:`consequence_instances` enumerates the same instances one by one
+    and is the reference for this recursion.
 
     ``deadline`` is an absolute time.monotonic() bound; running past it
     raises BudgetExceeded. It is checked before each core and each ad_v
     image, so a component without instances never raises.
     """
-    return _SubSpans(family, space, deadline).cons(tuple(range(space.n)))
+    return _SubSpans(family, space, deadline).cons(space.degrees)
 
 
 class _SubSpans:
-    """The consequence spans of one space's sub-components, by subset of
-    variable positions, computed on demand and kept for one
-    :func:`consequence_subspace` call. A class rather than recursive
-    closures: those form a reference cycle, which keeps the memo alive
-    until the garbage collector runs."""
+    """The consequence spans of one space's sub-components, by degree
+    tuple, computed on demand and kept for one :func:`consequence_subspace`
+    call. A class rather than recursive closures: those form a reference
+    cycle, which keeps the memo alive until the garbage collector runs."""
 
     def __init__(self, family: BasisFamily, space: MultilinearSpace, deadline):
         self.family = family
         self.space = space
         self.deadline = deadline
-        self.spaces = {}
         self.spans = {}
-
-    def space_of(self, subset: tuple) -> MultilinearSpace:
-        if subset not in self.spaces:
-            vars_ = self.space.variables
-            self.spaces[subset] = MultilinearSpace(
-                (vars_[i] for i in subset), self.space.field
-            )
-        return self.spaces[subset]
 
     def check_deadline(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded(f"consequence span in {self.space!r}")
 
-    def cons(self, subset: tuple) -> SubspaceBasis:
-        if subset not in self.spans:
-            self.spans[subset] = self._span_of(subset)
-        return self.spans[subset]
+    def cons(self, degrees: tuple) -> SubspaceBasis:
+        if degrees not in self.spans:
+            self.spans[degrees] = self._span_of(degrees)
+        return self.spans[degrees]
 
-    def _span_of(self, subset: tuple) -> SubspaceBasis:
+    def _span_of(self, degrees: tuple) -> SubspaceBasis:
         field = self.space.field
-        vars_ = self.space.variables
-        sub = self.space_of(subset)
-        if self.family.contains_single(sum(vars_[i].degree for i in subset)):
+        k = len(degrees)
+        dim = factorial(k - 1)
+        if self.family.contains_single(sum(degrees)):
             self.check_deadline()
-            return SubspaceBasis.full(field, sub.dim)
-        acc = SubspaceBasis.zero(field, sub.dim)
-        for core in self._cores(subset):
-            self.check_deadline()
-            acc.insert(sub.coordinates(core))
-            if acc.is_full():
-                return acc
-        if len(subset) == 1:
+            return SubspaceBasis.full(field, dim)
+        acc = SubspaceBasis.zero(field, dim)
+        for left, _ in _bracket_splits(self.family, degrees, range(k)):
+            for row in _core_rows(k, left, field):
+                self.check_deadline()
+                acc.insert(row)
+                if acc.is_full():
+                    return acc
+        if k == 1:
             return acc
-        for pos, i in enumerate(subset):
-            rest = subset[:pos] + subset[pos + 1:]
-            inner = self.cons(rest)
+        for pos in range(k):
+            inner = self.cons(degrees[:pos] + degrees[pos + 1:])
             if inner.is_zero():
                 continue
             self.check_deadline()
-            v = vars_[i]
-            ad = [
-                [(j, c) for j, c in enumerate(sub.coordinates(b + (v,))) if c]
-                for b in self.space_of(rest).basis
-            ]
+            ad = _ad_rows(k, pos, field)
             for row in inner.rows():
-                image = [field.zero] * sub.dim
+                image = [field.zero] * dim
                 for a, targets in zip(row, ad):
                     if a:
                         for j, c in targets:
@@ -351,25 +338,6 @@ class _SubSpans:
                 if acc.is_full():
                     return acc
         return acc
-
-    def _cores(self, subset: tuple):
-        """The bracket cores ``[L, R]`` on the subset, as trees: L and R
-        run over the basis monomials of the blocks of each split of the
-        subset whose degree sums form a family bracket."""
-        vars_ = self.space.variables
-        for left_size in range(1, len(subset)):
-            for left in itertools.combinations(subset, left_size):
-                right = tuple(i for i in subset if i not in left)
-                if not self.family.contains_bracket(
-                    sum(vars_[i].degree for i in left),
-                    sum(vars_[i].degree for i in right),
-                ):
-                    continue
-                right_basis = [mono_to_tree(m) for m in self.space_of(right).basis]
-                for inner_left in self.space_of(left).basis:
-                    tree_left = mono_to_tree(inner_left)
-                    for tree_right in right_basis:
-                        yield Pair(tree_left, tree_right)
 
 
 def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:

@@ -51,6 +51,7 @@ REPORT_SCHEMA = {
                 "field": {"type": "string"},
                 "nmax": {"type": "integer"},
                 "dmax": {"type": "integer"},
+                "range": {"type": ["string", "null"]},
                 "extra_degree_tuples": {
                     "type": "array",
                     "items": {"type": "array", "items": {"type": "integer"}},

@@ -14,6 +14,8 @@ import pytest
 
 from wittid.fields import Field
 from wittid.freealg import Pair, Var, tree_leaves
+from wittid.linalg import SubspaceBasis
+from wittid.tideal import consequence_instances
 
 
 def random_shape(rng, leaves):
@@ -136,6 +138,17 @@ def oracle_coordinates(space, element):
 
     rows = [word_vector(mono) for mono in space.basis]
     return solve_exact(rows, word_vector(element), field)
+
+
+def instance_span(family, space):
+    """Span of the enumerated consequence instances: the reference that the
+    recursion in ``tideal.consequence_subspace`` is gated against."""
+    span = SubspaceBasis.zero(space.field, space.dim)
+    for tree in consequence_instances(family, space):
+        span.insert(space.coordinates(tree))
+        if span.is_full():
+            break
+    return span
 
 
 @pytest.fixture

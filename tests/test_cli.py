@@ -286,9 +286,12 @@ def test_seed_recorded_in_report(capsys):
     assert json.loads(out)["config"]["seed"] == 7
 
 
-def _saved_report(capsys, tmp_path):
+def _saved_report(capsys, tmp_path, model="u1"):
     out_path = tmp_path / "report.json"
-    run(capsys, "--out", str(out_path), "verify-basis", "--nmax", "2", "--dmax", "1")
+    run(
+        capsys, "--out", str(out_path), "verify-basis", "--model", model,
+        "--nmax", "2", "--dmax", "1",
+    )
     return out_path, json.loads(out_path.read_text())
 
 
@@ -402,10 +405,13 @@ def test_report_refuses_entries_that_miss_the_sweep(capsys, tmp_path, edit, want
      (("spaces", 0, "dimP"), True, "integer"),
      (("spaces", 0, "sound"), 1, "boolean or null"),
      (("config", "dmax"), "1", "integer"),
-     (("config", "extra_degree_tuples"), [[1, "2"]], "integer")],
+     (("config", "extra_degree_tuples"), [[1, "2"]], "integer"),
+     (("config", "range"), ["wide"], "string or null")],
 )
 def test_report_with_wrong_scalar_type_exits_two(capsys, tmp_path, path, value, want):
-    out_path, data = _saved_report(capsys, tmp_path)
+    # config.range is read only for w1, so it is tested on a w1 report
+    model = "w1" if path == ("config", "range") else "u1"
+    out_path, data = _saved_report(capsys, tmp_path, model)
     holder = data
     for key in path[:-1]:
         holder = holder[key]

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_coordinates, oracle_expand, random_multilinear_tree, random_shape
+from wittid import freealg
 from wittid.fields import Field
 from wittid.freealg import (
     LiePoly,
     MultilinearSpace,
     Pair,
     Var,
+    _ad_rows,
+    _core_rows,
     apply_ad,
     expand_to_associative,
     is_regular,
@@ -219,6 +222,70 @@ def test_shared_tables_are_read_only(field):
         assert a._basis_expansions is b._basis_expansions
         with pytest.raises(TypeError):
             a._basis_expansions[0][(2, 0, 1)] = 1
+
+
+@pytest.mark.parametrize("field", [GF2, Field.gf(3)])
+def test_row_tables_match_oracle_and_are_shared(field):
+    # The rows on 4 letters, read in a space with other indices and
+    # degrees, against the oracle; repeated calls return the same tuples.
+    space = MultilinearSpace((v(9, 5), v(2, -1), v(7, 0), v(4, 2)), field)
+    vs = space.variables
+    core = _core_rows(4, (0, 2), field)
+    assert core is _core_rows(4, (0, 2), field)
+    lefts = MultilinearSpace((vs[0], vs[2]), field).basis
+    rights = MultilinearSpace((vs[1], vs[3]), field).basis
+    assert list(core) == [
+        oracle_coordinates(space, Pair(mono_to_tree(m), mono_to_tree(r)))
+        for m in lefts
+        for r in rights
+    ]
+    ad = _ad_rows(4, 1, field)
+    assert ad is _ad_rows(4, 1, field)
+    rest = MultilinearSpace(vs[:1] + vs[2:], field).basis
+    assert list(ad) == [
+        tuple((i, c) for i, c in enumerate(oracle_coordinates(space, b + (vs[1],))) if c)
+        for b in rest
+    ]
+    for table in (core, ad):
+        assert all(isinstance(row, tuple) for row in table)
+        with pytest.raises(TypeError):
+            table[0] = ()
+
+
+def _clear_row_tables():
+    _core_rows.cache_clear()
+    _ad_rows.cache_clear()
+
+
+@pytest.mark.parametrize("field", [GF2, Field.gf(3)])
+def test_row_tables_certify_when_built(monkeypatch, field):
+    # Every basis row of the shared letter tables gets its own wrong word,
+    # so any nonzero recombination fails the certification. The row tables
+    # are cleared before and after, so no row built here stays cached.
+    real = freealg._letter_tables
+
+    def corrupted(n, f):
+        lead_words, word_id, masks, expansions = real(n, f)
+        if masks is not None:
+            masks = tuple(m ^ (1 << i) for i, m in enumerate(masks))
+        else:
+            expansions = tuple(
+                {**e, w: f.add(e[w], f.one)} for w, e in zip(lead_words, expansions)
+            )
+        return lead_words, word_id, masks, expansions
+
+    _clear_row_tables()
+    monkeypatch.setattr(freealg, "_letter_tables", corrupted)
+    try:
+        with pytest.raises(AssertionError, match="certification failed"):
+            _core_rows(3, (0,), field)
+        with pytest.raises(AssertionError, match="certification failed"):
+            _ad_rows(3, 1, field)
+    finally:
+        monkeypatch.undo()
+        _clear_row_tables()
+    assert _core_rows(3, (0,), field)
+    assert _ad_rows(3, 1, field)
 
 
 def test_coordinates_reject_non_members():

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import all_multilinear_trees, substitute_leaf
+from conftest import all_multilinear_trees, instance_span, substitute_leaf
 from wittid.fields import Field
 from wittid.freealg import LiePoly, MultilinearSpace, Pair, Var, zdegree
 from wittid.linalg import SubspaceBasis
@@ -315,38 +315,40 @@ def test_consequence_matches_exhaustive_tree_oracle(family, degrees):
     )
 
 
-def _instance_span(family, space):
-    span = SubspaceBasis.zero(space.field, space.dim)
-    for tree in consequence_instances(family, space):
-        span.insert(space.coordinates(tree))
-        if span.is_full():
-            break
-    return span
-
-
 def _gate_components():
     families = (u1_family(), w1_family("wide"), w1_family("tight"))
     gf3 = Field.gf(3)
     for family in families:
         for n in range(1, 6):
             for degrees in canonical_degree_tuples(n, 2):
-                yield family, degrees, GF2
+                yield family, MultilinearSpace.for_degrees(degrees, GF2)
         for n in range(1, 5):
             for degrees in canonical_degree_tuples(n, 2):
-                yield family, degrees, gf3
+                yield family, MultilinearSpace.for_degrees(degrees, gf3)
     rng = random.Random(5)
     for family in families:
         for degrees in rng.sample(list(canonical_degree_tuples(5, 2)), 6):
-            yield family, degrees, gf3
+            yield family, MultilinearSpace.for_degrees(degrees, gf3)
+    # Indices that are not contiguous and are given unsorted, with
+    # unsorted degrees: the spans are memoized by the degree tuple in
+    # index order, which the canonical tuples above never tell apart
+    # from memoizing by subset.
+    rng = random.Random(7)
+    for field in (GF2, gf3):
+        for family in families:
+            for _ in range(20):
+                indices = rng.sample(range(1, 20), rng.randint(2, 5))
+                yield family, MultilinearSpace(
+                    [Var(i, rng.randint(-2, 2)) for i in indices], field
+                )
 
 
 def test_consequence_subspace_matches_instance_span():
     # the recursion over sub-components against the instance enumeration
     mismatches = []
-    for family, degrees, field in _gate_components():
-        space = MultilinearSpace.for_degrees(list(degrees), field)
-        if consequence_subspace(family, space) != _instance_span(family, space):
-            mismatches.append((family, degrees, str(field)))
+    for family, space in _gate_components():
+        if consequence_subspace(family, space) != instance_span(family, space):
+            mismatches.append((family, space))
     assert mismatches == []
 
 
