@@ -51,14 +51,6 @@ class ModelElement:
         out.entries = self.field.add_into(dict(self.entries), other.entries.items())
         return out
 
-    def scale(self, c: Scalar) -> "ModelElement":
-        f = self.field
-        if f.is_zero(c):
-            return ModelElement.zero(f)
-        out = ModelElement(f)
-        out.entries = {k: f.mul(c, a) for k, a in self.entries.items()}
-        return out
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -114,13 +106,13 @@ class GradedModel:
 
     def bracket(self, x: ModelElement, y: ModelElement) -> ModelElement:
         f = self.field
-        out = ModelElement.zero(f)
+        out = {}
         for (d1, i1), c1 in x.entries.items():
             for (d2, i2), c2 in y.entries.items():
-                base = self.bracket_slots(d1, i1, d2, i2)
-                if not base.is_zero():
-                    out = out + base.scale(f.mul(c1, c2))
-        return out
+                c = f.mul(c1, c2)
+                base = self.bracket_slots(d1, i1, d2, i2).entries
+                f.add_into(out, ((key, f.mul(c, a)) for key, a in base.items()))
+        return ModelElement(f, out)
 
     def slot_name(self, degree: int, slot: int) -> str:
         return self.component_slots(degree)[slot]
@@ -297,10 +289,12 @@ def _evaluate_monomial(mono: tuple, substitution: dict, model: GradedModel) -> M
 def evaluate(f: LiePoly, substitution: dict, model: GradedModel) -> ModelElement:
     """Value of f under an admissible substitution, by structure constants."""
     _check_substitution(f, substitution, model)
-    out = ModelElement.zero(model.field)
+    field = model.field
+    out = {}
     for mono, c in f.terms.items():
-        out = out + _evaluate_monomial(mono, substitution, model).scale(c)
-    return out
+        value = _evaluate_monomial(mono, substitution, model).entries
+        field.add_into(out, ((key, field.mul(c, a)) for key, a in value.items()))
+    return ModelElement(field, out)
 
 
 def basis_substitutions(model: GradedModel, variables: Sequence[Var]) -> Iterator[dict]:
@@ -317,15 +311,31 @@ def basis_substitutions(model: GradedModel, variables: Sequence[Var]) -> Iterato
         yield dict(zip(variables, choice))
 
 
+def _basis_tuple_rows(model: GradedModel, variables: Sequence[Var], monomials) -> list:
+    """Per monomial, its values on the :func:`basis_substitutions` tuples as
+    coordinates in the component of the variables' degree sum, concatenated.
+    The tuples are admissible by construction, so none is checked."""
+    total = sum(v.degree for v in variables)
+    slots = range(model.dim(total))
+    rows = [[] for _ in monomials]
+    if not slots:
+        return rows
+    for substitution in basis_substitutions(model, variables):
+        for row, mono in zip(rows, monomials):
+            value = _evaluate_monomial(mono, substitution, model)
+            row.extend(value.coeff(total, slot) for slot in slots)
+    return rows
+
+
 def satisfies_multilinear(model: GradedModel, f: LiePoly) -> bool:
     """Whether a multilinear polynomial vanishes under every admissible
     substitution, decided on tuples of component basis vectors (which
     suffices by multilinearity)."""
     if not f.is_multilinear():
         raise ValueError("identity check by evaluation is restricted to multilinear input")
-    if not f.terms:
-        return True
-    return all(
-        evaluate(f, substitution, model).is_zero()
-        for substitution in basis_substitutions(model, sorted(f.variables()))
-    )
+    field = model.field
+    sums = {}
+    rows = _basis_tuple_rows(model, sorted(f.variables()), list(f.terms))
+    for c, row in zip(f.terms.values(), rows):
+        field.add_into(sums, ((j, field.mul(c, x)) for j, x in enumerate(row)))
+    return not sums

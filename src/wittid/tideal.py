@@ -7,7 +7,7 @@ criterion and normal form for monomial identities in characteristic two,
 and exact computation of two subspaces of a multilinear component:
 
 * the identity subspace: the kernel of the evaluation map into the model,
-  computed by evaluating every basis monomial on component basis tuples;
+  on the basis-tuple values of the loop in :mod:`wittid.models`;
 * the consequence subspace: the span of all multilinear substitution
   instances of family members inside the component.
 
@@ -49,7 +49,7 @@ from .freealg import (
     LiePoly, MultilinearSpace, Pair, Tree, Var, _ad_rows, _core_rows, mono_to_tree,
 )
 from .linalg import SubspaceBasis, linear_dependencies
-from .models import GradedModel, WittModel, _evaluate_monomial, basis_substitutions
+from .models import GradedModel, WittModel, _basis_tuple_rows
 
 
 class BudgetExceeded(RuntimeError):
@@ -176,23 +176,10 @@ def monomial_normal_form(mono: tuple) -> Optional[tuple]:
 
 def identity_subspace(model: GradedModel, space: MultilinearSpace) -> SubspaceBasis:
     """Kernel of the evaluation map of the multilinear component into the
-    model, computed on tuples of component basis vectors."""
+    model: the linear dependencies of the basis monomials' values."""
     if model.field != space.field:
         raise ValueError("model and space fields differ")
-    field = space.field
-    total = sum(v.degree for v in space.variables)
-    target_dim = model.dim(total)
-    substitutions = list(basis_substitutions(model, space.variables))
-    if not substitutions or target_dim == 0:
-        return SubspaceBasis.full(field, space.dim)
-    rows = []
-    for mono in space.basis:
-        row = []
-        for substitution in substitutions:
-            value = _evaluate_monomial(mono, substitution, model)
-            row.extend(value.coeff(total, slot) for slot in range(target_dim))
-        rows.append(row)
-    return linear_dependencies(rows, field)
+    return linear_dependencies(_basis_tuple_rows(model, space.variables, space.basis), space.field)
 
 
 def _bracket_splits(family: BasisFamily, degrees, positions) -> Iterator[tuple]:

@@ -388,10 +388,6 @@ def _bracket_poly(field: Field, a: int, b: int) -> LiePoly:
     return u1_family().bracket_member(a, b, field)
 
 
-def _single_poly(field: Field, c: int) -> LiePoly:
-    return LiePoly.variable(field, Var(1, c))
-
-
 def _violated(model, members) -> list:
     """Text forms of the members that are not identities of the model."""
     return [format_polynomial(m) for m in members if not satisfies_multilinear(model, m)]
@@ -495,10 +491,13 @@ def variable_independence_check(
     """The one-dimensional algebra concentrated in degree d violates x^d
     while satisfying every bracket member and every other x^c."""
     field = field or Field.gf(2)
+    member = w1_family().single_member(d, field)
+    if bound < abs(d):
+        raise ValueError("bound must cover |d|")
     model = onedim_model(field, d)
-    fails_member = bool(_violated(model, [_single_poly(field, d)]))
+    fails_member = bool(_violated(model, [member]))
     pairs = [_bracket_poly(field, u, v) for (u, v) in _same_parity_pairs(bound)]
-    singles = [_single_poly(field, c) for c in range(-bound, bound + 1) if c != d]
+    singles = [LiePoly.variable(field, Var(1, c)) for c in range(-bound, bound + 1) if c != d]
     return VariableIndependenceResult(
         d=d,
         bound=bound,
@@ -635,6 +634,8 @@ def minimality_sweep(
     components, where the tight range may span a proper subspace of the
     identities; those dimensions are reported, not asserted.
     """
+    if member_bound < 0:
+        raise ValueError("member bound must be nonnegative")
     field = Field.from_spec(field_spec)
     family = SweepConfig(model=model_name).family()
     singles = [
@@ -709,6 +710,8 @@ class ContrastReport:
 def char_contrast(p: int, bound: int = 4) -> ContrastReport:
     if p == 2 or p < 2:
         raise ValueError("contrast mode needs an odd prime")
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     field = Field.gf(p)
     model = u1_model(field)
     rows = []

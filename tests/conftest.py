@@ -1,10 +1,12 @@
 """Shared test helpers: random trees and independent oracles.
 
 The oracles here deliberately avoid the library's own expansion,
-row-reduction and coordinate paths: associative images are summed over
-every orientation of the tree, and coordinates are recovered by a
+row-reduction, coordinate and evaluation paths: associative images are
+summed over every orientation of the tree, coordinates are recovered by a
 from-scratch Gaussian solve on the full word-coordinate system, so they
-can certify the first-letter extraction used by the package.
+can certify the first-letter extraction used by the package, and model
+values come from closed forms and matrix commutators rather than
+``GradedModel.bracket``.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import pytest
 from wittid.fields import Field
 from wittid.freealg import Pair, Var, tree_leaves
 from wittid.linalg import SubspaceBasis
+from wittid.models import OneDimModel, UT3Model, WittModel
 from wittid.tideal import consequence_instances
 
 
@@ -58,6 +61,33 @@ def substitute_leaf(tree, leaf, replacement):
     )
 
 
+def _row_reduce(aug, ncols, field):
+    """Reduce the rows of ``aug`` in place to reduced row echelon form in
+    their first ``ncols`` columns; returns the pivot columns in order."""
+    pivots = []
+    row_at = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(row_at, len(aug)):
+            if not field.is_zero(aug[r][col]):
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        aug[row_at], aug[pivot] = aug[pivot], aug[row_at]
+        inv = field.inv(aug[row_at][col])
+        aug[row_at] = [field.mul(inv, x) for x in aug[row_at]]
+        for r in range(len(aug)):
+            if r != row_at and not field.is_zero(aug[r][col]):
+                c = aug[r][col]
+                aug[r] = [
+                    field.sub(a, field.mul(c, b)) for a, b in zip(aug[r], aug[row_at])
+                ]
+        pivots.append(col)
+        row_at += 1
+    return pivots
+
+
 def solve_exact(rows, rhs, field):
     """Solve sum_i c_i rows[i] = rhs by plain Gaussian elimination.
 
@@ -67,34 +97,33 @@ def solve_exact(rows, rhs, field):
     m = len(rows)
     t = len(rhs)
     aug = [[rows[i][j] for i in range(m)] + [rhs[j]] for j in range(t)]
-    pivots = []
-    row_at = 0
-    for col in range(m):
-        pivot = None
-        for r in range(row_at, t):
-            if not field.is_zero(aug[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[row_at], aug[pivot] = aug[pivot], aug[row_at]
-        inv = field.inv(aug[row_at][col])
-        aug[row_at] = [field.mul(inv, x) for x in aug[row_at]]
-        for r in range(t):
-            if r != row_at and not field.is_zero(aug[r][col]):
-                c = aug[r][col]
-                aug[r] = [
-                    field.sub(a, field.mul(c, b)) for a, b in zip(aug[r], aug[row_at])
-                ]
-        pivots.append(col)
-        row_at += 1
-    for r in range(row_at, t):
+    pivots = _row_reduce(aug, m, field)
+    for r in range(len(pivots), t):
         if not field.is_zero(aug[r][m]):
             raise ValueError("inconsistent system")
     solution = [field.zero] * m
     for r, col in enumerate(pivots):
         solution[col] = aug[r][m]
     return tuple(solution)
+
+
+def oracle_kernel(rows, field):
+    """A basis of {c : sum_i c_i rows[i] = 0}, by the same from-scratch
+    elimination as :func:`solve_exact`."""
+    m = len(rows)
+    width = len(rows[0]) if rows else 0
+    eqs = [[rows[i][j] for i in range(m)] for j in range(width)]
+    pivots = _row_reduce(eqs, m, field)
+    kernel = []
+    for free in range(m):
+        if free in pivots:
+            continue
+        vec = [field.zero] * m
+        vec[free] = field.one
+        for r, col in enumerate(pivots):
+            vec[col] = field.neg(eqs[r][free])
+        kernel.append(vec)
+    return kernel
 
 
 def oracle_expand(x, field):
@@ -149,6 +178,84 @@ def instance_span(family, space):
         if span.is_full():
             break
     return span
+
+
+_UNITS = {"E12": (0, 1), "E23": (1, 2), "E13": (0, 2)}
+
+
+def _commutator(a, b):
+    ab = [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    ba = [[sum(b[i][k] * a[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    return [[x - y for x, y in zip(p, q)] for p, q in zip(ab, ba)]
+
+
+def oracle_value(model, mono, choice):
+    """Value of a left-normed monomial when each variable v takes the
+    basis vector in slot ``choice[v]`` of its component, as a
+    (degree, slot) -> coefficient dict without zeros.
+
+    Witt models: e_{d_1} bracketed in turn with e_{d_2}, ..., e_{d_n} is
+    prod_k (d_k - s_{k-1}) e_{s_n}, s_k the prefix degree sums, and w1 has
+    no vector of degree below -1. ``ut3``: integer 3x3 matrix commutators.
+    ``onedim``: abelian.
+    """
+    field = model.field
+    degrees = [v.degree for v in mono]
+    if isinstance(model, WittModel):
+        if model.name == "w1" and min(degrees) < -1:
+            return {}
+        coeff, total = 1, degrees[0]
+        for d in degrees[1:]:
+            coeff *= d - total
+            total += d
+        c = field.from_int(coeff)
+        return {} if field.is_zero(c) else {(total, 0): c}
+    if isinstance(model, OneDimModel):
+        return {(model.d, 0): field.one} if len(mono) == 1 else {}
+    assert isinstance(model, UT3Model)
+    matrix = None
+    for v in mono:
+        i, j = _UNITS[model.component_slots(v.degree)[choice[v]]]
+        unit = [[int((a, b) == (i, j)) for b in range(3)] for a in range(3)]
+        matrix = unit if matrix is None else _commutator(matrix, unit)
+    degree_of = {"E12": model.r, "E23": model.s, "E13": model.r + model.s}
+    out = {}
+    for name, (i, j) in _UNITS.items():
+        c = field.from_int(matrix[i][j])
+        if not field.is_zero(c):
+            d = degree_of[name]
+            out[(d, model.component_slots(d).index(name))] = c
+    return out
+
+
+def oracle_rows(model, variables, monomials):
+    """One row per monomial: its oracle values on every tuple of basis
+    vectors for the variables, one column per (tuple, degree, slot) that
+    some monomial reaches."""
+    columns = {}
+    values = [{} for _ in monomials]
+    for choice in itertools.product(*(range(model.dim(v.degree)) for v in variables)):
+        picked = dict(zip(variables, choice))
+        for per_mono, mono in zip(values, monomials):
+            for key, c in oracle_value(model, mono, picked).items():
+                column = columns.setdefault((choice, key), len(columns))
+                per_mono[column] = c
+    zero = model.field.zero
+    return [[vals.get(j, zero) for j in range(len(columns))] for vals in values]
+
+
+def oracle_satisfies(model, poly):
+    """Whether the multilinear polynomial vanishes on every basis tuple,
+    by the oracle values."""
+    field = model.field
+    rows = oracle_rows(model, sorted(poly.variables()), list(poly.terms))
+    for column in zip(*rows):
+        total = field.zero
+        for c, x in zip(poly.terms.values(), column):
+            total = field.add(total, field.mul(c, x))
+        if not field.is_zero(total):
+            return False
+    return True
 
 
 @pytest.fixture

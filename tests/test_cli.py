@@ -207,6 +207,23 @@ def test_independence_verbs(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["independence", "--d", "0"], "x^0 is not in the family"),
+        (["independence", "--d", "5"], "x^5 is not in the family"),
+        (["--format", "json", "independence", "--d", "-3", "--bound", "-1"], "bound"),
+        (["contrast", "--p", "3", "--bound", "-2"], "bound"),
+        (["minimality", "--model", "u1", "--bound", "-1"], "bound"),
+    ],
+)
+def test_vacuous_or_empty_ranges_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("wittid: ") and message in err
+
+
 def test_minimality_verb(capsys):
     code, out, _ = run(
         capsys,

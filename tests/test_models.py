@@ -1,9 +1,13 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
+from conftest import oracle_kernel, oracle_rows, oracle_satisfies, oracle_value
 
 from wittid.fields import Field
-from wittid.freealg import LiePoly, Var
+from wittid.freealg import LiePoly, MultilinearSpace, Var
+from wittid.linalg import SubspaceBasis
 from wittid.models import (
     ModelElement,
     basis_substitutions,
@@ -15,6 +19,7 @@ from wittid.models import (
     ut3_model,
     w1_model,
 )
+from wittid.tideal import identity_subspace
 
 GF2 = Field.gf(2)
 GF3 = Field.gf(3)
@@ -212,3 +217,68 @@ def test_satisfies_multilinear_rejects_nonmultilinear():
     square = LiePoly.monomial(GF2, (Var(1, 0), Var(2, 1), Var(1, 0)))
     with pytest.raises(ValueError):
         satisfies_multilinear(m, square)
+
+
+#: model -> the degrees its random variables are drawn from
+ORACLE_MODELS = {
+    "u1": range(-3, 4),
+    "w1": range(-3, 4),
+    "ut3:0:0": (0, 0, 0, 1),  # one three-dimensional component
+    "ut3:0:2": (0, 2, 2),  # E23 and E13 merged at degree 2
+    "onedim:-2": (-2, -2, 1),
+}
+
+
+def _random_scalar(rng, field):
+    if field.characteristic:
+        return rng.randrange(field.characteristic)
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _oracle_evaluate(model, poly, choice):
+    field = model.field
+    out = {}
+    for mono, c in poly.terms.items():
+        for key, a in oracle_value(model, mono, choice).items():
+            out[key] = field.add(out.get(key, field.zero), field.mul(c, a))
+    return {key: a for key, a in out.items() if not field.is_zero(a)}
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, Field.rationals()], ids=str)
+@pytest.mark.parametrize("spec", sorted(ORACLE_MODELS))
+def test_evaluation_matches_oracle(field, spec):
+    """identity_subspace, satisfies_multilinear and evaluate against values
+    computed without GradedModel.bracket, on random multi-term
+    polynomials; the identities built from oracle kernel vectors have
+    coefficients that cancel only when sums are reduced in the field."""
+    rng = random.Random(f"{spec}/{field}")
+    model = parse_model(spec, field)
+    for _ in range(12):
+        degrees = [rng.choice(ORACLE_MODELS[spec]) for _ in range(rng.randint(1, 4))]
+        space = MultilinearSpace.for_degrees(degrees, field)
+        kernel = oracle_kernel(oracle_rows(model, space.variables, space.basis), field)
+        expected = SubspaceBasis.from_vectors(field, space.dim, kernel)
+        assert identity_subspace(model, space) == expected, (spec, degrees)
+
+        coeffs = [field.zero] * space.dim
+        for vec in kernel:
+            a = _random_scalar(rng, field)
+            coeffs = [field.add(x, field.mul(a, y)) for x, y in zip(coeffs, vec)]
+        identity = LiePoly(field, dict(zip(space.basis, coeffs)))
+        assert satisfies_multilinear(model, identity), (spec, degrees, identity.terms)
+
+        orders = list(itertools.permutations(space.variables))
+        monos = rng.sample(orders, min(len(orders), rng.randint(1, 4)))
+        poly = LiePoly(field, {m: _random_scalar(rng, field) for m in monos})
+        for f in (poly, poly + identity):
+            assert satisfies_multilinear(model, f) == oracle_satisfies(model, f), (
+                spec, degrees, f.terms,
+            )
+            dims = [model.dim(v.degree) for v in space.variables]
+            if all(dims):
+                choice = {v: rng.randrange(d) for v, d in zip(space.variables, dims)}
+                substitution = {
+                    v: model.basis_element(v.degree, i) for v, i in choice.items()
+                }
+                value = evaluate(f, substitution, model)
+                assert value.entries == _oracle_evaluate(model, f, choice), (spec, degrees)

@@ -221,6 +221,12 @@ def test_independence_validation():
         independence_check(0, 1)
     with pytest.raises(ValueError):
         independence_check(-5, 5, bound=3)
+    # only x^c with c <= -2 are members, and the bound must cover |d|
+    for d in (-1, 0, 5):
+        with pytest.raises(ValueError, match="not in the family"):
+            variable_independence_check(d)
+    with pytest.raises(ValueError, match="bound"):
+        variable_independence_check(-3, bound=2)
 
 
 def test_variable_independence_examples():
@@ -288,6 +294,8 @@ def test_minimality_w1_probes():
 def test_minimality_rejects_other_models():
     with pytest.raises(ValueError):
         minimality_sweep("onedim:-2")
+    with pytest.raises(ValueError, match="nonnegative"):
+        minimality_sweep("u1", member_bound=-1)
 
 
 # -- characteristic contrast -------------------------------------------------------
@@ -304,3 +312,5 @@ def test_char_contrast_gf3():
         char_contrast(2)
     with pytest.raises(ValueError):
         char_contrast(4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        char_contrast(3, bound=-1)
