@@ -2,32 +2,73 @@
 
 Subspaces of F^n are kept in reduced row echelon form, which is a
 canonical representation: two subspaces are equal iff their stored rows
-coincide. Over GF(2) rows are packed into int bitmasks (bit j = column
-j); other fields store rows as scalar lists. The interface is
-field-generic either way.
+coincide. Rows are stored packed: over GF(2) as int bitmasks (bit j =
+column j), over other fields as scalar lists. A row is packed once, where
+it enters this module: by :meth:`SubspaceBasis.insert`,
+:func:`pack_row` or :func:`pack_map`. Spans, images, kernels, containment
+and equality then work on the packed rows; only :meth:`SubspaceBasis.rows`,
+:meth:`SubspaceBasis.reduce` and :meth:`SubspaceBasis.contains_vector`
+take or give scalar tuples, for witnesses, the CLI and the tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .fields import Field, Scalar
 
 
+def _is_gf2(field: Field) -> bool:
+    return field.kind == "prime" and field.p == 2
+
+
+@lru_cache(maxsize=64)
+def _bits(ncols: int) -> tuple:
+    """``1 << j`` for every column j: summing the ones a GF(2) vector
+    selects packs it, in C."""
+    return tuple(1 << j for j in range(ncols))
+
+
+def _pack_gf2(vec: Sequence[Scalar]) -> int:
+    """A GF(2) vector as an int mask, bit j = column j."""
+    return sum(compress(_bits(len(vec)), vec))
+
+
+def pack_row(field: Field, vec: Sequence[Scalar]):
+    """A vector in the packed form that :meth:`SubspaceBasis.insert` takes."""
+    if _is_gf2(field):
+        return _pack_gf2(vec)
+    return tuple(vec)
+
+
+def pack_map(field: Field, sparse_rows: Sequence) -> tuple:
+    """A linear map in the form :meth:`SubspaceBasis.images` takes.
+    ``sparse_rows[i]`` holds the nonzero ``(j, c)`` of the image of column
+    i; over GF(2) it is packed into one mask, elsewhere kept as it is."""
+    if _is_gf2(field):
+        return tuple(sum(1 << j for j, _ in row) for row in sparse_rows)
+    return tuple(tuple(row) for row in sparse_rows)
+
+
 class SubspaceBasis:
     """Row-echelon basis of a subspace of F^ncols."""
 
-    __slots__ = ("field", "ncols", "_gf2", "_rows", "_pivots")
+    __slots__ = ("field", "ncols", "_gf2", "_rows", "_pivots", "_pivot_mask")
 
     def __init__(self, field: Field, ncols: int):
         if ncols < 0:
             raise ValueError("ncols must be non-negative")
         self.field = field
         self.ncols = ncols
-        self._gf2 = field.kind == "prime" and field.p == 2
-        # GF(2): list of int masks; otherwise list of scalar lists.
+        self._gf2 = _is_gf2(field)
+        # Sorted by pivot. GF(2): int masks, plus the mask of the pivot
+        # columns; otherwise scalar lists.
         self._rows = []
         self._pivots = []
+        self._pivot_mask = 0
 
     @classmethod
     def zero(cls, field: Field, ncols: int) -> "SubspaceBasis":
@@ -36,9 +77,13 @@ class SubspaceBasis:
     @classmethod
     def full(cls, field: Field, ncols: int) -> "SubspaceBasis":
         basis = cls(field, ncols)
-        one, zero = field.one, field.zero
-        for j in range(ncols):
-            basis.insert([one if i == j else zero for i in range(ncols)])
+        basis._pivots = list(range(ncols))
+        if basis._gf2:
+            basis._rows = list(_bits(ncols))
+            basis._pivot_mask = (1 << ncols) - 1
+        else:
+            one, zero = field.one, field.zero
+            basis._rows = [[one if i == j else zero for i in range(ncols)] for j in range(ncols)]
         return basis
 
     @classmethod
@@ -62,35 +107,34 @@ class SubspaceBasis:
 
     # -- GF(2) bitmask path -------------------------------------------------
 
-    def _encode(self, vec: Sequence[Scalar]) -> int:
-        mask = 0
-        for j, c in enumerate(vec):
-            if c:
-                mask |= 1 << j
-        return mask
-
     def _decode(self, mask: int) -> tuple:
         return tuple((mask >> j) & 1 for j in range(self.ncols))
 
     def _reduce_mask(self, mask: int) -> int:
-        for pivot, row in zip(self._pivots, self._rows):
-            if (mask >> pivot) & 1:
-                mask ^= row
+        # In reduced echelon form a row is zero in every other pivot
+        # column, so the pivot bits of the input pick the rows to add.
+        hits = mask & self._pivot_mask
+        while hits:
+            low = hits & -hits
+            mask ^= self._rows[bisect_left(self._pivots, low.bit_length() - 1)]
+            hits ^= low
         return mask
 
     def _insert_mask(self, mask: int) -> bool:
         mask = self._reduce_mask(mask)
         if mask == 0:
             return False
-        pivot = (mask & -mask).bit_length() - 1
-        for i, row in enumerate(self._rows):
-            if (row >> pivot) & 1:
-                self._rows[i] = row ^ mask
-        at = 0
-        while at < len(self._pivots) and self._pivots[at] < pivot:
-            at += 1
+        low = mask & -mask
+        pivot = low.bit_length() - 1
+        at = bisect_left(self._pivots, pivot)
+        rows = self._rows
+        # Only rows with a smaller pivot can have a one in this column.
+        for i in range(at):
+            if rows[i] & low:
+                rows[i] ^= mask
         self._pivots.insert(at, pivot)
-        self._rows.insert(at, mask)
+        rows.insert(at, mask)
+        self._pivot_mask |= low
         return True
 
     # -- generic path -------------------------------------------------------
@@ -115,48 +159,83 @@ class SubspaceBasis:
             c = row[pivot]
             if not f.is_zero(c):
                 self._rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, vec)]
-        at = 0
-        while at < len(self._pivots) and self._pivots[at] < pivot:
-            at += 1
+        at = bisect_left(self._pivots, pivot)
         self._pivots.insert(at, pivot)
         self._rows.insert(at, vec)
         return True
 
     # -- public interface ---------------------------------------------------
 
-    def insert(self, vec: Sequence[Scalar]) -> bool:
-        """Add a vector to the span; returns True if the rank grew."""
-        self._check_length(vec)
+    def insert(self, vec: Sequence[Scalar] | int) -> bool:
+        """Add a vector to the span; returns True if the rank grew.
+
+        Over GF(2) the vector may come packed, as an int mask (bit j =
+        column j) that fits in ``ncols`` bits."""
         if self._gf2:
-            return self._insert_mask(self._encode(vec))
+            if isinstance(vec, int):
+                if vec < 0 or vec.bit_length() > self.ncols:
+                    raise ValueError(f"mask does not fit in {self.ncols} columns")
+                return self._insert_mask(vec)
+            self._check_length(vec)
+            return self._insert_mask(_pack_gf2(vec))
+        self._check_length(vec)
         return self._insert_list(list(vec))
+
+    def images(self, packed_map: Sequence, ncols: int) -> list:
+        """The packed images of the stored rows under a linear map from
+        F^self.ncols to F^ncols, packed by :func:`pack_map`. Over GF(2) an
+        image is the XOR of the map's masks over the row's set bits."""
+        if len(packed_map) != self.ncols:
+            raise ValueError(f"expected a map on {self.ncols} columns, got {len(packed_map)}")
+        if self._gf2:
+            out = []
+            for mask in self._rows:
+                image = 0
+                while mask:
+                    low = mask & -mask
+                    image ^= packed_map[low.bit_length() - 1]
+                    mask ^= low
+                out.append(image)
+            return out
+        f = self.field
+        out = []
+        for row in self._rows:
+            image = [f.zero] * ncols
+            for a, targets in zip(row, packed_map):
+                if not f.is_zero(a):
+                    for j, c in targets:
+                        image[j] = f.add(image[j], f.mul(a, c))
+            out.append(image)
+        return out
 
     def reduce(self, vec: Sequence[Scalar]) -> tuple:
         """Residual of a vector after elimination by the stored rows."""
         self._check_length(vec)
         if self._gf2:
-            return self._decode(self._reduce_mask(self._encode(vec)))
+            return self._decode(self._reduce_mask(_pack_gf2(vec)))
         return tuple(self._reduce_list(list(vec)))
 
     def contains_vector(self, vec: Sequence[Scalar]) -> bool:
         self._check_length(vec)
         if self._gf2:
-            return self._reduce_mask(self._encode(vec)) == 0
+            return self._reduce_mask(_pack_gf2(vec)) == 0
         f = self.field
         return all(f.is_zero(c) for c in self._reduce_list(list(vec)))
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(row) for row in other.rows())
+        if self._gf2:
+            return not any(self._reduce_mask(row) for row in other._rows)
+        f = self.field
+        return all(
+            f.is_zero(c) for row in other._rows for c in self._reduce_list(row)
+        )
 
     def rows(self) -> list:
         """The reduced row-echelon rows, as scalar tuples."""
         if self._gf2:
             return [self._decode(m) for m in self._rows]
         return [tuple(row) for row in self._rows]
-
-    def pivots(self) -> tuple:
-        return tuple(self._pivots)
 
     def _check_length(self, vec: Sequence[Scalar]):
         if len(vec) != self.ncols:
@@ -172,7 +251,7 @@ class SubspaceBasis:
         if not isinstance(other, SubspaceBasis):
             return NotImplemented
         self._check_ambient(other)
-        return self.rows() == other.rows()
+        return self._rows == other._rows
 
     def __repr__(self):
         return f"SubspaceBasis(dim={self.dim}, ncols={self.ncols}, field={self.field})"
@@ -192,21 +271,25 @@ def linear_dependencies(
     lengths = {len(v) for v in vectors}
     if len(lengths) != 1:
         raise ValueError("vectors must share a length")
-    t = lengths.pop()
     f = field
     # Rows of the transposed system: one per coordinate of the vectors.
     echelon = SubspaceBasis(field, m)
-    for j in range(t):
-        echelon.insert([vectors[i][j] for i in range(m)])
-    pivots = set(echelon.pivots())
-    rows = echelon.rows()
+    for column in zip(*vectors):
+        echelon.insert(column)
     kernel = SubspaceBasis(field, m)
+    pivot_rows = list(zip(echelon._pivots, echelon._rows))
+    pivots = set(echelon._pivots)
     for free in range(m):
         if free in pivots:
             continue
-        vec = [f.zero] * m
-        vec[free] = f.one
-        for pivot, row in zip(echelon.pivots(), rows):
-            vec[pivot] = f.neg(row[free])
+        if echelon._gf2:
+            vec = 1 << free
+            for pivot, row in pivot_rows:
+                vec |= ((row >> free) & 1) << pivot
+        else:
+            vec = [f.zero] * m
+            vec[free] = f.one
+            for pivot, row in pivot_rows:
+                vec[pivot] = f.neg(row[free])
         kernel.insert(vec)
     return kernel

@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial
 from typing import Iterator, Optional
 
@@ -48,7 +48,7 @@ from .fields import Field
 from .freealg import (
     LiePoly, MultilinearSpace, Pair, Tree, Var, _ad_rows, _core_rows, mono_to_tree,
 )
-from .linalg import SubspaceBasis, linear_dependencies
+from .linalg import SubspaceBasis, linear_dependencies, pack_map, pack_row
 from .models import GradedModel, WittModel, _basis_tuple_rows
 
 
@@ -302,7 +302,7 @@ class _SubSpans:
             return SubspaceBasis.full(field, dim)
         acc = SubspaceBasis.zero(field, dim)
         for left, _ in _bracket_splits(self.family, degrees, range(k)):
-            for row in _core_rows(k, left, field):
+            for row in _packed_core_rows(k, left, field):
                 self.check_deadline()
                 acc.insert(row)
                 if acc.is_full():
@@ -314,17 +314,23 @@ class _SubSpans:
             if inner.is_zero():
                 continue
             self.check_deadline()
-            ad = _ad_rows(k, pos, field)
-            for row in inner.rows():
-                image = [field.zero] * dim
-                for a, targets in zip(row, ad):
-                    if a:
-                        for j, c in targets:
-                            image[j] = field.add(image[j], field.mul(a, c))
+            for image in inner.images(_packed_ad_rows(k, pos, field), dim):
                 acc.insert(image)
                 if acc.is_full():
                     return acc
         return acc
+
+
+# The certified row tables of freealg, packed once per key for
+# SubspaceBasis; read-only and keyed like the tables themselves.
+@lru_cache(maxsize=None)
+def _packed_core_rows(k: int, left: tuple, field: Field) -> tuple:
+    return tuple(pack_row(field, row) for row in _core_rows(k, left, field))
+
+
+@lru_cache(maxsize=None)
+def _packed_ad_rows(k: int, pos: int, field: Field) -> tuple:
+    return pack_map(field, _ad_rows(k, pos, field))
 
 
 def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:

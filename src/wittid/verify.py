@@ -21,7 +21,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-from math import factorial
+from math import factorial, isfinite
 from typing import Optional, Sequence
 
 from .fields import Field
@@ -115,6 +115,9 @@ class SweepConfig:
             raise ValueError("basis sweeps cover the u1 and w1 models")
         if self.workers < 1:
             raise ValueError("need workers >= 1")
+        budget = self.space_budget_s
+        if budget is not None and not (isfinite(budget) and budget >= 0):
+            raise ValueError("the per-space budget must be a finite number of seconds >= 0")
         self.extra_degree_tuples = tuple(
             tuple(t) for t in self.extra_degree_tuples
         )
@@ -638,6 +641,10 @@ def minimality_sweep(
         raise ValueError("member bound must be nonnegative")
     field = Field.from_spec(field_spec)
     family = SweepConfig(model=model_name).family()
+    if family.has_singletons and separation_bound < 2:
+        raise ValueError(
+            "separation bound must be at least 2 to reach the single-variable members x^c, c <= -2"
+        )
     singles = [
         c for c in range(-separation_bound, separation_bound + 1) if family.contains_single(c)
     ]

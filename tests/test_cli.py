@@ -215,6 +215,14 @@ def test_independence_verbs(capsys):
         (["--format", "json", "independence", "--d", "-3", "--bound", "-1"], "bound"),
         (["contrast", "--p", "3", "--bound", "-2"], "bound"),
         (["minimality", "--model", "u1", "--bound", "-1"], "bound"),
+        (
+            ["--format", "json", "minimality", "--model", "w1", "--separation-bound", "1",
+             "--bound", "0", "--nmax", "1", "--dmax", "0"],
+            "separation bound",
+        ),
+        (["verify-basis", "--model", "u1", "--nmax", "2", "--dmax", "1", "--budget", "-1"], "budget"),
+        (["verify-basis", "--model", "u1", "--nmax", "2", "--dmax", "1", "--budget", "nan"], "budget"),
+        (["verify-basis", "--model", "u1", "--nmax", "2", "--dmax", "1", "--budget", "inf"], "budget"),
     ],
 )
 def test_vacuous_or_empty_ranges_exit_two(capsys, argv, message):
@@ -222,6 +230,17 @@ def test_vacuous_or_empty_ranges_exit_two(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("wittid: ") and message in err
+
+
+def test_refused_budget_writes_no_report(capsys, tmp_path):
+    # a NaN budget would reach the report as the non-JSON token NaN
+    out_path = tmp_path / "r.json"
+    code, out, err = run(
+        capsys, "--out", str(out_path), "verify-basis", "--model", "u1",
+        "--nmax", "2", "--dmax", "1", "--budget", "nan",
+    )
+    assert code == 2 and "budget" in err
+    assert not out_path.exists()
 
 
 def test_minimality_verb(capsys):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from conftest import _row_reduce, oracle_kernel
 from wittid.fields import Field
-from wittid.linalg import SubspaceBasis, linear_dependencies
+from wittid.linalg import SubspaceBasis, linear_dependencies, pack_map, pack_row
 
 GF2 = Field.gf(2)
 GF3 = Field.gf(3)
@@ -117,3 +118,150 @@ def test_dependencies_of_independent_vectors_trivial():
     kernel = linear_dependencies([(1, 1), (1, 1)], GF2)
     assert kernel.dim == 1
     assert kernel.rows() == [(1, 1)]
+
+
+# -- packed rows against the from-scratch elimination of conftest ----------------
+
+
+def oracle_rref(vectors, ncols, field):
+    """The nonzero reduced row-echelon rows of the vectors, by conftest's
+    elimination: the canonical form SubspaceBasis.rows() must match."""
+    aug = [list(v) for v in vectors]
+    pivots = _row_reduce(aug, ncols, field)
+    return [tuple(row) for row in aug[: len(pivots)]]
+
+
+def random_vector(rng, field, ncols, density):
+    return [
+        field.from_int(rng.randint(1, field.p - 1)) if rng.random() < density else field.zero
+        for _ in range(ncols)
+    ]
+
+
+def combination(rng, field, vectors, ncols):
+    out = [field.zero] * ncols
+    for v in vectors:
+        c = field.from_int(rng.randint(0, field.p - 1))
+        out = [field.add(a, field.mul(c, b)) for a, b in zip(out, v)]
+    return out
+
+
+def random_pair(rng, field):
+    """Vectors of a subspace A of F^ncols, up to 130 columns, and of a
+    subspace B that lies in A or leaves it by one vector placed anywhere
+    among B's, so that containment, equality and rank all vary."""
+    ncols = rng.choice([rng.randint(1, 8), rng.randint(60, 70), rng.randint(120, 130)])
+    density = rng.choice([0.05, 0.3, 0.6])
+    a = [random_vector(rng, field, ncols, density) for _ in range(rng.randint(0, 9))]
+    b = [combination(rng, field, a, ncols) for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.5:
+        b.insert(rng.randint(0, len(b)), random_vector(rng, field, ncols, density))
+    return ncols, a, b
+
+
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_packed_spans_match_oracle(field):
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(40):
+        ncols, a, b = random_pair(rng, field)
+        span_a = SubspaceBasis.from_vectors(field, ncols, a)
+        span_b = SubspaceBasis.from_vectors(field, ncols, b)
+        rref_a = oracle_rref(a, ncols, field)
+        rref_b = oracle_rref(b, ncols, field)
+        assert span_a.rows() == rref_a and span_b.rows() == rref_b
+        rank_ab = len(oracle_rref(a + b, ncols, field))
+        a_has_b, b_has_a = rank_ab == len(rref_a), rank_ab == len(rref_b)
+        assert span_a.contains_subspace(span_b) == a_has_b
+        assert span_b.contains_subspace(span_a) == b_has_a
+        assert (span_a == span_b) == (rref_a == rref_b)
+        # the same span from its rows in reverse order, plus a combination
+        again = SubspaceBasis.from_vectors(
+            field, ncols, rref_a[::-1] + [combination(rng, field, a, ncols)]
+        )
+        assert again == span_a
+        outcomes.add((a_has_b, span_a.dim == span_b.dim, rref_a == rref_b))
+    # the draws reach equal spans, proper containments and equal
+    # dimensions without equality
+    assert {(True, True, True), (True, False, False), (False, True, False)} <= outcomes
+
+
+@pytest.mark.parametrize("field", [GF2, GF3])
+@pytest.mark.parametrize("ncols", [0, 1, 64, 65, 130])
+def test_full_matches_oracle(field, ncols):
+    full = SubspaceBasis.full(field, ncols)
+    units = [[field.one if i == j else field.zero for i in range(ncols)] for j in range(ncols)]
+    assert full.is_full() and full.rows() == oracle_rref(units, ncols, field)
+    assert full == SubspaceBasis.from_vectors(field, ncols, units[::-1])
+    rng = random.Random(ncols)
+    vec = random_vector(rng, field, ncols, 0.5)
+    assert full.contains_vector(vec)
+    assert full.contains_subspace(SubspaceBasis.from_vectors(field, ncols, [vec]))
+    if ncols:
+        assert not SubspaceBasis.from_vectors(field, ncols, units[1:]).contains_subspace(full)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_linear_dependencies_match_oracle(field):
+    rng = random.Random(9)
+    for _ in range(12):
+        m = rng.choice([rng.randint(1, 8), rng.randint(60, 130)])
+        t = rng.randint(0, 12)
+        base = [random_vector(rng, field, t, 0.4) for _ in range(rng.randint(1, 6))]
+        vectors = [
+            combination(rng, field, base, t) if rng.random() < 0.7
+            else random_vector(rng, field, t, 0.4)
+            for _ in range(m)
+        ]
+        kernel = linear_dependencies(vectors, field)
+        assert kernel.ncols == m
+        assert kernel.rows() == oracle_rref(oracle_kernel(vectors, field), m, field)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_image_insertion_matches_oracle(field):
+    rng = random.Random(10)
+    for _ in range(30):
+        source_cols = rng.choice([rng.randint(1, 8), rng.randint(20, 40)])
+        ncols = rng.choice([rng.randint(1, 8), rng.randint(60, 70), rng.randint(120, 130)])
+        # a random sparse map: column j goes to a few (i, c)
+        sparse = [
+            [(i, field.from_int(rng.randint(1, field.p - 1)))
+             for i in sorted(rng.sample(range(ncols), rng.randint(0, min(3, ncols))))]
+            for _ in range(source_cols)
+        ]
+        source = SubspaceBasis.from_vectors(
+            field, source_cols,
+            [random_vector(rng, field, source_cols, 0.3) for _ in range(rng.randint(0, 8))],
+        )
+        expected = []
+        for row in source.rows():
+            image = [field.zero] * ncols
+            for a, targets in zip(row, sparse):
+                for i, c in targets:
+                    image[i] = field.add(image[i], field.mul(a, c))
+            expected.append(image)
+        seed = [random_vector(rng, field, ncols, 0.1) for _ in range(rng.randint(0, 3))]
+        target = SubspaceBasis.zero(field, ncols)
+        for vec in seed:
+            target.insert(pack_row(field, vec))
+        for image in source.images(pack_map(field, sparse), ncols):
+            target.insert(image)
+        assert target.rows() == oracle_rref(seed + expected, ncols, field)
+
+
+@pytest.mark.parametrize("ncols", [3, 64, 130])
+def test_packed_row_must_fit(ncols):
+    basis = SubspaceBasis.zero(GF2, ncols)
+    for mask in (1 << ncols, (1 << (ncols + 1)) - 1, -1):
+        with pytest.raises(ValueError, match="does not fit"):
+            basis.insert(mask)
+    assert basis.is_zero()
+    assert basis.insert(1 << (ncols - 1)) and basis.insert(pack_row(GF2, [1] * ncols))
+    assert basis.rows() == oracle_rref([[0] * (ncols - 1) + [1], [1] * ncols], ncols, GF2)
+
+
+def test_images_check_the_map_width():
+    basis = SubspaceBasis.from_vectors(GF3, 3, [(1, 0, 2)])
+    with pytest.raises(ValueError, match="map on 3 columns"):
+        basis.images(pack_map(GF3, [[(0, 1)], [(1, 1)]]), 2)

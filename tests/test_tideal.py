@@ -329,6 +329,15 @@ def _gate_components():
     for family in families:
         for degrees in rng.sample(list(canonical_degree_tuples(5, 2)), 6):
             yield family, MultilinearSpace.for_degrees(degrees, gf3)
+    # n = 6 over GF(2): 120 columns, so every row is wider than a machine
+    # word. One odd degree and none below -1 gives a proper identity
+    # subspace that the span never fills, in every family.
+    rng = random.Random(6)
+    wide = list(canonical_degree_tuples(6, 2))
+    single_odd = [d for d in wide if sum(x % 2 for x in d) == 1 and min(d) >= -1]
+    for family in families:
+        for degrees in rng.sample(wide, 2) + rng.sample(single_odd, 1):
+            yield family, MultilinearSpace.for_degrees(degrees, GF2)
     # Indices that are not contiguous and are given unsorted, with
     # unsorted degrees: the spans are memoized by the degree tuple in
     # index order, which the canonical tuples above never tell apart

@@ -47,6 +47,10 @@ def test_config_validation():
         SweepConfig(nmax=0)
     with pytest.raises(ValueError, match="workers"):
         SweepConfig(workers=0)
+    for budget in (-1.0, -1e-9, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="budget"):
+            SweepConfig(space_budget_s=budget)
+    assert SweepConfig(space_budget_s=0.0).space_budget_s == 0.0
     config = SweepConfig(model="w1", family_range="tight")
     assert config.family().bracket_lower_bound == 0
 
@@ -296,6 +300,13 @@ def test_minimality_rejects_other_models():
         minimality_sweep("onedim:-2")
     with pytest.raises(ValueError, match="nonnegative"):
         minimality_sweep("u1", member_bound=-1)
+
+
+@pytest.mark.parametrize("separation_bound", [1, 0, -1])
+def test_minimality_refuses_bounds_below_the_single_members(separation_bound):
+    # below 2 no x^c, c <= -2, is in range, so no single member would be checked
+    with pytest.raises(ValueError, match="separation bound"):
+        minimality_sweep("w1", member_bound=0, separation_bound=separation_bound, nmax=1, dmax=0)
 
 
 # -- characteristic contrast -------------------------------------------------------
