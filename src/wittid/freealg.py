@@ -8,8 +8,11 @@ are represented as :class:`Pair` trees. Distinct left-normed monomials
 may be proportional as Lie elements (``[x2,x1] = -[x1,x2]``), so
 equality of Lie elements is decided through the expansion
 ``[a, b] -> ab - ba`` into the free associative algebra, a faithful
-embedding over any field. One routine, :func:`_expand`, computes it on
-trees; a left-normed monomial is expanded as its tree.
+embedding over any field. One fold, :func:`_fold`, computes it on trees
+and on left-normed monomials alike, as uncollected words with signs: it
+walks the left spine in a loop and recurses only into right children
+that are brackets. :func:`_expand` collects its words once into a
+word -> coefficient dict.
 
 A :class:`MultilinearSpace` is the component of polynomials that are
 multilinear in a fixed set of distinct variables. Its dimension is
@@ -18,15 +21,18 @@ start with the highest-indexed variable. In the associative expansion of
 such a basis monomial, the only word that starts with the leading
 variable is the monomial's own letter sequence (coefficient 1), so
 coordinates can be read off the words that start with the leading
-variable. Every conversion is then certified against the full
-associative image: over GF(2) by XOR of bitmasks over word ids, over
-other fields by recombining the basis expansions. Inside a space, words
-are tuples of small-int letters (a variable's position in the space)
-rather than of Vars, so they hash in C. The tables this needs (lead
-words, word ids, basis bitmasks or expansions) then depend only on the
-number of variables and the field: :func:`_letter_tables` builds them
-once per ``(n, field)``, read-only, and every space shares them; a space
-keeps only its own variable -> letter map. :func:`_core_rows` and
+variable. Over GF(2) no dict is built: the folded words of the input
+are XORed into a bitmask over word ids, in which the lead words hold
+the lowest ids, so coordinate i is bit i of that mask. Every conversion
+is then certified against the full associative image: over GF(2) by
+XOR of the basis bitmasks, over other fields by recombining the basis
+expansions. Inside a space, words are tuples of small-int letters (a
+variable's position in the space) rather than of Vars, so they hash in
+C. The tables this needs (lead words, word ids, basis bitmasks or
+expansions) then depend only on the number of variables and the field:
+:func:`_letter_tables` builds them once per ``(n, field)``, read-only,
+and every space shares them; a space keeps only its own variable ->
+letter map. :func:`_core_rows` and
 :func:`_ad_rows` keep certified coordinates of brackets on letters in
 the same way, for the consequence-span recursion.
 """
@@ -53,6 +59,11 @@ class Var:
     def __post_init__(self):
         if self.index < 1:
             raise ValueError(f"variable index must be positive, got {self.index}")
+        # The dataclass hash would rebuild this tuple on every dict lookup.
+        object.__setattr__(self, "_hash", hash((self.index, self.degree)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return f"x{self.index}^{self.degree}"
@@ -143,23 +154,51 @@ class AssocPoly:
         return " + ".join(bits)
 
 
-def _expand(t: Tree, field: Field, letter: Optional[dict] = None) -> dict:
-    """Image of a tree under ``[a, b] -> ab - ba``, as a word -> coefficient
-    dict with no zero coefficients.
+def _fold(x, letter: Optional[dict] = None) -> tuple:
+    """Uncollected image of a tree or a left-normed tuple under
+    ``[a, b] -> ab - ba``: parallel lists of words and signs (+1 or -1).
 
-    Words are tuples of Vars, or tuples of ``letter[v]`` when a letter map
-    is given.
+    The left spine is folded in a loop, one bracket with a right child
+    at a time; only a right child that is itself a bracket recurses.
+    Words are tuples of Vars, or of ``letter[v]`` when a letter map is
+    given. A word may occur more than once; collecting is the caller's.
     """
-    if isinstance(t, Var):
-        return {(t if letter is None else letter[t],): field.one}
-    left = _expand(t.left, field, letter)
-    right = _expand(t.right, field, letter)
-    terms = []
-    for u, a in left.items():
-        for w, b in right.items():
-            c = field.mul(a, b)
-            terms += ((u + w, c), (w + u, field.neg(c)))
-    return field.add_into({}, terms)
+    if isinstance(x, Pair):
+        rights = []
+        while isinstance(x, Pair):
+            rights.append(x.right)
+            x = x.left
+        rights.reverse()
+    elif isinstance(x, Var):
+        rights = ()
+    else:
+        if not x:
+            raise ValueError("empty monomial")
+        x, rights = x[0], x[1:]
+    if isinstance(x, Pair):
+        words, signs = _fold(x, letter)
+    else:
+        words, signs = [(x if letter is None else letter[x],)], [1]
+    for r in rights:
+        if isinstance(r, Pair):
+            rwords, rsigns = _fold(r, letter)
+            words = [u + w for u in words for w in rwords] + [w + u for u in words for w in rwords]
+            signs = [s * t for s in signs for t in rsigns]
+        else:
+            w = (r if letter is None else letter[r],)
+            words = [u + w for u in words] + [w + u for u in words]
+        signs += [-s for s in signs]
+    return words, signs
+
+
+def _expand(x, field: Field, letter: Optional[dict] = None) -> dict:
+    """Image of a tree or a left-normed tuple under ``[a, b] -> ab - ba``,
+    as a word -> coefficient dict with no zero coefficients: :func:`_fold`,
+    collected once."""
+    words, signs = _fold(x, letter)
+    # +-one keeps the field's scalar type; add_into reduces -1 mod p.
+    one = field.one
+    return field.add_into({}, zip(words, [one * s for s in signs]))
 
 
 class LiePoly:
@@ -281,13 +320,14 @@ def _expand_element(x, field: Field, letter: Optional[dict] = None) -> dict:
     variable, or a left-normed monomial given as a tuple or list."""
     if isinstance(x, LiePoly):
         acc = {}
+        one = field.one
         for mono, c in x.terms.items():
-            words = _expand(mono_to_tree(mono), field, letter)
-            field.add_into(acc, ((w, field.mul(c, a)) for w, a in words.items()))
+            words = _expand(mono, field, letter).items()
+            if c != one:
+                words = [(w, field.mul(c, a)) for w, a in words]
+            field.add_into(acc, words)
         return acc
-    if isinstance(x, (tuple, list)):
-        x = mono_to_tree(x)
-    if not isinstance(x, (Var, Pair)):
+    if not isinstance(x, (Var, Pair, tuple, list)):
         raise TypeError(f"cannot expand {type(x).__name__}")
     return _expand(x, field, letter)
 
@@ -387,20 +427,28 @@ def _letter_tables(n: int, field: Field) -> tuple:
     depend on ``(n, field)`` alone. Returns ``(lead_words, word_id,
     basis_masks, basis_expansions)``: over GF(2) the word ids and the
     basis bitmasks over them, elsewhere the basis expansions; the other
-    two are None. Everything is immutable, since every space shares it.
+    two are None. Over GF(2) lead word i has id i, so coordinate i is bit
+    i of a word mask. Everything is immutable, since every space shares
+    it.
     """
-    leaves = [Var(i + 1, 0) for i in range(n)]
-    letter = {v: i for i, v in enumerate(leaves)}
-    # A basis monomial's letter sequence is also its lead word.
+    # A basis monomial's letter sequence is also its lead word; the
+    # letters stand in for the variables of the expansion.
     lead_words = tuple((n - 1,) + p for p in itertools.permutations(range(n - 1)))
-    expansions = [
-        _expand(mono_to_tree([leaves[a] for a in w]), field, letter) for w in lead_words
-    ]
     if field.kind == "prime" and field.p == 2:
-        word_id = {w: i for i, w in enumerate(itertools.permutations(range(n)))}
-        masks = tuple(sum(1 << word_id[w] for w in exp) for exp in expansions)
+        others = (w for w in itertools.permutations(range(n)) if w[0] != n - 1)
+        word_id = {w: i for i, w in enumerate(itertools.chain(lead_words, others))}
+        masks = tuple(_word_mask(_fold(w)[0], word_id) for w in lead_words)
         return lead_words, MappingProxyType(word_id), masks, None
+    expansions = (_expand(w, field) for w in lead_words)
     return lead_words, None, None, tuple(MappingProxyType(e) for e in expansions)
+
+
+def _word_mask(words, word_id, mask: int = 0) -> int:
+    """``mask`` XOR the bits of ``words`` over GF(2): a word that occurs
+    twice cancels."""
+    for w in words:
+        mask ^= 1 << word_id[w]
+    return mask
 
 
 @lru_cache(maxsize=None)
@@ -516,24 +564,29 @@ class MultilinearSpace:
 
         Read off the words that start with the leading variable, then
         certified by checking that the recombination has the same
-        associative expansion as the input.
+        associative expansion as the input. Over GF(2) the expansion is a
+        bitmask over word ids, and coordinate i is the bit of lead word i.
         """
         self._validate_member(x)
         self._ensure_tables()
-        f = self.field
-        exp = _expand_element(x, f, self._letter)
-        zero = f.zero
-        coords = tuple([exp.get(w, zero) for w in self._lead_words])
         if self._gf2:
+            letter, word_id = self._letter, self._word_id
             mask = 0
-            for word in exp:
-                mask |= 1 << self._word_id[word]
-            for c, row in zip(coords, self._basis_masks):
+            for mono, c in x.terms.items() if isinstance(x, LiePoly) else ((x, 1),):
+                if c % 2:
+                    mask = _word_mask(_fold(mono, letter)[0], word_id, mask)
+            rows = self._basis_masks
+            coords = tuple([mask >> i & 1 for i in range(len(rows))])
+            for c, row in zip(coords, rows):
                 if c:
                     mask ^= row
             if mask != 0:
                 raise AssertionError("certification failed: not a Lie element?")
             return coords
+        f = self.field
+        exp = _expand_element(x, f, self._letter)
+        zero = f.zero
+        coords = tuple([exp.get(w, zero) for w in self._lead_words])
         acc = {}
         for c, rowexp in zip(coords, self._basis_expansions):
             if not f.is_zero(c):

@@ -21,6 +21,7 @@ Models are immutable after construction and evaluation is pure.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Dict, Iterator, Optional, Sequence
 
 from .fields import Field, Scalar
@@ -88,8 +89,9 @@ class GradedModel:
         """Names of the basis slots of the component of this degree."""
         raise NotImplementedError
 
-    def bracket_slots(self, d1: int, i1: int, d2: int, i2: int) -> ModelElement:
-        """Bracket of two basis slots."""
+    def bracket_slots(self, d1: int, i1: int, d2: int, i2: int) -> dict:
+        """Bracket of two basis slots, as a ``(degree, slot) -> c`` dict
+        without zeros; internal to :meth:`bracket`."""
         raise NotImplementedError
 
     def finite_support(self) -> Optional[tuple]:
@@ -109,10 +111,14 @@ class GradedModel:
         out = {}
         for (d1, i1), c1 in x.entries.items():
             for (d2, i2), c2 in y.entries.items():
-                c = f.mul(c1, c2)
-                base = self.bracket_slots(d1, i1, d2, i2).entries
-                f.add_into(out, ((key, f.mul(c, a)) for key, a in base.items()))
-        return ModelElement(f, out)
+                base = self.bracket_slots(d1, i1, d2, i2)
+                if base:
+                    c = f.mul(c1, c2)
+                    f.add_into(out, [(key, f.mul(c, a)) for key, a in base.items()])
+        # add_into leaves no zeros, so the constructor's filter is skipped.
+        value = ModelElement(f)
+        value.entries = out
+        return value
 
     def slot_name(self, degree: int, slot: int) -> str:
         return self.component_slots(degree)[slot]
@@ -150,17 +156,17 @@ class WittModel(GradedModel):
             return ()
         return (f"e{degree}",)
 
-    def bracket_slots(self, d1: int, i1: int, d2: int, i2: int) -> ModelElement:
+    def bracket_slots(self, d1: int, i1: int, d2: int, i2: int) -> dict:
         f = self.field
         coeff = f.from_int(d2 - d1)
         if f.is_zero(coeff):
-            return ModelElement.zero(f)
+            return {}
         target = d1 + d2
-        if not self.component_slots(target):
+        if self.min_degree is not None and target < self.min_degree:
             # Cannot happen: within support, products landing below the
             # truncation always carry coefficient zero.
             raise AssertionError(f"bracket left the support at degree {target}")
-        return ModelElement(f, {(target, 0): coeff})
+        return {(target, 0): coeff}
 
 
 class UT3Model(GradedModel):
@@ -200,17 +206,15 @@ class UT3Model(GradedModel):
                 return d, names.index(unit)
         raise AssertionError(unit)
 
-    def bracket_slots(self, d1: int, i1: int, d2: int, i2: int) -> ModelElement:
+    def bracket_slots(self, d1: int, i1: int, d2: int, i2: int) -> dict:
         f = self.field
         a = self._components[d1][i1]
         b = self._components[d2][i2]
         if (a, b) == ("E12", "E23"):
-            d, i = self._locate("E13")
-            return ModelElement(f, {(d, i): f.one})
+            return {self._locate("E13"): f.one}
         if (a, b) == ("E23", "E12"):
-            d, i = self._locate("E13")
-            return ModelElement(f, {(d, i): f.neg(f.one)})
-        return ModelElement.zero(f)
+            return {self._locate("E13"): f.neg(f.one)}
+        return {}
 
 
 class OneDimModel(GradedModel):
@@ -227,8 +231,8 @@ class OneDimModel(GradedModel):
     def finite_support(self) -> tuple:
         return (self.d,)
 
-    def bracket_slots(self, d1: int, i1: int, d2: int, i2: int) -> ModelElement:
-        return ModelElement.zero(self.field)
+    def bracket_slots(self, d1: int, i1: int, d2: int, i2: int) -> dict:
+        return {}
 
 
 def u1_model(field: Field) -> WittModel:
@@ -263,18 +267,27 @@ def parse_model(text: str, field: Field) -> GradedModel:
     raise ValueError(f"bad model spec {text!r} (want u1|w1|ut3:<r>:<s>|onedim:<d>)")
 
 
+# The order of Var (by index, then degree), read in C.
+_VAR_ORDER = attrgetter("index", "degree")
+
+
 def _check_substitution(f: LiePoly, substitution: dict, model: GradedModel):
-    for v in sorted(f.variables()):
-        if v not in substitution:
+    """Every variable of f has a value over the model's field that lies in
+    the component of its degree; the lowest offending variable is named."""
+    field = model.field
+    for v in sorted(f.variables(), key=_VAR_ORDER):
+        value = substitution.get(v)
+        if value is None:
             raise ValueError(f"substitution misses variable {v}")
-        value = substitution[v]
-        if value.field != model.field:
+        if value.field is not field and value.field != field:
             raise ValueError(f"value for {v} lives over a different field")
-        if not value.is_homogeneous(v.degree):
-            raise ValueError(
-                f"inadmissible substitution: value for {v} is not homogeneous "
-                f"of degree {v.degree} (degrees {sorted(value.degrees())})"
-            )
+        degree = v.degree
+        for d, _ in value.entries:
+            if d != degree:
+                raise ValueError(
+                    f"inadmissible substitution: value for {v} is not homogeneous "
+                    f"of degree {degree} (degrees {sorted(value.degrees())})"
+                )
 
 
 def _evaluate_monomial(mono: tuple, substitution: dict, model: GradedModel) -> ModelElement:
@@ -290,10 +303,13 @@ def evaluate(f: LiePoly, substitution: dict, model: GradedModel) -> ModelElement
     """Value of f under an admissible substitution, by structure constants."""
     _check_substitution(f, substitution, model)
     field = model.field
+    one = field.one
     out = {}
     for mono, c in f.terms.items():
-        value = _evaluate_monomial(mono, substitution, model).entries
-        field.add_into(out, ((key, field.mul(c, a)) for key, a in value.items()))
+        value = _evaluate_monomial(mono, substitution, model).entries.items()
+        if c != one:
+            value = [(key, field.mul(c, a)) for key, a in value]
+        field.add_into(out, value)
     return ModelElement(field, out)
 
 

@@ -19,9 +19,8 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-from math import factorial, isfinite
+from math import factorial, inf
 from typing import Optional, Sequence
 
 from .fields import Field
@@ -52,6 +51,7 @@ REPORT_SCHEMA = {
                 "nmax": {"type": "integer"},
                 "dmax": {"type": "integer"},
                 "range": {"type": ["string", "null"]},
+                "space_budget_s": {"type": ["number", "null"], "minimum": 0},
                 "extra_degree_tuples": {
                     "type": "array",
                     "items": {"type": "array", "items": {"type": "integer"}},
@@ -115,9 +115,7 @@ class SweepConfig:
             raise ValueError("basis sweeps cover the u1 and w1 models")
         if self.workers < 1:
             raise ValueError("need workers >= 1")
-        budget = self.space_budget_s
-        if budget is not None and not (isfinite(budget) and budget >= 0):
-            raise ValueError("the per-space budget must be a finite number of seconds >= 0")
+        _check_budget(self.space_budget_s, "the per-space budget")
         self.extra_degree_tuples = tuple(
             tuple(t) for t in self.extra_degree_tuples
         )
@@ -179,6 +177,7 @@ class VerificationReport:
         """Load a report; a malformed one raises ValueError."""
         data = json.loads(text)
         _check_shape(data, REPORT_SCHEMA, "report")
+        _check_budget(data["config"].get("space_budget_s"), "report.config.space_budget_s")
         return cls(
             config=data["config"],
             spaces=data["spaces"],
@@ -190,10 +189,18 @@ class VerificationReport:
 # JSON Schema scalar type -> test; a JSON boolean is not an integer.
 _SCALAR_TYPES = {
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "boolean": lambda v: isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
     "null": lambda v: v is None,
 }
+
+
+def _check_budget(budget, where: str) -> None:
+    """Refuse a per-space budget that is negative or not finite (None
+    means no budget)."""
+    if budget is not None and not 0 <= budget < inf:
+        raise ValueError(f"{where} must be a finite number of seconds >= 0")
 
 
 def _check_shape(value, schema: dict, where: str) -> None:
@@ -327,6 +334,9 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
         # The report keeps the requested count; the pool gets no more
         # processes than the machine has cores.
         workers = min(config.workers, os.cpu_count() or 1)
+        # Imported here: multiprocessing costs every serial run its import.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_space_entry, payloads, chunksize=16))
     else:

@@ -405,6 +405,33 @@ def test_report_revalidate_refuses_forged_shape(capsys, tmp_path, key, value):
     assert "INVALID witnesses at [[-1, 1]]" in out
 
 
+@pytest.mark.parametrize(
+    "value, want",
+    [("x", "is not of type number or null"), (True, "is not of type number or null"),
+     (-5, "must be a finite number of seconds >= 0"),
+     (float("nan"), "must be a finite number of seconds >= 0"),
+     (float("-inf"), "must be a finite number of seconds >= 0")],
+)
+def test_report_with_bad_budget_exits_two(capsys, tmp_path, value, want):
+    out_path, data = _saved_report(capsys, tmp_path)
+    data["config"]["space_budget_s"] = value
+    out_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "report", str(out_path), "--revalidate")
+    assert code == 2
+    assert out == ""
+    assert f"report.config.space_budget_s {want}" in err
+
+
+@pytest.mark.parametrize("value", [None, 0.0])
+def test_report_keeps_null_and_zero_budgets(capsys, tmp_path, value):
+    out_path, data = _saved_report(capsys, tmp_path)
+    data["config"]["space_budget_s"] = value
+    out_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", str(out_path), "--revalidate")
+    assert code == 0
+    assert "witnesses revalidated" in out
+
+
 def _duplicate_last(spaces):
     spaces.append(dict(spaces[-1]))
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 from math import factorial
 
@@ -41,6 +44,23 @@ def test_variable_validation():
     with pytest.raises(ValueError):
         Var(0, 1)
     assert str(Var(3, -2)) == "x3^-2"
+
+
+def test_variables_behave_as_index_degree_pairs():
+    pairs = [(i, d) for i in (1, 2, 5, 11) for d in (-3, 0, 2)]
+    vs = [Var(i, d) for i, d in pairs]
+    for x, p in zip(vs, pairs):
+        assert hash(x) == hash(p) == hash(Var(*p))
+        assert repr(x) == f"Var(index={p[0]}, degree={p[1]})"
+        for y, q in zip(vs, pairs):
+            assert (x == y) == (p == q)
+            assert (x < y) == (p < q) and (x <= y) == (p <= q)
+        for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert twin == x and hash(twin) == hash(x) and repr(twin) == repr(x)
+    assert sorted(reversed(vs)) == vs
+    assert len({*vs, *(Var(i, d) for i, d in pairs)}) == len(vs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        vs[0].index = 4
 
 
 def test_expand_single_bracket_char2():
@@ -159,12 +179,23 @@ def test_coordinates_match_oracle_on_random_trees(field):
         for _ in range(15):
             tree = random_multilinear_tree(rng, space.variables)
             assert space.coordinates(tree) == oracle_coordinates(space, tree)
+        polys = []
         for _ in range(5):
             terms = {
                 tuple(rng.sample(space.variables, space.n)): field.from_int(rng.randint(1, 6))
                 for _ in range(rng.randint(2, 4))
             }
-            poly = LiePoly(field, terms)
+            polys.append(LiePoly(field, terms))
+        for _ in range(5 if space.n > 1 else 0):
+            # [a, b, ...] + [b, a, ...] is zero; [..., a, b] and [..., b, a]
+            # share the words that put a and b on either side of the rest.
+            m = tuple(rng.sample(space.variables, space.n))
+            c = field.from_int(rng.randint(1, 6))
+            polys.append(LiePoly(field, {m: c, (m[1], m[0]) + m[2:]: c}))
+            if space.n > 2:
+                d = field.from_int(rng.randint(1, 6))
+                polys.append(LiePoly(field, {m: c, m[:-2] + (m[-1], m[-2]): d}))
+        for poly in polys:
             want = [field.zero] * space.dim
             for mono, c in poly.terms.items():
                 for j, x in enumerate(oracle_coordinates(space, mono)):
@@ -186,7 +217,13 @@ def test_certification_is_live_on_both_paths():
     space._basis_masks = tuple(masks)
     with pytest.raises(AssertionError, match="certification failed"):
         space.coordinates(mono_to_tree(mono))
+    poly = LiePoly(GF2, {mono: 1, space.basis[0]: 1})
+    with pytest.raises(AssertionError, match="certification failed"):
+        space.coordinates(poly)
     fresh = MultilinearSpace.for_degrees([0, 1, 2, 3], GF2)
+    assert fresh.coordinates(poly) == (1, 0, 1, 0, 0, 0)
+    # A coefficient stored unreduced counts mod 2, as in the expansion.
+    assert fresh.coordinates(LiePoly(GF2, {mono: 3, space.basis[0]: 2})) == (0, 0, 1, 0, 0, 0)
     assert fresh.coordinates(mono_to_tree(fresh.basis[2])) == (0, 0, 1, 0, 0, 0)
 
     gf3 = Field.gf(3)
@@ -214,6 +251,8 @@ def test_shared_tables_are_read_only(field):
     assert a._lead_words is b._lead_words
     if field == GF2:
         assert a._basis_masks is b._basis_masks
+        # Coordinate i is read as bit i of a word mask.
+        assert [a._word_id[w] for w in a._lead_words] == list(range(a.dim))
         with pytest.raises(TypeError):
             a._basis_masks[0] = 0
         with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,53 @@ def test_evaluate_rejects_bad_substitutions():
             {Var(1, 2): m.basis_element(2), Var(2, 4): m.basis_element(3)},
             m,
         )
+
+
+def test_evaluate_names_the_lowest_bad_variable():
+    # Variables are checked in the order of Var, by index and then
+    # degree, so the message does not depend on set iteration order.
+    m = u1_model(GF2)
+    vs = [Var(i, d) for i in (9, 4, 7, 2, 12, 5) for d in (3, -1)]
+    f = sum((LiePoly.variable(GF2, x) for x in vs), LiePoly.zero(GF2))
+    full = {x: m.basis_element(x.degree) for x in vs}
+    for missing in itertools.combinations(vs, 3):
+        sub = {x: e for x, e in full.items() if x not in missing}
+        with pytest.raises(ValueError, match=re.escape(f"misses variable {min(missing)}") + "$"):
+            evaluate(f, sub, m)
+    # A missing variable is named before a bad value of a higher one.
+    sub = dict(full)
+    del sub[Var(5, 3)]
+    sub[Var(9, -1)] = m.basis_element(0)
+    with pytest.raises(ValueError, match="misses variable x5\\^3$"):
+        evaluate(f, sub, m)
+    del sub[Var(5, -1)]
+    with pytest.raises(ValueError, match="misses variable x5\\^-1$"):
+        evaluate(f, sub, m)
+
+
+def test_evaluate_rejects_wrong_field_and_inhomogeneous_values():
+    m = u1_model(GF2)
+    f = LiePoly.monomial(GF2, (Var(1, 2), Var(2, 4), Var(3, 1)))
+    sub = {x: m.basis_element(x.degree) for x in f.variables()}
+    wrong = dict(sub)
+    wrong[Var(2, 4)] = u1_model(GF3).basis_element(4)
+    with pytest.raises(ValueError, match="value for x2\\^4 lives over a different field"):
+        evaluate(f, wrong, m)
+    # An equal field object that is not the model's own is accepted.
+    same = dict(sub)
+    same[Var(2, 4)] = u1_model(Field.gf(2)).basis_element(4)
+    assert evaluate(f, same, m) == evaluate(f, sub, m)
+    mixed = dict(sub)
+    mixed[Var(3, 1)] = m.basis_element(1) + m.basis_element(-2)
+    with pytest.raises(
+        ValueError,
+        match=r"value for x3\^1 is not homogeneous of degree 1 \(degrees \[-2, 1\]\)",
+    ):
+        evaluate(f, mixed, m)
+    # The zero value lies in every component.
+    zero = dict(sub)
+    zero[Var(3, 1)] = ModelElement.zero(GF2)
+    assert evaluate(f, zero, m).is_zero()
 
 
 def test_satisfies_multilinear_examples():

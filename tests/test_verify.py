@@ -1,5 +1,9 @@
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -53,6 +57,39 @@ def test_config_validation():
     assert SweepConfig(space_budget_s=0.0).space_budget_s == 0.0
     config = SweepConfig(model="w1", family_range="tight")
     assert config.family().bracket_lower_bound == 0
+
+
+@pytest.mark.parametrize(
+    "budget, want",
+    [("x", "not of type number or null"), (True, "not of type number or null"),
+     ([1], "not of type number or null"), (-5, "finite number of seconds"),
+     (-1e-9, "finite number of seconds"), (float("nan"), "finite number of seconds"),
+     (float("inf"), "finite number of seconds")],
+)
+def test_from_json_refuses_bad_budgets(budget, want):
+    data = verify_basis_theorem(SweepConfig(model="u1", nmax=1, dmax=0)).to_json_dict()
+    data["config"]["space_budget_s"] = budget
+    with pytest.raises(ValueError, match=want):
+        VerificationReport.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("budget", [None, 0.0, 0, 2.5, 10**400])
+def test_from_json_keeps_valid_budgets(budget):
+    data = verify_basis_theorem(SweepConfig(model="u1", nmax=1, dmax=0)).to_json_dict()
+    data["config"]["space_budget_s"] = budget
+    report = VerificationReport.from_json(json.dumps(data))
+    assert report.config["space_budget_s"] == budget
+
+
+def test_import_loads_no_process_pool():
+    # Only a sweep with workers > 1 needs multiprocessing.
+    src = Path(verify.__file__).resolve().parent.parent
+    probe = "import sys, wittid.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_summarize_counts_entries():
@@ -166,7 +203,9 @@ def test_pool_is_clamped_to_the_cores(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+    # verify imports the pool class when a sweep asks for workers, so the
+    # class is replaced where that import reads it.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     report = verify_basis_theorem(SweepConfig(model="u1", nmax=2, dmax=1, workers=10_000))
     monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
     verify_basis_theorem(SweepConfig(model="u1", nmax=1, dmax=0, workers=2))
