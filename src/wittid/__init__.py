@@ -40,6 +40,7 @@ from .models import (
 from .tideal import (
     BasisFamily,
     consequence_subspace,
+    family_for,
     identity_subspace,
     monomial_is_identity,
     monomial_normal_form,

@@ -330,6 +330,13 @@ def _cmd_report(args, field: Field) -> tuple:
         f"passed {s['passed']}, failed {s['failed']}, skipped {s['skipped']}",
     ]
     code = 0 if report.passed else 1
+    family = report.family().describe()
+    if report.config["family"] != family:
+        lines.append(
+            f"FAMILY MISMATCH: the report names {report.config['family']!r}, "
+            f"its model and range give {family!r}"
+        )
+        code = 1
     recount = summarize(report.spaces)
     if recount != s:
         lines.append(

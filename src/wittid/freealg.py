@@ -105,11 +105,7 @@ class AssocPoly:
 
     def __init__(self, field: Field, terms: Optional[dict] = None):
         self.field = field
-        self.terms = {}
-        if terms:
-            for word, c in terms.items():
-                if not field.is_zero(c):
-                    self.terms[word] = c
+        self.terms = field.add_into({}, terms.items()) if terms else {}
 
     @classmethod
     def zero(cls, field: Field) -> "AssocPoly":
@@ -124,11 +120,7 @@ class AssocPoly:
 
     def scale(self, c: Scalar) -> "AssocPoly":
         f = self.field
-        if f.is_zero(c):
-            return AssocPoly.zero(f)
-        out = AssocPoly(f)
-        out.terms = {w: f.mul(c, a) for w, a in self.terms.items()}
-        return out
+        return AssocPoly(f, {w: f.mul(c, a) for w, a in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -208,11 +200,9 @@ class LiePoly:
 
     def __init__(self, field: Field, terms: Optional[dict] = None):
         self.field = field
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if not field.is_zero(c):
-                    self.terms[tuple(mono)] = c
+        self.terms = (
+            field.add_into({}, ((tuple(mono), c) for mono, c in terms.items())) if terms else {}
+        )
 
     @classmethod
     def zero(cls, field: Field) -> "LiePoly":
@@ -248,11 +238,7 @@ class LiePoly:
 
     def scale(self, c: Scalar) -> "LiePoly":
         f = self.field
-        if f.is_zero(c):
-            return LiePoly.zero(f)
-        out = LiePoly(f)
-        out.terms = {m: f.mul(c, a) for m, a in self.terms.items()}
-        return out
+        return LiePoly(f, {m: f.mul(c, a) for m, a in self.terms.items()})
 
     def expand(self) -> AssocPoly:
         return expand_to_associative(self)
@@ -572,9 +558,9 @@ class MultilinearSpace:
         if self._gf2:
             letter, word_id = self._letter, self._word_id
             mask = 0
-            for mono, c in x.terms.items() if isinstance(x, LiePoly) else ((x, 1),):
-                if c % 2:
-                    mask = _word_mask(_fold(mono, letter)[0], word_id, mask)
+            # LiePoly coefficients are reduced, so over GF(2) each is 1.
+            for mono in x.terms if isinstance(x, LiePoly) else (x,):
+                mask = _word_mask(_fold(mono, letter)[0], word_id, mask)
             rows = self._basis_masks
             coords = tuple([mask >> i & 1 for i in range(len(rows))])
             for c, row in zip(coords, rows):

@@ -35,11 +35,7 @@ class ModelElement:
 
     def __init__(self, field: Field, entries: Optional[dict] = None):
         self.field = field
-        self.entries = {}
-        if entries:
-            for key, c in entries.items():
-                if not field.is_zero(c):
-                    self.entries[key] = c
+        self.entries = field.add_into({}, entries.items()) if entries else {}
 
     @classmethod
     def zero(cls, field: Field) -> "ModelElement":

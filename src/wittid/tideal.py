@@ -4,7 +4,10 @@ Provides the two generating families of identities (the bracket family
 [x1^a, x2^b] with a and b of equal parity for the Laurent case, plus the
 single variables x^c, c <= -2, for the polynomial case), the parity
 criterion and normal form for monomial identities in characteristic two,
-and exact computation of two subspaces of a multilinear component:
+and exact computation of two subspaces of a multilinear component.
+:func:`family_for` is the one map from a model name and range to its
+family, and :meth:`BasisFamily.brackets` the one list of its bracket
+members within a degree bound. The two subspaces are:
 
 * the identity subspace: the kernel of the evaluation map into the model,
   on the basis-tuple values of the loop in :mod:`wittid.models`;
@@ -58,7 +61,8 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class BasisFamily:
-    """A generating family of graded identities.
+    """A generating family of graded identities; :func:`family_for` builds
+    the family of a model and range.
 
     kind "u1": the brackets [x1^a, x2^b] with a, b of the same parity.
     kind "w1": the same brackets restricted to a, b >= bracket_lower_bound
@@ -91,6 +95,16 @@ class BasisFamily:
     def contains_single(self, c: int) -> bool:
         return self.has_singletons and c <= -2
 
+    def brackets(self, bound: int) -> list:
+        """The bracket members as pairs (a, b) with a <= b, both in
+        [-bound, bound], ordered by a, then b."""
+        return [
+            (a, b)
+            for a in range(-bound, bound + 1)
+            for b in range(a, bound + 1)
+            if self.contains_bracket(a, b)
+        ]
+
     def bracket_member(self, a: int, b: int, field: Field) -> LiePoly:
         if not self.contains_bracket(a, b):
             raise ValueError(f"[x1^{a}, x2^{b}] is not in the family")
@@ -110,20 +124,32 @@ class BasisFamily:
         )
 
 
-def u1_family() -> BasisFamily:
-    return BasisFamily("u1")
-
-
 #: ``--range`` tokens; "thm12"/"thm45" kept as accepted aliases.
 W1_RANGE_BOUNDS = {"wide": -1, "tight": 0, "thm12": -1, "thm45": 0}
+
+
+def family_for(model: str, range: Optional[str] = None) -> BasisFamily:
+    """The generating family of a model name ("u1" or "w1") and a w1
+    bracket range (a :data:`W1_RANGE_BOUNDS` token, default "wide"; u1
+    has one family, whatever the range). Any other model or range raises
+    ValueError."""
+    if range is not None and range not in W1_RANGE_BOUNDS:
+        raise ValueError(f"unknown family range {range!r} (want {'|'.join(W1_RANGE_BOUNDS)})")
+    if model == "u1":
+        return BasisFamily("u1")
+    if model == "w1":
+        return BasisFamily("w1", W1_RANGE_BOUNDS[range or "wide"])
+    raise ValueError(f"no generating family for model {model!r} (want u1 or w1)")
+
+
+def u1_family() -> BasisFamily:
+    return family_for("u1")
 
 
 def w1_family(variant: str = "wide") -> BasisFamily:
     """The polynomial-case family; variant "wide" uses bracket degrees
     >= -1, "tight" uses bracket degrees >= 0."""
-    if variant not in W1_RANGE_BOUNDS:
-        raise ValueError(f"unknown family variant {variant!r}")
-    return BasisFamily("w1", W1_RANGE_BOUNDS[variant])
+    return family_for("w1", variant)
 
 
 def _laurent_parity_identity(degrees) -> bool:
@@ -141,15 +167,16 @@ def monomial_is_identity(mono: tuple, model: GradedModel) -> bool:
     Laurent case: the monomial is NOT an identity iff every prefix degree
     sum a_0 + ... + a_k (k >= 1) is odd; equivalently exactly one of the
     first two degrees is odd and all later ones are even. Polynomial
-    case: additionally any variable of degree <= -2 forces an identity
-    (its component is zero).
+    case: additionally any variable of degree below the model's
+    ``min_degree`` forces an identity (its component is zero).
     """
     if not isinstance(model, WittModel):
         raise ValueError("the monomial criterion applies to the u1/w1 models only")
     if model.field.characteristic != 2:
         raise ValueError("the parity criterion is specific to characteristic two")
     degrees = [v.degree for v in mono]
-    if model.name == "w1" and any(d <= -2 for d in degrees):
+    low = model.min_degree
+    if low is not None and any(d < low for d in degrees):
         return True
     return _laurent_parity_identity(degrees)
 

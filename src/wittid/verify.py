@@ -6,7 +6,10 @@ generating family (soundness: consequences are identities; completeness:
 identities are consequences), and produces machine-readable reports.
 Also provides separation certificates: graded algebras that violate one
 family member while satisfying all the others, which is what rules out
-any finite generating set.
+any finite generating set. One private check evaluates every separation
+(does the model violate the member, and which of the other listed members
+does it violate), and :class:`IndependenceResult` carries bracket and
+single-variable certificates alike.
 
 Reports serialize to JSON with a stable field layout; identical
 configurations produce byte-identical reports once the wall-clock
@@ -32,10 +35,9 @@ from .tideal import (
     BudgetExceeded,
     consequence_instances,
     consequence_subspace,
+    family_for,
     identity_subspace,
     subspace_contains,
-    u1_family,
-    w1_family,
 )
 
 REPORT_SCHEMA = {
@@ -44,9 +46,10 @@ REPORT_SCHEMA = {
     "properties": {
         "config": {
             "type": "object",
-            "required": ["model", "field", "nmax", "dmax", "extra_degree_tuples"],
+            "required": ["model", "family", "field", "nmax", "dmax", "extra_degree_tuples"],
             "properties": {
                 "model": {"type": "string"},
+                "family": {"type": "string"},
                 "field": {"type": "string"},
                 "nmax": {"type": "integer"},
                 "dmax": {"type": "integer"},
@@ -111,8 +114,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.nmax < 1 or self.dmax < 0:
             raise ValueError("need nmax >= 1 and dmax >= 0")
-        if self.model not in ("u1", "w1"):
-            raise ValueError("basis sweeps cover the u1 and w1 models")
+        self.family()  # refuses a model without a family and an unknown range
         if self.workers < 1:
             raise ValueError("need workers >= 1")
         _check_budget(self.space_budget_s, "the per-space budget")
@@ -121,9 +123,7 @@ class SweepConfig:
         )
 
     def family(self) -> BasisFamily:
-        if self.model == "u1":
-            return u1_family()
-        return w1_family(self.family_range)
+        return family_for(self.model, self.family_range)
 
     def to_dict(self) -> dict:
         return {
@@ -160,6 +160,11 @@ class VerificationReport:
                 return entry
         return None
 
+    def family(self) -> BasisFamily:
+        """The family of the configured model and range (ValueError when
+        they name none)."""
+        return family_for(self.config["model"], self.config.get("range"))
+
     def to_json_dict(self, with_timings: bool = True) -> dict:
         out = {
             "config": self.config,
@@ -174,16 +179,19 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
-        """Load a report; a malformed one raises ValueError."""
+        """Load a report; a malformed one, or one whose model and range
+        name no family, raises ValueError."""
         data = json.loads(text)
         _check_shape(data, REPORT_SCHEMA, "report")
         _check_budget(data["config"].get("space_budget_s"), "report.config.space_budget_s")
-        return cls(
+        report = cls(
             config=data["config"],
             spaces=data["spaces"],
             summary=data["summary"],
             timings=data["timings"],
         )
+        report.family()
+        return report
 
 
 # JSON Schema scalar type -> test; a JSON boolean is not an integer.
@@ -368,9 +376,7 @@ def revalidate_entry(entry: dict, config: dict) -> bool:
     if entry.get("skipped"):
         return True
     model = parse_model(config["model"], field)
-    family = SweepConfig(
-        model=config["model"], family_range=config.get("range") or "wide"
-    ).family()
+    family = family_for(config["model"], config.get("range"))
     ident = identity_subspace(model, space)
     cons = consequence_subspace(family, space)
     sound = subspace_contains(ident, cons)
@@ -397,49 +403,76 @@ def revalidate_entry(entry: dict, config: dict) -> bool:
 # -- separation certificates -------------------------------------------------
 
 
-def _bracket_poly(field: Field, a: int, b: int) -> LiePoly:
-    return u1_family().bracket_member(a, b, field)
+_U1 = family_for("u1")
 
 
-def _violated(model, members) -> list:
-    """Text forms of the members that are not identities of the model."""
-    return [format_polynomial(m) for m in members if not satisfies_multilinear(model, m)]
+def _separation(model, member: LiePoly, *others) -> tuple:
+    """The one separation check: whether ``model`` violates ``member``,
+    then, per list of other members, the text forms of those ``model``
+    violates. A certificate is a model that violates its member and none
+    of the others."""
+    def violated(polys):
+        return [format_polynomial(m) for m in polys if not satisfies_multilinear(model, m)]
 
-
-def _same_parity_pairs(bound: int):
-    for a in range(-bound, bound + 1):
-        for b in range(a, bound + 1):
-            if (a - b) % 2 == 0:
-                yield (a, b)
+    return (not satisfies_multilinear(model, member), *map(violated, others))
 
 
 @dataclass
 class IndependenceResult:
-    """Certificate that one bracket member is not a consequence of the rest."""
+    """Certificate that one family member, a bracket or a single variable,
+    is not a consequence of the other listed members: ``model`` violates
+    the member and, when ``ok``, none of the others."""
 
-    r: int
-    s: int
+    member: str
+    model: str
     bound: int
     fails_member: bool
     checked_pairs: int
     violations: list
-    collision_merged: bool
+    checked_singles: Optional[int] = None   # single-variable members only
+    collision_merged: Optional[bool] = None  # UT(3) models only
 
     @property
     def ok(self) -> bool:
         return self.fails_member and not self.violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "member": f"[x1^{self.r}, x2^{self.s}]",
-            "model": f"ut3:{self.r}:{self.s}",
+        out = {
+            "member": self.member,
+            "model": self.model,
             "bound": self.bound,
             "fails_member": self.fails_member,
             "checked_pairs": self.checked_pairs,
-            "violations": self.violations,
-            "collision_merged": self.collision_merged,
-            "ok": self.ok,
         }
+        if self.checked_singles is not None:
+            out["checked_singles"] = self.checked_singles
+        out["violations"] = self.violations
+        if self.collision_merged is not None:
+            out["collision_merged"] = self.collision_merged
+        out["ok"] = self.ok
+        return out
+
+
+def _bracket_certificate(r: int, s: int, bound: int, field: Field, singles=()) -> tuple:
+    """:func:`independence_check`'s certificate, and the text forms of the
+    polynomials in ``singles`` that its UT(3) model violates."""
+    if r > s or not _U1.contains_bracket(r, s):
+        raise ValueError("need r <= s of the same parity")
+    if bound < max(abs(r), abs(s)):
+        raise ValueError("bound must cover |r| and |s|")
+    model = ut3_model(field, r, s)
+    others = [_U1.bracket_member(u, v, field) for (u, v) in _U1.brackets(bound) if (u, v) != (r, s)]
+    fails, bad, single_bad = _separation(model, _U1.bracket_member(r, s, field), others, singles)
+    result = IndependenceResult(
+        member=f"[x1^{r}, x2^{s}]",
+        model=model.name,
+        bound=bound,
+        fails_member=fails,
+        checked_pairs=len(others),
+        violations=bad,
+        collision_merged=model.collision_merged,
+    )
+    return result, single_bad
 
 
 def independence_check(
@@ -448,76 +481,30 @@ def independence_check(
     """The graded UT(3) algebra with E12 at degree r and E23 at degree s
     violates [x1^r, x2^s] while satisfying every other same-parity
     bracket with degrees bounded by ``bound``."""
-    if r > s or (r - s) % 2 != 0:
-        raise ValueError("need r <= s of the same parity")
-    if bound < max(abs(r), abs(s)):
-        raise ValueError("bound must cover |r| and |s|")
-    field = field or Field.gf(2)
-    model = ut3_model(field, r, s)
-    fails_member = bool(_violated(model, [_bracket_poly(field, r, s)]))
-    others = [
-        _bracket_poly(field, u, v) for (u, v) in _same_parity_pairs(bound) if (u, v) != (r, s)
-    ]
-    return IndependenceResult(
-        r=r,
-        s=s,
-        bound=bound,
-        fails_member=fails_member,
-        checked_pairs=len(others),
-        violations=_violated(model, others),
-        collision_merged=model.collision_merged,
-    )
-
-
-@dataclass
-class VariableIndependenceResult:
-    """Certificate that one single-variable member is not a consequence of
-    the brackets and the other single variables."""
-
-    d: int
-    bound: int
-    fails_member: bool
-    checked_pairs: int
-    checked_singles: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return self.fails_member and not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "member": f"x1^{self.d}",
-            "model": f"onedim:{self.d}",
-            "bound": self.bound,
-            "fails_member": self.fails_member,
-            "checked_pairs": self.checked_pairs,
-            "checked_singles": self.checked_singles,
-            "violations": self.violations,
-            "ok": self.ok,
-        }
+    return _bracket_certificate(r, s, bound, field or Field.gf(2))[0]
 
 
 def variable_independence_check(
     d: int, bound: int = 6, field: Optional[Field] = None
-) -> VariableIndependenceResult:
+) -> IndependenceResult:
     """The one-dimensional algebra concentrated in degree d violates x^d
     while satisfying every bracket member and every other x^c."""
     field = field or Field.gf(2)
-    member = w1_family().single_member(d, field)
+    member = family_for("w1").single_member(d, field)
     if bound < abs(d):
         raise ValueError("bound must cover |d|")
     model = onedim_model(field, d)
-    fails_member = bool(_violated(model, [member]))
-    pairs = [_bracket_poly(field, u, v) for (u, v) in _same_parity_pairs(bound)]
+    pairs = [_U1.bracket_member(u, v, field) for (u, v) in _U1.brackets(bound)]
     singles = [LiePoly.variable(field, Var(1, c)) for c in range(-bound, bound + 1) if c != d]
-    return VariableIndependenceResult(
-        d=d,
+    fails, bad = _separation(model, member, pairs + singles)
+    return IndependenceResult(
+        member=f"x1^{d}",
+        model=model.name,
         bound=bound,
-        fails_member=fails_member,
+        fails_member=fails,
         checked_pairs=len(pairs),
+        violations=bad,
         checked_singles=len(singles),
-        violations=_violated(model, pairs + singles),
     )
 
 
@@ -544,18 +531,9 @@ class NoFiniteBasisReport:
 
 def leading_family_members(count: int) -> list:
     """The first bracket members, ordered by |r| + |s|, then (r, s)."""
-    out = []
-    total = 0
-    while len(out) < count:
-        batch = set()
-        for r in range(-total, total + 1):
-            rem = total - abs(r)
-            for s in {-rem, rem}:
-                if r <= s and (r - s) % 2 == 0:
-                    batch.add((r, s))
-        out.extend(sorted(batch))
-        total += 1
-    return out[:count]
+    # The members with |r| + |s| <= count lie within the bound count and
+    # number at least count, so they include the first count members.
+    return sorted(_U1.brackets(count), key=lambda m: (abs(m[0]) + abs(m[1]), m))[:count]
 
 
 def no_finite_basis_demo(count: int, field: Optional[Field] = None) -> NoFiniteBasisReport:
@@ -564,19 +542,17 @@ def no_finite_basis_demo(count: int, field: Optional[Field] = None) -> NoFiniteB
         raise ValueError("count must be positive")
     field = field or Field.gf(2)
     members = leading_family_members(count)
+    polys = [_U1.bracket_member(r, s, field) for (r, s) in members]
     rows = []
-    for (r, s) in members:
+    for i, (r, s) in enumerate(members):
         model = ut3_model(field, r, s)
-        fails_member = bool(_violated(model, [_bracket_poly(field, r, s)]))
-        bad = _violated(
-            model, [_bracket_poly(field, u, v) for (u, v) in members if (u, v) != (r, s)]
-        )
+        fails, bad = _separation(model, polys[i], polys[:i] + polys[i + 1:])
         rows.append(
             {
                 "member": f"[x1^{r}, x2^{s}]",
                 "model": model.name,
                 "collision_merged": model.collision_merged,
-                "fails_member": fails_member,
+                "fails_member": fails,
                 "satisfies_rest": not bad,
                 "violations": bad,
             }
@@ -650,7 +626,7 @@ def minimality_sweep(
     if member_bound < 0:
         raise ValueError("member bound must be nonnegative")
     field = Field.from_spec(field_spec)
-    family = SweepConfig(model=model_name).family()
+    family = family_for(model_name)
     if family.has_singletons and separation_bound < 2:
         raise ValueError(
             "separation bound must be at least 2 to reach the single-variable members x^c, c <= -2"
@@ -658,18 +634,15 @@ def minimality_sweep(
     singles = [
         c for c in range(-separation_bound, separation_bound + 1) if family.contains_single(c)
     ]
+    single_polys = [family.single_member(c, field) for c in singles]
     member_rows = []
     sweeps = {}
     probes = {}
 
-    for (r, s) in _same_parity_pairs(member_bound):
-        if not family.contains_bracket(r, s):
-            continue
-        row = independence_check(r, s, bound=separation_bound, field=field).to_json_dict()
+    for (r, s) in family.brackets(member_bound):
+        result, single_bad = _bracket_certificate(r, s, separation_bound, field, single_polys)
+        row = result.to_json_dict()
         if family.has_singletons:
-            single_bad = _violated(
-                ut3_model(field, r, s), [family.single_member(c, field) for c in singles]
-            )
             row["single_violations"] = single_bad
             row["ok"] = row["ok"] and not single_bad
         member_rows.append(row)
@@ -732,7 +705,7 @@ def char_contrast(p: int, bound: int = 4) -> ContrastReport:
     field = Field.gf(p)
     model = u1_model(field)
     rows = []
-    for (a, b) in _same_parity_pairs(bound):
-        holds = satisfies_multilinear(model, _bracket_poly(field, a, b))
+    for (a, b) in _U1.brackets(bound):
+        holds = satisfies_multilinear(model, _U1.bracket_member(a, b, field))
         rows.append({"a": a, "b": b, "member": f"[x1^{a}, x2^{b}]", "holds": holds})
     return ContrastReport(p=p, bound=bound, rows=rows)

@@ -335,7 +335,7 @@ def _saved_report(capsys, tmp_path, model="u1"):
     "path",
     [("config",), ("spaces",), ("summary",), ("timings",), ("config", "field"),
      ("summary", "skipped"), ("spaces", 0, "degrees"), ("config", "nmax"),
-     ("config", "extra_degree_tuples"), ("spaces", 0, "orbit")],
+     ("config", "extra_degree_tuples"), ("spaces", 0, "orbit"), ("config", "family")],
 )
 def test_report_with_missing_key_exits_two(capsys, tmp_path, path):
     out_path, data = _saved_report(capsys, tmp_path)
@@ -358,6 +358,35 @@ def test_report_with_contradicting_summary_exits_one(capsys, tmp_path):
     code, out, _ = run(capsys, "report", str(out_path))
     assert code == 1
     assert f"SUMMARY MISMATCH: the entries count passed {len(data['spaces'])}" in out
+
+
+@pytest.mark.parametrize(
+    "key, value, want",
+    [("model", "ut3:1:3", "no generating family for model 'ut3:1:3'"),
+     ("range", "narrow", "unknown family range 'narrow'")],
+)
+def test_report_without_a_family_exits_two(capsys, tmp_path, key, value, want):
+    out_path, data = _saved_report(capsys, tmp_path, "w1")
+    data["config"][key] = value
+    out_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "report", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert want in err
+
+
+def test_report_with_another_family_exits_one(capsys, tmp_path):
+    out_path, data = _saved_report(capsys, tmp_path, "w1")
+    described = data["config"]["family"]
+    data["config"]["family"] = "brackets of equal parity"
+    out_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", str(out_path), "--revalidate")
+    assert code == 1
+    assert "witnesses revalidated" in out  # the entries themselves are sound
+    assert (
+        f"FAMILY MISMATCH: the report names 'brackets of equal parity', "
+        f"its model and range give {described!r}"
+    ) in out
 
 
 def test_zero_denominator_exits_two(capsys):
@@ -469,7 +498,8 @@ def test_report_refuses_entries_that_miss_the_sweep(capsys, tmp_path, edit, want
      (("spaces", 0, "sound"), 1, "boolean or null"),
      (("config", "dmax"), "1", "integer"),
      (("config", "extra_degree_tuples"), [[1, "2"]], "integer"),
-     (("config", "range"), ["wide"], "string or null")],
+     (("config", "range"), ["wide"], "string or null"),
+     (("config", "family"), 3, "string")],
 )
 def test_report_with_wrong_scalar_type_exits_two(capsys, tmp_path, path, value, want):
     # config.range is read only for w1, so it is tested on a w1 report

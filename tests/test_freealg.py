@@ -12,6 +12,7 @@ from conftest import oracle_coordinates, oracle_expand, random_multilinear_tree,
 from wittid import freealg
 from wittid.fields import Field
 from wittid.freealg import (
+    AssocPoly,
     LiePoly,
     MultilinearSpace,
     Pair,
@@ -97,6 +98,20 @@ def test_expansion_is_faithful_on_rewritings():
     b = LiePoly.monomial(Q, (v(2, 2), v(1, 1)), Q.from_int(-1))
     assert a == b
     assert not a.same_terms(b)
+
+
+def test_constructors_and_scale_reduce_coefficients():
+    gf3 = Field.gf(3)
+    m = (v(2, 1), v(1, 3))
+    assert repr(LiePoly(GF2, {m: 2})) == "0"
+    assert LiePoly(GF2, {m: 2}).terms == {}
+    assert LiePoly(gf3, {m: -1}).terms == {m: 2}
+    assert AssocPoly(GF2, {m: 4}).is_zero()
+    assert AssocPoly(gf3, {m: 5}).terms == {m: 2}
+    assert repr(LiePoly(GF2, {m: 1}).scale(2)) == "0"
+    assert LiePoly(GF2, {m: 1}).scale(2).terms == {}
+    assert AssocPoly(GF2, {m: 1}).scale(2).is_zero()
+    assert LiePoly(gf3, {m: 1}).scale(-1).terms == {m: 2}
 
 
 def test_zdegree():

@@ -38,6 +38,11 @@ def test_u1_bracket_examples():
     assert basis_bracket(m3, 1, 3) == ModelElement(GF3, {(4, 0): 2})
 
 
+def test_element_coefficients_are_reduced():
+    assert ModelElement(GF2, {(1, 0): 2}).is_zero()
+    assert ModelElement(GF3, {(1, 0): -1}).entries == {(1, 0): 2}
+
+
 def test_w1_examples():
     m = w1_model(GF2)
     assert basis_bracket(m, -1, 0) == ModelElement(GF2, {(-1, 0): 1})

@@ -8,12 +8,13 @@ from conftest import all_multilinear_trees, instance_span, substitute_leaf
 from wittid.fields import Field
 from wittid.freealg import LiePoly, MultilinearSpace, Pair, Var, zdegree
 from wittid.linalg import SubspaceBasis
-from wittid.models import evaluate, satisfies_multilinear, u1_model, w1_model
+from wittid.models import WittModel, evaluate, satisfies_multilinear, u1_model, w1_model
 from wittid.tideal import (
     BasisFamily,
     BudgetExceeded,
     consequence_instances,
     consequence_subspace,
+    family_for,
     identity_subspace,
     monomial_is_identity,
     monomial_normal_form,
@@ -68,6 +69,46 @@ def test_family_validation():
         w1_family("narrow")
     assert w1_family("thm12").bracket_lower_bound == -1
     assert w1_family("thm45").bracket_lower_bound == 0
+
+
+@pytest.mark.parametrize(
+    "family, bound",
+    [(family_for("u1"), 3), (family_for("w1", "wide"), 3), (family_for("w1", "tight"), 4)],
+)
+def test_family_brackets_match_brute_force(family, bound):
+    low = {None: -bound, -1: -1, 0: 0}[family.bracket_lower_bound]
+    want = [
+        (a, b)
+        for a in range(-bound, bound + 1)
+        for b in range(-bound, bound + 1)
+        if a <= b and (a - b) % 2 == 0 and a >= low
+    ]
+    assert family.brackets(bound) == want
+    assert family.brackets(-1) == []
+
+
+def test_family_for_is_the_model_and_range_map():
+    assert family_for("u1") == family_for("u1", "tight") == u1_family()
+    assert family_for("w1") == family_for("w1", "thm12") == w1_family("wide")
+    assert family_for("w1", "tight") == family_for("w1", "thm45") == w1_family("tight")
+    for model in ("onedim:-2", "ut3:1:3"):
+        with pytest.raises(ValueError, match="no generating family"):
+            family_for(model)
+    for model in ("u1", "w1"):
+        with pytest.raises(ValueError, match="unknown family range 'narrow'"):
+            family_for(model, "narrow")
+
+
+def test_monomial_rule_reads_the_zero_components_of_the_model():
+    # a truncation at degree 0 zeroes the degree -1 component that w1 keeps
+    w1_plus = WittModel(GF2, min_degree=0)
+    for degrees in [(-1, 2), (2, -1, 0), (1, -1, 2), (0, 2), (1, 2), (2, 1, 0)]:
+        m = tuple(Var(i + 1, d) for i, d in enumerate(degrees))
+        assert monomial_is_identity(m, w1_plus) == satisfies_multilinear(
+            w1_plus, LiePoly.monomial(GF2, m)
+        ), degrees
+    assert monomial_is_identity(mono((1, -1), (2, 2)), w1_plus)
+    assert not monomial_is_identity(mono((1, -1), (2, 2)), w1_model(GF2))
 
 
 def test_family_members_as_polynomials():

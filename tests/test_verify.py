@@ -57,6 +57,8 @@ def test_config_validation():
     assert SweepConfig(space_budget_s=0.0).space_budget_s == 0.0
     config = SweepConfig(model="w1", family_range="tight")
     assert config.family().bracket_lower_bound == 0
+    with pytest.raises(ValueError, match="unknown family range 'bogus'"):
+        SweepConfig(model="w1", family_range="bogus")
 
 
 @pytest.mark.parametrize(
@@ -270,6 +272,20 @@ def test_independence_validation():
             variable_independence_check(d)
     with pytest.raises(ValueError, match="bound"):
         variable_independence_check(-3, bound=2)
+
+
+def test_certificates_share_one_result_class():
+    pair = independence_check(1, 3)
+    single = variable_independence_check(-3)
+    assert type(pair) is type(single) is verify.IndependenceResult
+    assert list(pair.to_json_dict()) == [
+        "member", "model", "bound", "fails_member", "checked_pairs", "violations",
+        "collision_merged", "ok",
+    ]
+    assert list(single.to_json_dict()) == [
+        "member", "model", "bound", "fails_member", "checked_pairs", "checked_singles",
+        "violations", "ok",
+    ]
 
 
 def test_variable_independence_examples():

@@ -18,6 +18,12 @@ The output JSON holds every result line, and per end-to-end metric of
 pairs the change wins (ties count for neither side). A gain is shown
 when the change wins at least nine tenths of the pairs and the medians
 differ by more than the distance between the parent's quartiles.
+
+Each metric also gets a no-regression verdict against its ``bound``, a
+share of the parent's median: ``within_bound`` when the change's median
+is no worse than the parent's by more than the bound, and ``unresolved``
+when the parent's interquartile range is wider than the bound and not
+every run of the change reads better than every run of the parent.
 """
 
 from __future__ import annotations
@@ -94,8 +100,8 @@ def spread(values: list) -> dict:
 
 
 def summarize(pairs: list, metrics: list) -> dict:
-    """Per metric: both sides' spread, the change's wins, and whether a
-    gain is shown by the rule above."""
+    """Per metric: both sides' spread, the change's wins, whether a gain
+    is shown, and the no-regression verdict, by the rules above."""
     out = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -104,6 +110,9 @@ def summarize(pairs: list, metrics: list) -> dict:
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         losses = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
         before, after = spread(parent), spread(change)
+        slack = spec["bound"] * abs(before["median"])
+        worse_by = (after["median"] - before["median"]) * (1 if lower else -1)
+        all_better = max(change) < min(parent) if lower else min(change) > max(parent)
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -115,6 +124,9 @@ def summarize(pairs: list, metrics: list) -> dict:
             "gain_shown": wins >= 0.9 * len(pairs)
             and abs(after["median"] - before["median"]) > before["iqr"]
             and (after["median"] < before["median"]) == lower,
+            "bound": spec["bound"],
+            "within_bound": worse_by <= slack,
+            "unresolved": before["iqr"] > slack and not all_better,
         }
     return out
 
