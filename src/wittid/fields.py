@@ -121,6 +121,14 @@ class Field:
                 acc.pop(key, None)
         return acc
 
+    def reduced(self, items) -> dict:
+        """The sparse combination of ``(key, scalar)`` pairs whose keys are
+        distinct: each scalar reduced, zeros dropped, one store per key."""
+        p = self.p
+        if p is None:
+            return {key: c for key, c in items if c}
+        return {key: r for key, c in items if (r := c % p)}
+
     def format_scalar(self, a: Scalar) -> str:
         if self.kind == "rational" and a.denominator != 1:
             return f"{a.numerator}/{a.denominator}"

@@ -23,7 +23,8 @@ variable is the monomial's own letter sequence (coefficient 1), so
 coordinates can be read off the words that start with the leading
 variable. Over GF(2) no dict is built: the folded words of the input
 are XORed into a bitmask over word ids, in which the lead words hold
-the lowest ids, so coordinate i is bit i of that mask. Every conversion
+the lowest ids, so the low ``dim`` bits of that mask are the coordinates
+as a mask (:meth:`MultilinearSpace._coordinate_mask`). Every conversion
 is then certified against the full associative image: over GF(2) by
 XOR of the basis bitmasks, over other fields by recombining the basis
 expansions. Inside a space, words are tuples of small-int letters (a
@@ -34,7 +35,8 @@ expansions) then depend only on the number of variables and the field:
 and every space shares them; a space keeps only its own variable ->
 letter map. :func:`_core_rows` and
 :func:`_ad_rows` keep certified coordinates of brackets on letters in
-the same way, for the consequence-span recursion.
+the same way, for the consequence-span recursion; over GF(2) as
+coordinate masks, which only :meth:`MultilinearSpace.coordinates` unpacks.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
 
 from .fields import Field, Scalar
+from .linalg import _is_gf2, unpack_bits, xor_selected
 
 
 @dataclass(frozen=True, order=True)
@@ -105,7 +108,7 @@ class AssocPoly:
 
     def __init__(self, field: Field, terms: Optional[dict] = None):
         self.field = field
-        self.terms = field.add_into({}, terms.items()) if terms else {}
+        self.terms = field.reduced(terms.items()) if terms else {}
 
     @classmethod
     def zero(cls, field: Field) -> "AssocPoly":
@@ -200,9 +203,7 @@ class LiePoly:
 
     def __init__(self, field: Field, terms: Optional[dict] = None):
         self.field = field
-        self.terms = (
-            field.add_into({}, ((tuple(mono), c) for mono, c in terms.items())) if terms else {}
-        )
+        self.terms = field.reduced((tuple(m), c) for m, c in terms.items()) if terms else {}
 
     @classmethod
     def zero(cls, field: Field) -> "LiePoly":
@@ -420,7 +421,7 @@ def _letter_tables(n: int, field: Field) -> tuple:
     # A basis monomial's letter sequence is also its lead word; the
     # letters stand in for the variables of the expansion.
     lead_words = tuple((n - 1,) + p for p in itertools.permutations(range(n - 1)))
-    if field.kind == "prime" and field.p == 2:
+    if _is_gf2(field):
         others = (w for w in itertools.permutations(range(n)) if w[0] != n - 1)
         word_id = {w: i for i, w in enumerate(itertools.chain(lead_words, others))}
         masks = tuple(_word_mask(_fold(w)[0], word_id) for w in lead_words)
@@ -441,13 +442,14 @@ def _word_mask(words, word_id, mask: int = 0) -> int:
 def _core_rows(k: int, left: tuple, field: Field) -> tuple:
     """Coordinates on k letters of ``[L, R]``, for L over the basis monomials
     on the letters in ``left`` and, inside, R over those on the others;
-    certified once by :meth:`MultilinearSpace.coordinates`, then shared."""
+    certified once, then shared. Over GF(2) a row is a coordinate mask."""
     space = MultilinearSpace.for_degrees((0,) * k, field)
+    coordinates = space._coordinate_mask if space._gf2 else space.coordinates
     vs = space.variables
     rights = MultilinearSpace((x for i, x in enumerate(vs) if i not in left), field).basis
     rights = [mono_to_tree(m) for m in rights]
     return tuple(
-        space.coordinates(Pair(mono_to_tree(m), r))
+        coordinates(Pair(mono_to_tree(m), r))
         for m in MultilinearSpace((vs[i] for i in left), field).basis
         for r in rights
     )
@@ -455,10 +457,13 @@ def _core_rows(k: int, left: tuple, field: Field) -> tuple:
 
 @lru_cache(maxsize=None)
 def _ad_rows(k: int, pos: int, field: Field) -> tuple:
-    """Matrix of ``ad`` of letter ``pos``: row j holds the nonzero ``(i, c)``
-    of ``[b_j, pos]``, b_j the basis monomials on the other letters, i.e.
-    the core rows of the split that puts ``pos`` alone on the right."""
+    """Matrix of ``ad`` of letter ``pos``, as :meth:`SubspaceBasis.images`
+    takes it: row j is ``[b_j, pos]``, b_j the basis monomials on the other
+    letters, i.e. the core rows of the split that puts ``pos`` alone on the
+    right; over GF(2) as they are, elsewhere their nonzero ``(i, c)``."""
     rows = _core_rows(k, tuple(i for i in range(k) if i != pos), field)
+    if _is_gf2(field):
+        return rows
     return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
 
 
@@ -488,7 +493,7 @@ class MultilinearSpace:
         self._word_id = None
         self._basis_masks = None
         self._basis_expansions = None
-        self._gf2 = field.kind == "prime" and field.p == 2
+        self._gf2 = _is_gf2(field)
 
     @classmethod
     def for_degrees(cls, degrees: Sequence[int], field: Field) -> "MultilinearSpace":
@@ -545,30 +550,34 @@ class MultilinearSpace:
                     f"(leaves {[str(v) for v in leaves]})"
                 )
 
+    def _coordinate_mask(self, x) -> int:
+        """Coordinates over GF(2) as an int mask: the low ``dim`` bits of
+        the word mask (lead word i has id i), certified by XOR of the basis
+        masks over them."""
+        self._validate_member(x)
+        self._ensure_tables()
+        letter, word_id = self._letter, self._word_id
+        mask = 0
+        # LiePoly coefficients are reduced, so over GF(2) each is 1.
+        for mono in x.terms if isinstance(x, LiePoly) else (x,):
+            mask = _word_mask(_fold(mono, letter)[0], word_id, mask)
+        coords = mask & ((1 << self.dim) - 1)
+        if xor_selected(coords, self._basis_masks) != mask:
+            raise AssertionError("certification failed: not a Lie element?")
+        return coords
+
     def coordinates(self, x) -> tuple:
         """Coordinates of a multilinear element over the left-normed basis.
 
         Read off the words that start with the leading variable, then
         certified by checking that the recombination has the same
-        associative expansion as the input. Over GF(2) the expansion is a
-        bitmask over word ids, and coordinate i is the bit of lead word i.
+        associative expansion as the input; over GF(2) see
+        :meth:`_coordinate_mask`.
         """
+        if self._gf2:
+            return unpack_bits(self._coordinate_mask(x), self.dim)
         self._validate_member(x)
         self._ensure_tables()
-        if self._gf2:
-            letter, word_id = self._letter, self._word_id
-            mask = 0
-            # LiePoly coefficients are reduced, so over GF(2) each is 1.
-            for mono in x.terms if isinstance(x, LiePoly) else (x,):
-                mask = _word_mask(_fold(mono, letter)[0], word_id, mask)
-            rows = self._basis_masks
-            coords = tuple([mask >> i & 1 for i in range(len(rows))])
-            for c, row in zip(coords, rows):
-                if c:
-                    mask ^= row
-            if mask != 0:
-                raise AssertionError("certification failed: not a Lie element?")
-            return coords
         f = self.field
         exp = _expand_element(x, f, self._letter)
         zero = f.zero

@@ -3,12 +3,13 @@
 Subspaces of F^n are kept in reduced row echelon form, which is a
 canonical representation: two subspaces are equal iff their stored rows
 coincide. Rows are stored packed: over GF(2) as int bitmasks (bit j =
-column j), over other fields as scalar lists. A row is packed once, where
-it enters this module: by :meth:`SubspaceBasis.insert`,
-:func:`pack_row` or :func:`pack_map`. Spans, images, kernels, containment
-and equality then work on the packed rows; only :meth:`SubspaceBasis.rows`,
-:meth:`SubspaceBasis.reduce` and :meth:`SubspaceBasis.contains_vector`
-take or give scalar tuples, for witnesses, the CLI and the tests.
+column j), over other fields as scalar lists; :func:`pack_bits` and
+:func:`unpack_bits` convert between a GF(2) tuple and its mask.
+:meth:`SubspaceBasis.insert` also takes masks, such as the certified
+coordinate masks of :mod:`wittid.freealg`. Spans, images, kernels,
+containment and equality work on the packed rows; only
+:meth:`SubspaceBasis.rows`, :meth:`SubspaceBasis.reduce` and
+:meth:`SubspaceBasis.contains_vector` take or give scalar tuples.
 """
 
 from __future__ import annotations
@@ -32,25 +33,30 @@ def _bits(ncols: int) -> tuple:
     return tuple(1 << j for j in range(ncols))
 
 
-def _pack_gf2(vec: Sequence[Scalar]) -> int:
+def pack_bits(vec: Sequence[Scalar]) -> int:
     """A GF(2) vector as an int mask, bit j = column j."""
     return sum(compress(_bits(len(vec)), vec))
 
 
-def pack_row(field: Field, vec: Sequence[Scalar]):
-    """A vector in the packed form that :meth:`SubspaceBasis.insert` takes."""
-    if _is_gf2(field):
-        return _pack_gf2(vec)
-    return tuple(vec)
+# "0"/"1" -> byte 0/1, so a binary string unpacks in C.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def pack_map(field: Field, sparse_rows: Sequence) -> tuple:
-    """A linear map in the form :meth:`SubspaceBasis.images` takes.
-    ``sparse_rows[i]`` holds the nonzero ``(j, c)`` of the image of column
-    i; over GF(2) it is packed into one mask, elsewhere kept as it is."""
-    if _is_gf2(field):
-        return tuple(sum(1 << j for j, _ in row) for row in sparse_rows)
-    return tuple(tuple(row) for row in sparse_rows)
+def unpack_bits(mask: int, width: int) -> tuple:
+    """Bits 0..width-1 of a mask as a GF(2) scalar tuple, bit j = entry j."""
+    if not width:
+        return ()  # format(0, "00b") is "0", one digit too many
+    return tuple(format(mask, f"0{width}b")[::-1].encode().translate(_BIT_BYTES))
+
+
+def xor_selected(mask: int, table: Sequence[int]) -> int:
+    """XOR of ``table[j]`` over the set bits j of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= table[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 class SubspaceBasis:
@@ -106,9 +112,6 @@ class SubspaceBasis:
         return len(self._rows) == self.ncols
 
     # -- GF(2) bitmask path -------------------------------------------------
-
-    def _decode(self, mask: int) -> tuple:
-        return tuple((mask >> j) & 1 for j in range(self.ncols))
 
     def _reduce_mask(self, mask: int) -> int:
         # In reduced echelon form a row is zero in every other pivot
@@ -177,26 +180,18 @@ class SubspaceBasis:
                     raise ValueError(f"mask does not fit in {self.ncols} columns")
                 return self._insert_mask(vec)
             self._check_length(vec)
-            return self._insert_mask(_pack_gf2(vec))
+            return self._insert_mask(pack_bits(vec))
         self._check_length(vec)
         return self._insert_list(list(vec))
 
     def images(self, packed_map: Sequence, ncols: int) -> list:
         """The packed images of the stored rows under a linear map from
-        F^self.ncols to F^ncols, packed by :func:`pack_map`. Over GF(2) an
-        image is the XOR of the map's masks over the row's set bits."""
+        F^self.ncols to F^ncols. ``packed_map[j]`` is the image of column
+        j: over GF(2) an int mask, elsewhere its nonzero ``(i, c)``."""
         if len(packed_map) != self.ncols:
             raise ValueError(f"expected a map on {self.ncols} columns, got {len(packed_map)}")
         if self._gf2:
-            out = []
-            for mask in self._rows:
-                image = 0
-                while mask:
-                    low = mask & -mask
-                    image ^= packed_map[low.bit_length() - 1]
-                    mask ^= low
-                out.append(image)
-            return out
+            return [xor_selected(mask, packed_map) for mask in self._rows]
         f = self.field
         out = []
         for row in self._rows:
@@ -212,13 +207,13 @@ class SubspaceBasis:
         """Residual of a vector after elimination by the stored rows."""
         self._check_length(vec)
         if self._gf2:
-            return self._decode(self._reduce_mask(_pack_gf2(vec)))
+            return unpack_bits(self._reduce_mask(pack_bits(vec)), self.ncols)
         return tuple(self._reduce_list(list(vec)))
 
     def contains_vector(self, vec: Sequence[Scalar]) -> bool:
         self._check_length(vec)
         if self._gf2:
-            return self._reduce_mask(_pack_gf2(vec)) == 0
+            return self._reduce_mask(pack_bits(vec)) == 0
         f = self.field
         return all(f.is_zero(c) for c in self._reduce_list(list(vec)))
 
@@ -234,7 +229,7 @@ class SubspaceBasis:
     def rows(self) -> list:
         """The reduced row-echelon rows, as scalar tuples."""
         if self._gf2:
-            return [self._decode(m) for m in self._rows]
+            return [unpack_bits(m, self.ncols) for m in self._rows]
         return [tuple(row) for row in self._rows]
 
     def _check_length(self, vec: Sequence[Scalar]):

@@ -35,7 +35,7 @@ class ModelElement:
 
     def __init__(self, field: Field, entries: Optional[dict] = None):
         self.field = field
-        self.entries = field.add_into({}, entries.items()) if entries else {}
+        self.entries = field.reduced(entries.items()) if entries else {}
 
     @classmethod
     def zero(cls, field: Field) -> "ModelElement":

@@ -34,8 +34,9 @@ last, so the span of a component is the span of its cores plus the
 images, under ``ad_v``, of the spans of its sub-components with one
 variable less. In coordinates, cores and ``ad_v`` depend only on
 letters, so their rows come from certified tables shared per size and
-field; degrees only pick the family brackets, so a sub-component's span
-is determined by its degree tuple.
+field, in the form :class:`~wittid.linalg.SubspaceBasis` takes (over
+GF(2), masks); degrees only pick the family brackets, so a
+sub-component's span is determined by its degree tuple.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from math import factorial
 from typing import Iterator, Optional
 
@@ -51,7 +52,7 @@ from .fields import Field
 from .freealg import (
     LiePoly, MultilinearSpace, Pair, Tree, Var, _ad_rows, _core_rows, mono_to_tree,
 )
-from .linalg import SubspaceBasis, linear_dependencies, pack_map, pack_row
+from .linalg import SubspaceBasis, linear_dependencies
 from .models import GradedModel, WittModel, _basis_tuple_rows
 
 
@@ -329,7 +330,7 @@ class _SubSpans:
             return SubspaceBasis.full(field, dim)
         acc = SubspaceBasis.zero(field, dim)
         for left, _ in _bracket_splits(self.family, degrees, range(k)):
-            for row in _packed_core_rows(k, left, field):
+            for row in _core_rows(k, left, field):
                 self.check_deadline()
                 acc.insert(row)
                 if acc.is_full():
@@ -341,23 +342,11 @@ class _SubSpans:
             if inner.is_zero():
                 continue
             self.check_deadline()
-            for image in inner.images(_packed_ad_rows(k, pos, field), dim):
+            for image in inner.images(_ad_rows(k, pos, field), dim):
                 acc.insert(image)
                 if acc.is_full():
                     return acc
         return acc
-
-
-# The certified row tables of freealg, packed once per key for
-# SubspaceBasis; read-only and keyed like the tables themselves.
-@lru_cache(maxsize=None)
-def _packed_core_rows(k: int, left: tuple, field: Field) -> tuple:
-    return tuple(pack_row(field, row) for row in _core_rows(k, left, field))
-
-
-@lru_cache(maxsize=None)
-def _packed_ad_rows(k: int, pos: int, field: Field) -> tuple:
-    return pack_map(field, _ad_rows(k, pos, field))
 
 
 def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:

@@ -121,6 +121,7 @@ class SweepConfig:
         self.extra_degree_tuples = tuple(
             tuple(t) for t in self.extra_degree_tuples
         )
+        _check_size(self.nmax, self.extra_degree_tuples, "the sweep")
 
     def family(self) -> BasisFamily:
         return family_for(self.model, self.family_range)
@@ -183,9 +184,11 @@ class VerificationReport:
         name no family, raises ValueError."""
         data = json.loads(text)
         _check_shape(data, REPORT_SCHEMA, "report")
-        _check_budget(data["config"].get("space_budget_s"), "report.config.space_budget_s")
+        config = data["config"]
+        _check_budget(config.get("space_budget_s"), "report.config.space_budget_s")
+        _check_size(config["nmax"], config["extra_degree_tuples"], "report.config")
         report = cls(
-            config=data["config"],
+            config=config,
             spaces=data["spaces"],
             summary=data["summary"],
             timings=data["timings"],
@@ -209,6 +212,23 @@ def _check_budget(budget, where: str) -> None:
     means no budget)."""
     if budget is not None and not 0 <= budget < inf:
         raise ValueError(f"{where} must be a finite number of seconds >= 0")
+
+
+#: The most variables a swept component may have. One u1 component on 8
+#: variables (5,040 columns, 40,320 words per expansion) takes about 4 s
+#: and 60 MiB on a 2-core machine; on 9 an expansion has 362,880 words.
+MAX_VARIABLES = 8
+
+
+def _check_size(nmax: int, extra_degree_tuples, where: str) -> None:
+    """Refuse a sweep that reaches a component of more than
+    :data:`MAX_VARIABLES` variables, through ``nmax`` or an extra tuple."""
+    widest = max([nmax, *map(len, extra_degree_tuples)])
+    if widest > MAX_VARIABLES:
+        raise ValueError(
+            f"{where} reaches a component of {widest} variables; "
+            f"at most {MAX_VARIABLES} are supported"
+        )
 
 
 def _check_shape(value, schema: dict, where: str) -> None:
@@ -358,16 +378,19 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
 def revalidate_entry(entry: dict, config: dict) -> bool:
     """Independently re-check one report entry.
 
-    Every entry must match the ``n``, ``dimP`` and ``orbit`` of its
-    degrees; beyond that, skipped entries revalidate trivially. Every other
-    entry must match a recomputation of its dimensions and of its
-    soundness and completeness flags. A completeness witness must then be
-    an identity of the model that row reduction leaves outside the
-    consequence span; a soundness witness must lie in the consequence span
-    yet take a nonzero value in the model.
+    An entry of more than :data:`MAX_VARIABLES` variables is refused
+    before anything is computed. Every entry must match the ``n``,
+    ``dimP`` and ``orbit`` of its degrees; beyond that, skipped entries
+    revalidate trivially. Every other entry must match a recomputation of
+    its dimensions and of its soundness and completeness flags. A
+    completeness witness must then be an identity of the model that row
+    reduction leaves outside the consequence span; a soundness witness
+    must lie in the consequence span yet take a nonzero value in the model.
     """
-    field = Field.from_spec(config["field"])
     degrees = entry["degrees"]
+    if len(degrees) > MAX_VARIABLES:
+        return False
+    field = Field.from_spec(config["field"])
     space = MultilinearSpace.for_degrees(degrees, field)
     if (entry["n"], entry["dimP"], entry["orbit"]) != (
         len(degrees), space.dim, orbit_size(degrees)

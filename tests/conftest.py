@@ -10,6 +10,7 @@ values come from closed forms and matrix commutators rather than
 """
 
 import itertools
+import json
 from functools import reduce
 
 import pytest
@@ -256,6 +257,18 @@ def oracle_satisfies(model, poly):
         if not field.is_zero(total):
             return False
     return True
+
+
+def hand_report(nmax, extra_degree_tuples=()):
+    """The JSON text of a hand-written u1 report with no entries, as a user
+    might edit one; no sweep is run to make it."""
+    config = {
+        "model": "u1", "family": "brackets of equal parity", "range": None,
+        "field": "gf2", "nmax": nmax, "dmax": 0, "workers": 1, "space_budget_s": None,
+        "extra_degree_tuples": [list(t) for t in extra_degree_tuples], "seed": None,
+    }
+    summary = {"passed": 0, "failed": 0, "skipped": 0}
+    return json.dumps({"config": config, "spaces": [], "summary": summary, "timings": {}})
 
 
 @pytest.fixture

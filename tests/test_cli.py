@@ -3,6 +3,8 @@ import json
 import jsonschema
 import pytest
 
+from conftest import hand_report
+from wittid import cli, verify
 from wittid.cli import main
 from wittid.verify import REPORT_SCHEMA, summarize
 
@@ -241,6 +243,52 @@ def test_refused_budget_writes_no_report(capsys, tmp_path):
     )
     assert code == 2 and "budget" in err
     assert not out_path.exists()
+
+
+def test_size_cap_writes_no_report(capsys, tmp_path, monkeypatch):
+    # The sweep must be refused before it starts; if it were not, this
+    # stand-in would fail the test instead of running a 9-variable sweep.
+    def no_sweep(config):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(cli, "verify_basis_theorem", no_sweep)
+    out_path = tmp_path / "r.json"
+    code, out, err = run(
+        capsys, "--out", str(out_path), "verify-basis", "--model", "u1",
+        "--nmax", "9", "--dmax", "0",
+    )
+    assert code == 2 and out == ""
+    assert "the sweep reaches a component of 9 variables; at most 8" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("nmax, extras", [(9, ()), (2, [(0, 1), (2,) * 9])])
+def test_report_past_the_size_cap_exits_two(capsys, tmp_path, nmax, extras):
+    path = tmp_path / "edited.json"
+    path.write_text(hand_report(nmax, extras))
+    code, out, err = run(capsys, "report", str(path), "--revalidate")
+    assert code == 2 and out == ""
+    assert "report.config reaches a component of 9 variables; at most 8" in err
+
+
+def test_report_refuses_to_revalidate_a_wide_entry(capsys, tmp_path, monkeypatch):
+    # An entry outside the configured sweep is still revalidated, so the
+    # size cap is checked per entry too, before anything is computed.
+    def no_span(*args, **kwargs):
+        raise AssertionError("a component was computed")
+
+    monkeypatch.setattr(verify, "identity_subspace", no_span)
+    data = json.loads(hand_report(2))
+    data["spaces"].append({
+        "n": 9, "degrees": [0] * 9, "orbit": 1, "dimP": 40320, "dimIdentity": 40320,
+        "dimConsequence": 40320, "sound": True, "complete": True,
+    })
+    data["summary"]["passed"] = 1
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", str(path), "--revalidate")
+    assert code == 1
+    assert "COVERAGE MISMATCH" in out and f"INVALID witnesses at [{[0] * 9}]" in out
 
 
 def test_minimality_verb(capsys):

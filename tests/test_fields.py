@@ -93,3 +93,15 @@ def test_scalar_formatting():
     q = Field.rationals()
     assert q.format_scalar(Fraction(3, 2)) == "3/2"
     assert q.format_scalar(Fraction(4, 2)) == "2"
+
+
+@given(
+    st.sampled_from(FIELDS),
+    st.dictionaries(st.integers(0, 9), st.integers(-20, 20), max_size=8),
+)
+def test_reduced_matches_add_into_on_distinct_keys(field, terms):
+    # Scalars as the constructors receive them: ints, or Fractions over Q.
+    items = [(k, Fraction(c, 3) if field.p is None else c) for k, c in terms.items()]
+    got = field.reduced(items)
+    assert got == field.add_into({}, items)
+    assert all(type(v) is (int if field.p else Fraction) for v in got.values())

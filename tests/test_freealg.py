@@ -28,6 +28,7 @@ from wittid.freealg import (
     multilinearize,
     zdegree,
 )
+from wittid.linalg import pack_bits
 
 GF2 = Field.gf(2)
 Q = Field.rationals()
@@ -282,26 +283,32 @@ def test_shared_tables_are_read_only(field):
 def test_row_tables_match_oracle_and_are_shared(field):
     # The rows on 4 letters, read in a space with other indices and
     # degrees, against the oracle; repeated calls return the same tuples.
+    # Over GF(2) a row is the int mask of its oracle coordinates, and the
+    # ad rows are the core rows of the split with pos alone on the right.
     space = MultilinearSpace((v(9, 5), v(2, -1), v(7, 0), v(4, 2)), field)
     vs = space.variables
+    row_form = pack_bits if field == GF2 else tuple
     core = _core_rows(4, (0, 2), field)
     assert core is _core_rows(4, (0, 2), field)
     lefts = MultilinearSpace((vs[0], vs[2]), field).basis
     rights = MultilinearSpace((vs[1], vs[3]), field).basis
     assert list(core) == [
-        oracle_coordinates(space, Pair(mono_to_tree(m), mono_to_tree(r)))
+        row_form(oracle_coordinates(space, Pair(mono_to_tree(m), mono_to_tree(r))))
         for m in lefts
         for r in rights
     ]
     ad = _ad_rows(4, 1, field)
     assert ad is _ad_rows(4, 1, field)
     rest = MultilinearSpace(vs[:1] + vs[2:], field).basis
-    assert list(ad) == [
-        tuple((i, c) for i, c in enumerate(oracle_coordinates(space, b + (vs[1],))) if c)
-        for b in rest
-    ]
+    images = [oracle_coordinates(space, b + (vs[1],)) for b in rest]
+    if field == GF2:
+        assert all(type(row) is int for row in core + ad)
+        assert ad == _core_rows(4, (0, 2, 3), field)
+        assert list(ad) == [pack_bits(c) for c in images]
+    else:
+        assert all(isinstance(row, tuple) for row in core + ad)
+        assert list(ad) == [tuple((i, x) for i, x in enumerate(c) if x) for c in images]
     for table in (core, ad):
-        assert all(isinstance(row, tuple) for row in table)
         with pytest.raises(TypeError):
             table[0] = ()
 

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import _row_reduce, oracle_kernel
 from wittid.fields import Field
-from wittid.linalg import SubspaceBasis, linear_dependencies, pack_map, pack_row
+from wittid.linalg import SubspaceBasis, linear_dependencies, pack_bits, unpack_bits
 
 GF2 = Field.gf(2)
 GF3 = Field.gf(3)
@@ -224,7 +224,8 @@ def test_image_insertion_matches_oracle(field):
     for _ in range(30):
         source_cols = rng.choice([rng.randint(1, 8), rng.randint(20, 40)])
         ncols = rng.choice([rng.randint(1, 8), rng.randint(60, 70), rng.randint(120, 130)])
-        # a random sparse map: column j goes to a few (i, c)
+        # a random sparse map: column j goes to a few (i, c); over GF(2)
+        # SubspaceBasis.images takes each image as its mask instead
         sparse = [
             [(i, field.from_int(rng.randint(1, field.p - 1)))
              for i in sorted(rng.sample(range(ncols), rng.randint(0, min(3, ncols))))]
@@ -244,8 +245,9 @@ def test_image_insertion_matches_oracle(field):
         seed = [random_vector(rng, field, ncols, 0.1) for _ in range(rng.randint(0, 3))]
         target = SubspaceBasis.zero(field, ncols)
         for vec in seed:
-            target.insert(pack_row(field, vec))
-        for image in source.images(pack_map(field, sparse), ncols):
+            target.insert(vec)
+        packed = [sum(1 << i for i, _ in row) for row in sparse] if field == GF2 else sparse
+        for image in source.images(packed, ncols):
             target.insert(image)
         assert target.rows() == oracle_rref(seed + expected, ncols, field)
 
@@ -257,11 +259,34 @@ def test_packed_row_must_fit(ncols):
         with pytest.raises(ValueError, match="does not fit"):
             basis.insert(mask)
     assert basis.is_zero()
-    assert basis.insert(1 << (ncols - 1)) and basis.insert(pack_row(GF2, [1] * ncols))
+    assert basis.insert(1 << (ncols - 1)) and basis.insert((1 << ncols) - 1)
     assert basis.rows() == oracle_rref([[0] * (ncols - 1) + [1], [1] * ncols], ncols, GF2)
 
 
 def test_images_check_the_map_width():
     basis = SubspaceBasis.from_vectors(GF3, 3, [(1, 0, 2)])
     with pytest.raises(ValueError, match="map on 3 columns"):
-        basis.images(pack_map(GF3, [[(0, 1)], [(1, 1)]]), 2)
+        basis.images([[(0, 1)], [(1, 1)]], 2)
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 130])
+def test_bits_round_trip_and_unpacked_rows_match_oracle(width):
+    # Width 0 matters: format(0, "00b") is "0", not "".
+    rng = random.Random(width)
+    vectors = [(0,) * width, (1,) * width] + [
+        tuple(rng.randint(0, 1) for _ in range(width)) for _ in range(8)
+    ]
+    for vec in vectors:
+        mask = pack_bits(vec)
+        assert mask == sum(1 << j for j, c in enumerate(vec) if c)
+        assert unpack_bits(mask, width) == vec
+    span = SubspaceBasis.from_vectors(GF2, width, vectors[2:6])
+    rref = [list(v) for v in vectors[2:6]]
+    pivots = _row_reduce(rref, width, GF2)
+    assert span.rows() == [tuple(row) for row in rref[: len(pivots)]]
+    for vec in vectors:
+        residual = list(vec)
+        for pivot, row in zip(pivots, rref):
+            if residual[pivot]:
+                residual = [a ^ b for a, b in zip(residual, row)]
+        assert span.reduce(vec) == tuple(residual)

@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from conftest import hand_report
 from wittid import verify
 from wittid.fields import Field
 from wittid.freealg import LiePoly, MultilinearSpace, Var
@@ -81,6 +82,49 @@ def test_from_json_keeps_valid_budgets(budget):
     data["config"]["space_budget_s"] = budget
     report = VerificationReport.from_json(json.dumps(data))
     assert report.config["space_budget_s"] == budget
+
+
+@pytest.mark.parametrize(
+    "nmax, extras, widest",
+    [(9, (), 9), (2, [(1,) * 9], 9), (3, [(0, 1), (-1,) * 10], 10)],
+)
+def test_size_cap_refuses_nine_variables(nmax, extras, widest):
+    # Refused where the sweep is configured and where a report is loaded;
+    # neither runs a component.
+    want = f"component of {widest} variables; at most 8 are supported"
+    with pytest.raises(ValueError, match=f"the sweep reaches a {want}"):
+        SweepConfig(nmax=nmax, extra_degree_tuples=extras)
+    with pytest.raises(ValueError, match=f"report.config reaches a {want}"):
+        VerificationReport.from_json(hand_report(nmax, extras))
+
+
+def test_size_cap_keeps_eight_variables():
+    assert verify.MAX_VARIABLES == 8
+    assert SweepConfig(nmax=8).nmax == 8
+    assert SweepConfig(nmax=2, extra_degree_tuples=[[0] * 8]).extra_degree_tuples == ((0,) * 8,)
+    assert VerificationReport.from_json(hand_report(8, [(0,) * 8])).config["nmax"] == 8
+
+
+@pytest.mark.parametrize(
+    "model, family_range, degrees, dims, complete",
+    [("u1", "wide", (1, 2, 2, 2, 2, 2, 2), (719, 719), True),
+     ("w1", "wide", (-1, 0, 0, 1, 2, 2, 2), (720, 720), True),
+     ("w1", "tight", (-1, 0, 0, 0, 0, 1, 1), (720, 719), False)],
+)
+def test_space_entry_at_720_columns(model, family_range, degrees, dims, complete):
+    # n = 7: the widest components the suite runs; w1-tight keeps one
+    # identity outside its consequence span, and its witness revalidates.
+    config = SweepConfig(
+        model=model, family_range=family_range, nmax=1, dmax=0, extra_degree_tuples=[degrees]
+    )
+    entry = verify._space_entry((model, config.family(), "gf2", degrees, None))
+    assert entry["dimP"] == 720
+    assert (entry["dimIdentity"], entry["dimConsequence"]) == dims
+    assert (entry["sound"], entry["complete"]) == (True, complete)
+    assert ("witness" in entry) is not complete
+    if not complete:
+        assert revalidate_entry(entry, config.to_dict())
+        assert not revalidate_entry({**entry, "witness": ""}, config.to_dict())
 
 
 def test_import_loads_no_process_pool():
