@@ -45,29 +45,21 @@ class UsageError(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # shared flags are accepted both before and after the verb
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--field", default=argparse.SUPPRESS, help="gf2|gf<p>|rational (default gf2)"
-    )
-    common.add_argument(
-        "--format", choices=("text", "json"), default=argparse.SUPPRESS
-    )
-    common.add_argument(
-        "--out", default=argparse.SUPPRESS, help="write the JSON report to this path"
-    )
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="seed recorded in reports"
-    )
-
     parser = argparse.ArgumentParser(
         prog="wittid",
         description="Exact computations with Z-graded Lie identities of Witt-type algebras.",
     )
-    parser.add_argument("--field", default="gf2", help="gf2|gf<p>|rational (default gf2)")
-    parser.add_argument("--format", default="text", choices=("text", "json"))
-    parser.add_argument("--out", default=None, help="write the JSON report to this path")
-    parser.add_argument("--seed", type=int, default=None, help="seed recorded in reports")
+    # Shared flags, accepted before and after the verb; after it wins, as
+    # the verb's parser sets only the flags it is given.
+    for flag, default, options in (
+        ("--field", "gf2", {"help": "gf2|gf<p>|rational (default gf2)"}),
+        ("--format", "text", {"choices": ("text", "json")}),
+        ("--out", None, {"help": "write the JSON report to this path"}),
+        ("--seed", None, {"type": int, "help": "seed recorded in reports"}),
+    ):
+        parser.add_argument(flag, default=default, **options)
+        common.add_argument(flag, default=argparse.SUPPRESS, **options)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("is-identity", parents=[common], help="decide a graded identity")

@@ -257,34 +257,31 @@ def linear_dependencies(
 ) -> SubspaceBasis:
     """Kernel {c : sum_i c_i * vectors[i] = 0} as a subspace of F^len(vectors).
 
-    Computed by reduced row echelon form of the transposed matrix followed
-    by back-substitution on the free columns.
+    One elimination, of the transposed system with its columns reversed: the
+    row of pivot p is then zero at every free column above p, so the kernel
+    row ``e_f - sum_p row_p[f] * e_p`` of free column f is already reduced.
     """
     m = len(vectors)
-    if m == 0:
-        return SubspaceBasis.zero(field, 0)
-    lengths = {len(v) for v in vectors}
-    if len(lengths) != 1:
+    if len({len(v) for v in vectors}) > 1:
         raise ValueError("vectors must share a length")
-    f = field
-    # Rows of the transposed system: one per coordinate of the vectors.
+    # One row per coordinate of the vectors; its column q is column m-1-q.
     echelon = SubspaceBasis(field, m)
     for column in zip(*vectors):
-        echelon.insert(column)
+        echelon.insert(column[::-1])
+    pivot_rows = [(m - 1 - q, row) for q, row in zip(echelon._pivots, echelon._rows)]
     kernel = SubspaceBasis(field, m)
-    pivot_rows = list(zip(echelon._pivots, echelon._rows))
-    pivots = set(echelon._pivots)
-    for free in range(m):
-        if free in pivots:
-            continue
-        if echelon._gf2:
+    kernel._pivots = sorted(set(range(m)).difference(p for p, _ in pivot_rows))
+    for free in kernel._pivots:
+        q = m - 1 - free
+        if kernel._gf2:
             vec = 1 << free
             for pivot, row in pivot_rows:
-                vec |= ((row >> free) & 1) << pivot
+                vec |= ((row >> q) & 1) << pivot
+            kernel._pivot_mask |= 1 << free
         else:
-            vec = [f.zero] * m
-            vec[free] = f.one
+            vec = [field.zero] * m
+            vec[free] = field.one
             for pivot, row in pivot_rows:
-                vec[pivot] = f.neg(row[free])
-        kernel.insert(vec)
+                vec[pivot] = field.neg(row[q])
+        kernel._rows.append(vec)
     return kernel

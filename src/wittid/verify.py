@@ -281,6 +281,15 @@ def sweep_tuples(nmax: int, dmax: int, extra_degree_tuples=()):
             yield key
 
 
+def in_sweep(degrees: Sequence[int], nmax: int, dmax: int, extra_degree_tuples=()) -> bool:
+    """Whether :func:`sweep_tuples` lists the degree tuple, decided without
+    enumerating the sweep, whose ``dmax`` may come from a report."""
+    degrees = tuple(degrees)
+    if 0 < len(degrees) <= nmax and all(abs(d) <= dmax for d in degrees):
+        return degrees == tuple(sorted(degrees))
+    return any(degrees == tuple(sorted(extra)) for extra in extra_degree_tuples)
+
+
 def orbit_size(degrees: Sequence[int]) -> int:
     """Number of distinct reorderings of the degree tuple."""
     count = factorial(len(degrees))
@@ -378,17 +387,18 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
 def revalidate_entry(entry: dict, config: dict) -> bool:
     """Independently re-check one report entry.
 
-    An entry of more than :data:`MAX_VARIABLES` variables is refused
-    before anything is computed. Every entry must match the ``n``,
-    ``dimP`` and ``orbit`` of its degrees; beyond that, skipped entries
-    revalidate trivially. Every other entry must match a recomputation of
-    its dimensions and of its soundness and completeness flags. A
+    An entry off the configured sweep, or of more than :data:`MAX_VARIABLES`
+    variables, is refused before anything is computed. Every entry must match
+    the ``n``, ``dimP`` and ``orbit`` of its degrees; beyond that, skipped
+    entries revalidate trivially. Every other entry must match a recomputation
+    of its dimensions and of its soundness and completeness flags. A
     completeness witness must then be an identity of the model that row
-    reduction leaves outside the consequence span; a soundness witness
-    must lie in the consequence span yet take a nonzero value in the model.
+    reduction leaves outside the consequence span; a soundness witness must lie
+    in the consequence span yet take a nonzero value in the model.
     """
     degrees = entry["degrees"]
-    if len(degrees) > MAX_VARIABLES:
+    sweep = (config["nmax"], config["dmax"], config["extra_degree_tuples"])
+    if len(degrees) > MAX_VARIABLES or not in_sweep(degrees, *sweep):
         return False
     field = Field.from_spec(config["field"])
     space = MultilinearSpace.for_degrees(degrees, field)

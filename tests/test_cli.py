@@ -271,24 +271,41 @@ def test_report_past_the_size_cap_exits_two(capsys, tmp_path, nmax, extras):
     assert "report.config reaches a component of 9 variables; at most 8" in err
 
 
-def test_report_refuses_to_revalidate_a_wide_entry(capsys, tmp_path, monkeypatch):
-    # An entry outside the configured sweep is still revalidated, so the
-    # size cap is checked per entry too, before anything is computed.
-    def no_span(*args, **kwargs):
-        raise AssertionError("a component was computed")
+def _no_span(*args, **kwargs):
+    raise AssertionError("a component was computed")
 
-    monkeypatch.setattr(verify, "identity_subspace", no_span)
+
+def _report_with_entry(tmp_path, degrees, orbit, dim):
+    """A hand-written u1 report, nmax 2 and dmax 0, whose one entry is a
+    passing entry of the given degrees, which that sweep does not list."""
     data = json.loads(hand_report(2))
     data["spaces"].append({
-        "n": 9, "degrees": [0] * 9, "orbit": 1, "dimP": 40320, "dimIdentity": 40320,
-        "dimConsequence": 40320, "sound": True, "complete": True,
+        "n": len(degrees), "degrees": list(degrees), "orbit": orbit, "dimP": dim,
+        "dimIdentity": dim, "dimConsequence": dim, "sound": True, "complete": True,
     })
     data["summary"]["passed"] = 1
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(data))
+    return path
+
+
+def test_report_refuses_to_revalidate_a_wide_entry(capsys, tmp_path, monkeypatch):
+    # An entry outside the configured sweep is reported invalid without
+    # being computed; revalidate_entry would refuse it by size as well.
+    monkeypatch.setattr(verify, "identity_subspace", _no_span)
+    path = _report_with_entry(tmp_path, [0] * 9, 1, 40320)
     code, out, _ = run(capsys, "report", str(path), "--revalidate")
     assert code == 1
     assert "COVERAGE MISMATCH" in out and f"INVALID witnesses at [{[0] * 9}]" in out
+
+
+def test_report_does_not_compute_an_off_sweep_entry(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "identity_subspace", _no_span)
+    degrees = [1, 2, 2, 2, 2, 2, 2]
+    path = _report_with_entry(tmp_path, degrees, 7, 720)
+    code, out, _ = run(capsys, "report", str(path), "--revalidate")
+    assert code == 1
+    assert "COVERAGE MISMATCH" in out and f"INVALID witnesses at [{degrees}]" in out
 
 
 def test_minimality_verb(capsys):
@@ -339,6 +356,23 @@ def test_shared_flags_accepted_after_the_verb(capsys, tmp_path):
     assert out_path.exists()
     code, out, _ = run(capsys, "is-identity", "[x1^1, x2^3]", "--field", "gf3")
     assert code == 1  # evaluation over gf3, no parity shortcut
+
+
+@pytest.mark.parametrize(
+    "flag, first, last",
+    [("--field", "gf3", "rational"), ("--format", "json", "text"),
+     ("--out", "a.json", "b.json"), ("--seed", "3", "4")],
+)
+def test_shared_flags_before_and_after_the_verb(flag, first, last):
+    parser = cli.build_parser()
+    name = flag.lstrip("-")
+    value = {"--seed": int}.get(flag, str)
+    for argv, want in [
+        ([flag, first, "report", "r.json"], first),
+        (["report", "r.json", flag, last], last),
+        ([flag, first, "report", "r.json", flag, last], last),
+    ]:
+        assert getattr(parser.parse_args(argv), name) == value(want), argv
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import _row_reduce, oracle_kernel
 from wittid.fields import Field
+from wittid.freealg import MultilinearSpace
+from wittid.models import _basis_tuple_rows, parse_model
 from wittid.linalg import SubspaceBasis, linear_dependencies, pack_bits, unpack_bits
 
 GF2 = Field.gf(2)
@@ -131,9 +134,17 @@ def oracle_rref(vectors, ncols, field):
     return [tuple(row) for row in aug[: len(pivots)]]
 
 
+def random_scalar(rng, field, low=1):
+    """A residue in [low, p-1], or over Q a fraction whose numerator is
+    at least ``low`` in size: nonzero unless ``low`` is 0."""
+    if field.kind == "prime":
+        return field.from_int(rng.randint(low, field.p - 1))
+    return Fraction(rng.choice((-1, 1)) * rng.randint(low, 3), rng.randint(1, 3))
+
+
 def random_vector(rng, field, ncols, density):
     return [
-        field.from_int(rng.randint(1, field.p - 1)) if rng.random() < density else field.zero
+        random_scalar(rng, field) if rng.random() < density else field.zero
         for _ in range(ncols)
     ]
 
@@ -141,7 +152,7 @@ def random_vector(rng, field, ncols, density):
 def combination(rng, field, vectors, ncols):
     out = [field.zero] * ncols
     for v in vectors:
-        c = field.from_int(rng.randint(0, field.p - 1))
+        c = random_scalar(rng, field, low=0)
         out = [field.add(a, field.mul(c, b)) for a, b in zip(out, v)]
     return out
 
@@ -201,11 +212,13 @@ def test_full_matches_oracle(field, ncols):
         assert not SubspaceBasis.from_vectors(field, ncols, units[1:]).contains_subspace(full)
 
 
-@pytest.mark.parametrize("field", [GF2, GF3])
+@pytest.mark.parametrize("field", [GF2, GF3, Field.rationals()])
 def test_linear_dependencies_match_oracle(field):
     rng = random.Random(9)
+    # over Q the oracle's reduction of a wide kernel grows fractions
+    wide = (60, 130) if field.kind == "prime" else (20, 40)
     for _ in range(12):
-        m = rng.choice([rng.randint(1, 8), rng.randint(60, 130)])
+        m = rng.choice([rng.randint(1, 8), rng.randint(*wide)])
         t = rng.randint(0, 12)
         base = [random_vector(rng, field, t, 0.4) for _ in range(rng.randint(1, 6))]
         vectors = [
@@ -216,6 +229,46 @@ def test_linear_dependencies_match_oracle(field):
         kernel = linear_dependencies(vectors, field)
         assert kernel.ncols == m
         assert kernel.rows() == oracle_rref(oracle_kernel(vectors, field), m, field)
+
+
+def evaluation_rows(spec, field, degrees):
+    space = MultilinearSpace.for_degrees(degrees, field)
+    return _basis_tuple_rows(parse_model(spec, field), space.variables, space.basis)
+
+
+@pytest.mark.parametrize(
+    "field, rows",
+    [(GF2, lambda: evaluation_rows("u1", GF2, (1, 2, 2, 2, 2, 2, 2))),
+     (GF3, lambda: evaluation_rows("u1", GF3, (-1, 0, 1, 2, 3, 4))),
+     (Field.rationals(), lambda: evaluation_rows("ut3:0:0", Field.rationals(), (0, 0, 0))),
+     (GF3, lambda: [[0] * 5] * 4),
+     (GF2, lambda: [])],
+    ids=["u1-gf2-n7", "u1-gf3-n6", "ut3-rational", "zero", "empty"],
+)
+def test_kernel_of_evaluation_rows(monkeypatch, field, rows):
+    rows = rows()
+    m, t = len(rows), len(rows[0]) if rows else 0
+    targets = []
+    insert = SubspaceBasis.insert
+
+    def spy(self, vec):
+        targets.append(self)
+        return insert(self, vec)
+
+    monkeypatch.setattr(SubspaceBasis, "insert", spy)
+    kernel = linear_dependencies(rows, field)
+    monkeypatch.undo()
+    # one elimination: one insert per coordinate, none for a kernel row
+    assert len(targets) == t and all(target is not kernel for target in targets)
+    assert kernel.ncols == m
+    assert kernel.dim == m - SubspaceBasis.from_vectors(field, t, rows).dim
+    for coeffs in kernel.rows():
+        combo = [field.zero] * t
+        for c, vec in zip(coeffs, rows):
+            if not field.is_zero(c):
+                combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, vec)]
+        assert all(field.is_zero(x) for x in combo)
+    assert SubspaceBasis.from_vectors(field, m, kernel.rows()) == kernel
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])

@@ -1,6 +1,8 @@
 import concurrent.futures
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,7 @@ from wittid.verify import (
     VerificationReport,
     canonical_degree_tuples,
     char_contrast,
+    in_sweep,
     independence_check,
     leading_family_members,
     minimality_sweep,
@@ -290,6 +293,43 @@ def test_extra_degree_tuples_are_included_once():
         sweep_tuples(2, 1, ((-1, 3), (1, -1)))
     )
     assert list(sweep_tuples(1, 1, ((3, -1), (1,), (-1, 3)))) == [(-1,), (0,), (1,), (-1, 3)]
+
+
+@pytest.mark.parametrize(
+    "nmax, dmax, extras",
+    [(0, 1, ()), (2, 0, ((3, -1), (0,))), (2, 1, ((-1, 3), (1, -1), (2, 2, 2, 2))),
+     (3, 2, ((0, 0, 0, 0, 5),)), (1, -1, ((1,),))],
+)
+def test_in_sweep_matches_sweep_tuples(nmax, dmax, extras):
+    listed = set(sweep_tuples(nmax, dmax, extras))
+    # in a range past dmax: every tuple of up to two degrees and every sorted
+    # one of up to nmax + 2; and the extras, as given and reversed
+    span = range(-abs(dmax) - 1, 6)
+    candidates = {t for n in range(nmax + 3) for t in itertools.product(span, repeat=n)
+                  if n <= 2 or t == tuple(sorted(t))}
+    candidates |= {tuple(e) for e in extras} | {tuple(e)[::-1] for e in extras}
+    assert listed <= candidates
+    for degrees in candidates:
+        assert in_sweep(degrees, nmax, dmax, extras) == (degrees in listed), degrees
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["u1_nmax6_dmax2", "w1_wide_nmax6_dmax2"])
+def test_committed_n6_reports_revalidate(name):
+    """Saved ``verify-basis --nmax 6 --dmax 2`` reports pin the identity and
+    consequence dimensions; a seeded sample of their n=6 entries must
+    survive recomputation. ``wittid report --revalidate`` checks them all."""
+    report = VerificationReport.from_json((DATA / f"{name}.json").read_text())
+    config = report.config
+    assert report.passed and report.summary == {"passed": 461, "failed": 0, "skipped": 0}
+    assert [tuple(e["degrees"]) for e in report.spaces] == list(
+        sweep_tuples(config["nmax"], config["dmax"], config["extra_degree_tuples"])
+    )
+    widest = [e for e in report.spaces if e["n"] == 6]
+    for entry in random.Random(name).sample(widest, 12):
+        assert revalidate_entry(entry, config), entry["degrees"]
 
 
 # -- separation certificates ---------------------------------------------------
