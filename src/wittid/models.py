@@ -15,7 +15,14 @@ degree and a bracket given on basis slots; elements are sparse
 * ``onedim_model(d)``: a one-dimensional abelian algebra concentrated in
   degree d.
 
-Models are immutable after construction and evaluation is pure.
+Models are immutable after construction and evaluation is pure. Values
+are computed by structure constants only, through :meth:`GradedModel.bracket`.
+One loop, :func:`_basis_tuple_rows`, evaluates a list of multilinear
+monomials on every tuple of component basis vectors, for both the
+multilinear identity check and the identity subspaces; it keeps a stack of
+prefix values per tuple, so a prefix that consecutive monomials share is
+bracketed once (the left-normed basis, in lexicographic order, brackets
+about e·(n-1)! prefixes instead of (n-1)·(n-1)!).
 """
 
 from __future__ import annotations
@@ -104,13 +111,20 @@ class GradedModel:
 
     def bracket(self, x: ModelElement, y: ModelElement) -> ModelElement:
         f = self.field
+        mul = f.mul
+        bracket_slots = self.bracket_slots
         out = {}
         for (d1, i1), c1 in x.entries.items():
             for (d2, i2), c2 in y.entries.items():
-                base = self.bracket_slots(d1, i1, d2, i2)
-                if base:
-                    c = f.mul(c1, c2)
-                    f.add_into(out, [(key, f.mul(c, a)) for key, a in base.items()])
+                base = bracket_slots(d1, i1, d2, i2)
+                if not base:
+                    continue
+                c = mul(c1, c2)
+                if out:
+                    f.add_into(out, [(key, mul(c, a)) for key, a in base.items()])
+                else:
+                    # Nonzero times nonzero: the first product has no zero to drop.
+                    out = {key: mul(c, a) for key, a in base.items()}
         # add_into leaves no zeros, so the constructor's filter is skipped.
         value = ModelElement(f)
         value.entries = out
@@ -326,16 +340,44 @@ def basis_substitutions(model: GradedModel, variables: Sequence[Var]) -> Iterato
 def _basis_tuple_rows(model: GradedModel, variables: Sequence[Var], monomials) -> list:
     """Per monomial, its values on the :func:`basis_substitutions` tuples as
     coordinates in the component of the variables' degree sum, concatenated.
-    The tuples are admissible by construction, so none is checked."""
+    The tuples are admissible by construction, so none is checked.
+
+    Each substitution keeps a stack of prefix values: the values of the
+    prefixes that a monomial shares with the one before it in the list are
+    reused, so a run of monomials with a common prefix brackets it once,
+    and a zero prefix ends the monomial. Any order of ``monomials`` gives
+    the same rows; the lexicographic order shares the most.
+    """
     total = sum(v.degree for v in variables)
-    slots = range(model.dim(total))
+    keys = [(total, slot) for slot in range(model.dim(total))]
     rows = [[] for _ in monomials]
-    if not slots:
+    if not keys:
         return rows
+    zeros = [model.field.zero] * len(keys)
+    bracket = model.bracket
     for substitution in basis_substitutions(model, variables):
+        # values[k] is the value of the previous monomial's first k + 1
+        # letters; the stack stops at the first zero prefix, so only the
+        # letters it covers are compared.
+        values = []
+        previous = ()
         for row, mono in zip(rows, monomials):
-            value = _evaluate_monomial(mono, substitution, model)
-            row.extend(value.coeff(total, slot) for slot in slots)
+            k = 0
+            for a, b, _ in zip(mono, previous, values):
+                if a is not b and a != b:
+                    break
+                k += 1
+            del values[k:]
+            if not values:
+                values.append(substitution[mono[0]])
+            acc = values[-1]
+            for v in mono[len(values):]:
+                if not acc.entries:
+                    break
+                acc = bracket(acc, substitution[v])
+                values.append(acc)
+            row.extend(map(acc.entries.get, keys, zeros))
+            previous = mono
     return rows
 
 
@@ -347,7 +389,9 @@ def satisfies_multilinear(model: GradedModel, f: LiePoly) -> bool:
         raise ValueError("identity check by evaluation is restricted to multilinear input")
     field = model.field
     sums = {}
-    rows = _basis_tuple_rows(model, sorted(f.variables()), list(f.terms))
-    for c, row in zip(f.terms.values(), rows):
+    # Sorted by monomial, so that monomials with a common prefix are adjacent.
+    terms = sorted(f.terms.items())
+    rows = _basis_tuple_rows(model, sorted(f.variables()), [mono for mono, _ in terms])
+    for (_, c), row in zip(terms, rows):
         field.add_into(sums, ((j, field.mul(c, x)) for j, x in enumerate(row)))
     return not sums

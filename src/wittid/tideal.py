@@ -214,13 +214,13 @@ def _bracket_splits(family: BasisFamily, degrees, positions) -> Iterator[tuple]:
     """The splits ``(left, right)`` of ``positions`` into two nonempty
     blocks, each in the order of ``positions``, whose degree sums form a
     family bracket; ``degrees[i]`` is the degree at position i."""
+    total = sum(degrees[i] for i in positions)
+    contains_bracket = family.contains_bracket
     for left_size in range(1, len(positions)):
         for left in itertools.combinations(positions, left_size):
-            right = tuple(i for i in positions if i not in left)
-            if family.contains_bracket(
-                sum(degrees[i] for i in left), sum(degrees[i] for i in right)
-            ):
-                yield left, right
+            a = sum(degrees[i] for i in left)
+            if contains_bracket(a, total - a):
+                yield left, tuple(i for i in positions if i not in left)
 
 
 def consequence_instances(

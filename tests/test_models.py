@@ -11,6 +11,8 @@ from wittid.freealg import LiePoly, MultilinearSpace, Var
 from wittid.linalg import SubspaceBasis
 from wittid.models import (
     ModelElement,
+    _basis_tuple_rows,
+    _evaluate_monomial,
     basis_substitutions,
     evaluate,
     onedim_model,
@@ -264,6 +266,170 @@ def test_basis_substitutions_cover_every_basis_tuple():
     # an empty component admits only the zero value, so no tuple at all
     assert list(basis_substitutions(w1_model(GF2), (Var(1, 1), Var(2, -3)))) == []
 
+
+@pytest.mark.parametrize("field", [GF2, GF3, Field.rationals()], ids=str)
+def test_bracket_is_bilinear_on_sums(field):
+    """[x, y] of sums equals the sum of the scaled basis brackets, also when
+    the products cancel part way (the later products go through add_into)."""
+    u1 = u1_model(field)
+    e = u1.basis_element
+    # [e1 + e2, e1 + e2] = [e1, e2] + [e2, e1] = 0: the first product is
+    # cancelled by the second.
+    x = e(1) + e(2)
+    assert u1.bracket(x, x).is_zero()
+    rng = random.Random(f"bracket/{field}")
+    for model in (u1, w1_model(field), ut3_model(field, 0, 0), ut3_model(field, 0, 2)):
+        elements = _all_basis_elements(model)
+        for _ in range(40):
+            x, y = (
+                ModelElement(field, {
+                    key: _random_scalar(rng, field)
+                    for b in rng.sample(elements, rng.randint(1, min(4, len(elements))))
+                    for key in b.entries
+                })
+                for _ in range(2)
+            )
+            expected = {}
+            for (k1, c1), (k2, c2) in itertools.product(x.entries.items(), y.entries.items()):
+                unit = model.bracket(model.basis_element(*k1), model.basis_element(*k2))
+                for key, a in unit.entries.items():
+                    expected[key] = field.add(
+                        expected.get(key, field.zero), field.mul(field.mul(c1, c2), a)
+                    )
+            value = model.bracket(x, y)
+            assert value == ModelElement(field, expected), (model, x, y)
+            assert all(not field.is_zero(c) for c in value.entries.values())
+
+
+def _per_monomial_rows(model, variables, monomials):
+    """The rows of _basis_tuple_rows, each monomial evaluated on its own."""
+    total = sum(v.degree for v in variables)
+    slots = range(model.dim(total))
+    rows = [[] for _ in monomials]
+    if not slots:
+        return rows
+    for substitution in basis_substitutions(model, variables):
+        for row, mono in zip(rows, monomials):
+            value = _evaluate_monomial(mono, substitution, model)
+            row.extend(value.coeff(total, slot) for slot in slots)
+    return rows
+
+
+def _prefix_brackets(model, variables, monomials):
+    """Brute force: per basis substitution, the distinct prefixes of length
+    >= 2 whose one-letter-shorter prefix has a nonzero value."""
+    if not model.dim(sum(v.degree for v in variables)):
+        return 0
+    prefixes = {mono[:k] for mono in monomials for k in range(2, len(mono) + 1)}
+    return sum(
+        not _evaluate_monomial(prefix[:-1], substitution, model).is_zero()
+        for substitution in basis_substitutions(model, variables)
+        for prefix in prefixes
+    )
+
+
+def _count_brackets(model):
+    """Wrap the model's bracket; returns the one-element call counter."""
+    calls = [0]
+    inner = model.bracket
+
+    def counted(x, y):
+        calls[0] += 1
+        return inner(x, y)
+
+    model.bracket = counted
+    return calls
+
+
+#: (model spec, degrees): w1 components where a proper prefix vanishes
+#: ([e_a, e_a] = 0, [e_-1, e_1] = 2 e_0, and over GF(3) [e_-1, e_2] = 3 e_1),
+#: u1 components, and ut3 components of dimension 2 or 3, whose several
+#: basis substitutions each start the prefix stack afresh.
+PREFIX_CASES = [
+    ("w1", (2, 2, 1, 3)),
+    ("w1", (-1, 1, 0, 2, 2)),
+    ("w1", (-1, -1, 2, 1, 3)),
+    ("w1", (-1, 0, 1, 2, 3)),
+    ("u1", (1, 2, 3, 4, -5)),
+    ("u1", (-3, 0, 1, 1, 2)),
+    ("ut3:0:0", (0, 0, 0)),
+    ("ut3:0:0", (0, 0, 0, 0)),
+    ("ut3:1:1", (1, 1)),
+    ("ut3:1:1", (1, 1, 1)),
+    ("ut3:0:2", (0, 2)),
+    ("ut3:0:2", (0, 2, 0)),
+    ("ut3:0:2", (2, 2, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=str)
+@pytest.mark.parametrize("spec, degrees", PREFIX_CASES)
+def test_basis_tuple_rows_share_prefixes(field, spec, degrees):
+    """The prefix-stack rows equal the per-monomial rows in any order, and
+    on a lexicographic list (the basis, or sorted with repeats) bracket
+    each distinct prefix whose shorter prefix is nonzero exactly once per
+    substitution."""
+    rng = random.Random(f"prefix/{spec}/{degrees}/{field}")
+    model = parse_model(spec, field)
+    space = MultilinearSpace.for_degrees(degrees, field)
+    variables = space.variables
+    basis = space.basis
+    # Repeats made of equal but distinct Var objects.
+    repeats = rng.choices(basis, k=len(basis) // 2 + 1)
+    with_repeats = basis + [tuple(Var(v.index, v.degree) for v in mono) for mono in repeats]
+    shuffled = rng.sample(with_repeats, len(with_repeats))
+    # Proper prefixes as monomials of their own, next to their extensions.
+    mixed = sorted(basis + [mono[:k] for mono in rng.sample(basis, 1) for k in (1, 2)])
+    for monomials in (basis, shuffled, sorted(with_repeats), mixed):
+        expected = _per_monomial_rows(model, variables, monomials)
+        assert _basis_tuple_rows(model, variables, monomials) == expected
+    if spec == "w1":
+        assert any(
+            _evaluate_monomial(mono[:k], substitution, model).is_zero()
+            for substitution in basis_substitutions(model, variables)
+            for mono in basis
+            for k in range(2, len(mono))
+        )
+    if spec.startswith("ut3"):
+        assert len(list(basis_substitutions(model, variables))) > 1
+    for monomials in (basis, sorted(with_repeats)):
+        expected = _prefix_brackets(model, variables, monomials)
+        calls = _count_brackets(model)
+        _basis_tuple_rows(model, variables, monomials)
+        del model.bracket
+        assert calls[0] == expected
+
+
+@pytest.mark.parametrize(
+    "field, degrees", [(GF2, (1, 2, 2, 2, 2)), (GF3, (1, 2, 3, 4, 6))], ids=str
+)
+def test_satisfies_multilinear_evaluates_in_sorted_order(field, degrees):
+    """Terms given in shuffled order are evaluated sorted, each with its own
+    coefficient: the bracket count is that of the sorted list, and the
+    verdict is the oracle's, on identities with many terms (random
+    combinations of the kernel vectors) and on perturbed ones."""
+    rng = random.Random(f"sorted/{field}")
+    model = u1_model(field)
+    space = MultilinearSpace.for_degrees(degrees, field)
+    kernel = oracle_kernel(oracle_rows(model, space.variables, space.basis), field)
+    assert 0 < len(kernel) < space.dim
+    for trial in range(6):
+        coeffs = [field.zero] * space.dim
+        for vec in kernel:
+            a = _random_scalar(rng, field)
+            coeffs = [field.add(x, field.mul(a, y)) for x, y in zip(coeffs, vec)]
+        if trial % 2:
+            coeffs[rng.randrange(space.dim)] = field.one  # most likely no identity
+        terms = [(mono, c) for mono, c in zip(space.basis, coeffs) if c]
+        rng.shuffle(terms)
+        f = LiePoly(field, dict(terms))
+        assert list(f.terms) != sorted(f.terms)
+        expected = _prefix_brackets(model, space.variables, sorted(f.terms))
+        calls = _count_brackets(model)
+        verdict = satisfies_multilinear(model, f)
+        del model.bracket
+        assert calls[0] == expected
+        assert verdict == oracle_satisfies(model, f), f.terms
 
 def test_satisfies_multilinear_rejects_nonmultilinear():
     m = u1_model(GF2)

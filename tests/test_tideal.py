@@ -12,6 +12,7 @@ from wittid.models import WittModel, evaluate, satisfies_multilinear, u1_model, 
 from wittid.tideal import (
     BasisFamily,
     BudgetExceeded,
+    _bracket_splits,
     consequence_instances,
     consequence_subspace,
     family_for,
@@ -97,6 +98,49 @@ def test_family_for_is_the_model_and_range_map():
     for model in ("u1", "w1"):
         with pytest.raises(ValueError, match="unknown family range 'narrow'"):
             family_for(model, "narrow")
+
+
+
+def _reference_splits(family, degrees, positions):
+    """Every proper nonempty subset of ``positions`` as a bit mask; the
+    family splits, ordered by left size, then by the left block's places
+    in ``positions`` (the order of itertools.combinations)."""
+    m = len(positions)
+    splits = []
+    for mask in range(1, 2 ** m - 1):
+        places = [j for j in range(m) if mask >> j & 1]
+        left = tuple(positions[j] for j in places)
+        right = tuple(positions[j] for j in range(m) if not mask >> j & 1)
+        if family.contains_bracket(
+            sum(degrees[i] for i in left), sum(degrees[i] for i in right)
+        ):
+            splits.append((len(places), places, (left, right)))
+    return [split for _, _, split in sorted(splits)]
+
+
+@pytest.mark.parametrize(
+    "family", [family_for("u1"), family_for("w1", "wide"), family_for("w1", "tight")],
+    ids=["u1", "w1-wide", "w1-tight"],
+)
+def test_bracket_splits_match_brute_force(family):
+    """The same splits in the same order as the reference, on all positions
+    and on proper subsets of them in index order, as consequence_instances
+    passes them."""
+    rng = random.Random(f"splits/{family}")
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        degrees = tuple(rng.randint(-4, 4) for _ in range(n))
+        subsets = [tuple(range(n))] + [
+            tuple(sorted(rng.sample(range(n), k))) for k in range(n) for _ in range(2)
+        ]
+        for positions in subsets:
+            got = list(_bracket_splits(family, degrees, positions))
+            assert got == _reference_splits(family, degrees, positions), (degrees, positions)
+    # A range object, as the span recursion passes it.
+    degrees = (1, -1, 2, 0, 3)
+    assert list(_bracket_splits(family, degrees, range(5))) == _reference_splits(
+        family, degrees, tuple(range(5))
+    )
 
 
 def test_monomial_rule_reads_the_zero_components_of_the_model():
