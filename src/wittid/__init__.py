@@ -2,7 +2,7 @@
 Witt-type algebras (derivations of polynomial and Laurent-polynomial
 rings) over fields of characteristic two."""
 
-from .fields import GF2, Field, Scalar
+from .fields import GF2, Combination, Field, Scalar
 from .freealg import (
     AssocPoly,
     LiePoly,

@@ -6,6 +6,12 @@ instance supplies the operations. Characteristic two is the default
 everywhere in this package, but signs are always carried through the
 field arithmetic rather than dropped textually, so the same code is
 correct over GF(p) for odd p and over the rationals.
+
+A :class:`Combination` is a sparse formal combination of keys over a
+field, kept without zero coefficients by :meth:`Field.reduced` and
+:meth:`Field.add_into`. Lie polynomials, their associative images and the
+values of the structure-constant models are all combinations: they share
+its sum, scaling, comparison and text form.
 """
 
 from __future__ import annotations
@@ -152,3 +158,49 @@ class Field:
 
 
 GF2 = Field.gf(2)
+
+
+class Combination:
+    """Sparse formal combination over a field: ``terms`` maps each key to
+    a nonzero scalar."""
+
+    __slots__ = ("field", "terms")
+
+    def __init__(self, field: Field, terms: dict | None = None):
+        self.field = field
+        self.terms = field.reduced(terms.items()) if terms else {}
+
+    @classmethod
+    def zero(cls, field: Field) -> "Combination":
+        return cls(field)
+
+    def __add__(self, other: "Combination") -> "Combination":
+        if self.field != other.field:
+            raise ValueError("mixed fields")
+        out = type(self)(self.field)
+        out.terms = self.field.add_into(dict(self.terms), other.terms.items())
+        return out
+
+    def scale(self, c: Scalar) -> "Combination":
+        f = self.field
+        return type(self)(f, {key: f.mul(c, a) for key, a in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.field == other.field and self.terms == other.terms
+
+    def format(self, keys, name) -> str:
+        """``"0"``, or ``c*name(key) + ...`` over ``keys`` (the stored keys,
+        in the order to print), with a coefficient of one left out."""
+        if not self.terms:
+            return "0"
+        f = self.field
+        bits = []
+        for key in keys:
+            c = self.terms[key]
+            bits.append(name(key) if c == f.one else f"{f.format_scalar(c)}*{name(key)}")
+        return " + ".join(bits)

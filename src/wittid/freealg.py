@@ -48,7 +48,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
 
-from .fields import Field, Scalar
+from .fields import Combination, Field, Scalar
 from .linalg import _is_gf2, unpack_bits, xor_selected
 
 
@@ -101,52 +101,18 @@ def mono_to_tree(mono: Sequence[Var]) -> Tree:
     return reduce(Pair, mono)
 
 
-class AssocPoly:
+def _word_order(word: tuple) -> tuple:
+    """Print order of words and monomials: by length, then by letters."""
+    return len(word), tuple((v.index, v.degree) for v in word)
+
+
+class AssocPoly(Combination):
     """Element of the free associative algebra on graded variables."""
 
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: Field, terms: Optional[dict] = None):
-        self.field = field
-        self.terms = field.reduced(terms.items()) if terms else {}
-
-    @classmethod
-    def zero(cls, field: Field) -> "AssocPoly":
-        return cls(field)
-
-    def __add__(self, other: "AssocPoly") -> "AssocPoly":
-        if self.field != other.field:
-            raise ValueError("mixed fields")
-        out = AssocPoly(self.field)
-        out.terms = self.field.add_into(dict(self.terms), other.terms.items())
-        return out
-
-    def scale(self, c: Scalar) -> "AssocPoly":
-        f = self.field
-        return AssocPoly(f, {w: f.mul(c, a) for w, a in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items_sorted(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (len(kv[0]), tuple((v.index, v.degree) for v in kv[0])),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AssocPoly):
-            return NotImplemented
-        return self.field == other.field and self.terms == other.terms
+    __slots__ = ()
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in self.items_sorted():
-            word = "".join(str(v) for v in w)
-            bits.append(word if c == self.field.one else f"{self.field.format_scalar(c)}*{word}")
-        return " + ".join(bits)
+        return self.format(sorted(self.terms, key=_word_order), lambda w: "".join(map(str, w)))
 
 
 def _fold(x, letter: Optional[dict] = None) -> tuple:
@@ -196,18 +162,14 @@ def _expand(x, field: Field, letter: Optional[dict] = None) -> dict:
     return field.add_into({}, zip(words, [one * s for s in signs]))
 
 
-class LiePoly:
+class LiePoly(Combination):
     """Formal combination of left-normed monomials over a field."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ()
 
     def __init__(self, field: Field, terms: Optional[dict] = None):
         self.field = field
         self.terms = field.reduced((tuple(m), c) for m, c in terms.items()) if terms else {}
-
-    @classmethod
-    def zero(cls, field: Field) -> "LiePoly":
-        return cls(field)
 
     @classmethod
     def monomial(cls, field: Field, variables: Sequence[Var], coeff: Optional[Scalar] = None) -> "LiePoly":
@@ -218,16 +180,6 @@ class LiePoly:
     def variable(cls, field: Field, v: Var) -> "LiePoly":
         return cls.monomial(field, (v,))
 
-    def _check_field(self, other: "LiePoly"):
-        if self.field != other.field:
-            raise ValueError("mixed fields")
-
-    def __add__(self, other: "LiePoly") -> "LiePoly":
-        self._check_field(other)
-        out = LiePoly(self.field)
-        out.terms = self.field.add_into(dict(self.terms), other.terms.items())
-        return out
-
     def __neg__(self) -> "LiePoly":
         f = self.field
         out = LiePoly(f)
@@ -236,10 +188,6 @@ class LiePoly:
 
     def __sub__(self, other: "LiePoly") -> "LiePoly":
         return self + (-other)
-
-    def scale(self, c: Scalar) -> "LiePoly":
-        f = self.field
-        return LiePoly(f, {m: f.mul(c, a) for m, a in self.terms.items()})
 
     def expand(self) -> AssocPoly:
         return expand_to_associative(self)
@@ -251,10 +199,7 @@ class LiePoly:
         return out
 
     def monomials(self) -> list:
-        return sorted(
-            self.terms,
-            key=lambda m: (len(m), tuple((v.index, v.degree) for v in m)),
-        )
+        return sorted(self.terms, key=_word_order)
 
     def is_multilinear(self) -> bool:
         """Degree exactly one in each of its variables, in every monomial."""
@@ -506,10 +451,6 @@ class MultilinearSpace:
     @property
     def dim(self) -> int:
         return factorial(self.n - 1)
-
-    @property
-    def leading(self) -> Var:
-        return self.variables[-1]
 
     @property
     def basis(self) -> list:

@@ -146,13 +146,4 @@ def format_monomial(mono: tuple) -> str:
 
 def format_polynomial(f: LiePoly) -> str:
     """Deterministic text form; parses back to the same polynomial."""
-    if not f.terms:
-        return "0"
-    bits = []
-    for mono in f.monomials():
-        coeff = f.terms[mono]
-        if coeff == f.field.one:
-            bits.append(format_monomial(mono))
-        else:
-            bits.append(f"{f.field.format_scalar(coeff)}*{format_monomial(mono)}")
-    return " + ".join(bits)
+    return f.format(f.monomials(), format_monomial)

@@ -2,7 +2,8 @@
 
 Every model exposes its homogeneous components as named basis slots per
 degree and a bracket given on basis slots; elements are sparse
-(degree, slot) -> coefficient maps. Provided models:
+combinations over (degree, slot) keys (:class:`ModelElement`). Provided
+models:
 
 * ``u1_model``: basis e_i for all integers i, bracket
   [e_i, e_j] = (j - i) e_{i+j} with the coefficient reduced into the field.
@@ -31,50 +32,27 @@ import itertools
 from operator import attrgetter
 from typing import Dict, Iterator, Optional, Sequence
 
-from .fields import Field, Scalar
+from .fields import Combination, Field, Scalar
 from .freealg import LiePoly, Var
 
 
-class ModelElement:
+class ModelElement(Combination):
     """Sparse element of a graded model: (degree, slot) -> coefficient."""
 
-    __slots__ = ("field", "entries")
-
-    def __init__(self, field: Field, entries: Optional[dict] = None):
-        self.field = field
-        self.entries = field.reduced(entries.items()) if entries else {}
-
-    @classmethod
-    def zero(cls, field: Field) -> "ModelElement":
-        return cls(field)
-
-    def __add__(self, other: "ModelElement") -> "ModelElement":
-        if self.field != other.field:
-            raise ValueError("mixed fields")
-        out = ModelElement(self.field)
-        out.entries = self.field.add_into(dict(self.entries), other.entries.items())
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.entries
+    __slots__ = ()
 
     def degrees(self) -> set:
-        return {d for d, _ in self.entries}
+        return {d for d, _ in self.terms}
 
     def is_homogeneous(self, degree: int) -> bool:
         """Lies in the component of the given degree (zero qualifies)."""
-        return all(d == degree for d, _ in self.entries)
+        return all(d == degree for d, _ in self.terms)
 
     def coeff(self, degree: int, slot: int) -> Scalar:
-        return self.entries.get((degree, slot), self.field.zero)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModelElement):
-            return NotImplemented
-        return self.field == other.field and self.entries == other.entries
+        return self.terms.get((degree, slot), self.field.zero)
 
     def __repr__(self):
-        return f"ModelElement({self.entries})"
+        return f"ModelElement({self.terms})"
 
 
 class GradedModel:
@@ -114,8 +92,8 @@ class GradedModel:
         mul = f.mul
         bracket_slots = self.bracket_slots
         out = {}
-        for (d1, i1), c1 in x.entries.items():
-            for (d2, i2), c2 in y.entries.items():
+        for (d1, i1), c1 in x.terms.items():
+            for (d2, i2), c2 in y.terms.items():
                 base = bracket_slots(d1, i1, d2, i2)
                 if not base:
                     continue
@@ -127,22 +105,14 @@ class GradedModel:
                     out = {key: mul(c, a) for key, a in base.items()}
         # add_into leaves no zeros, so the constructor's filter is skipped.
         value = ModelElement(f)
-        value.entries = out
+        value.terms = out
         return value
 
     def slot_name(self, degree: int, slot: int) -> str:
         return self.component_slots(degree)[slot]
 
     def format_element(self, x: ModelElement) -> str:
-        if x.is_zero():
-            return "0"
-        f = self.field
-        bits = []
-        for (d, i) in sorted(x.entries):
-            c = x.entries[(d, i)]
-            name = self.slot_name(d, i)
-            bits.append(name if c == f.one else f"{f.format_scalar(c)}*{name}")
-        return " + ".join(bits)
+        return x.format(sorted(x.terms), lambda key: self.slot_name(*key))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name}, {self.field})"
@@ -270,10 +240,14 @@ def parse_model(text: str, field: Field) -> GradedModel:
         return u1_model(field)
     if parts == ["w1"]:
         return w1_model(field)
-    if parts[0] == "ut3" and len(parts) == 3:
-        return ut3_model(field, int(parts[1]), int(parts[2]))
-    if parts[0] == "onedim" and len(parts) == 2:
-        return onedim_model(field, int(parts[1]))
+    try:
+        params = [int(x) for x in parts[1:]]
+    except ValueError:
+        params = None
+    if params is not None and parts[0] == "ut3" and len(params) == 2:
+        return ut3_model(field, *params)
+    if params is not None and parts[0] == "onedim" and len(params) == 1:
+        return onedim_model(field, *params)
     raise ValueError(f"bad model spec {text!r} (want u1|w1|ut3:<r>:<s>|onedim:<d>)")
 
 
@@ -292,7 +266,7 @@ def _check_substitution(f: LiePoly, substitution: dict, model: GradedModel):
         if value.field is not field and value.field != field:
             raise ValueError(f"value for {v} lives over a different field")
         degree = v.degree
-        for d, _ in value.entries:
+        for d, _ in value.terms:
             if d != degree:
                 raise ValueError(
                     f"inadmissible substitution: value for {v} is not homogeneous "
@@ -316,7 +290,7 @@ def evaluate(f: LiePoly, substitution: dict, model: GradedModel) -> ModelElement
     one = field.one
     out = {}
     for mono, c in f.terms.items():
-        value = _evaluate_monomial(mono, substitution, model).entries.items()
+        value = _evaluate_monomial(mono, substitution, model).terms.items()
         if c != one:
             value = [(key, field.mul(c, a)) for key, a in value]
         field.add_into(out, value)
@@ -372,11 +346,11 @@ def _basis_tuple_rows(model: GradedModel, variables: Sequence[Var], monomials) -
                 values.append(substitution[mono[0]])
             acc = values[-1]
             for v in mono[len(values):]:
-                if not acc.entries:
+                if not acc.terms:
                     break
                 acc = bracket(acc, substitution[v])
                 values.append(acc)
-            row.extend(map(acc.entries.get, keys, zeros))
+            row.extend(map(acc.terms.get, keys, zeros))
             previous = mono
     return rows
 

@@ -232,8 +232,9 @@ def _check_size(nmax: int, extra_degree_tuples, where: str) -> None:
 
 
 def _check_shape(value, schema: dict, where: str) -> None:
-    """Types and required keys as REPORT_SCHEMA lays them out, checked in
-    plain Python."""
+    """Types, required keys and integer minimums as REPORT_SCHEMA lays
+    them out, checked in plain Python. The budget's bound is
+    :func:`_check_budget`'s."""
     kind = schema.get("type")
     if kind == "object":
         if not isinstance(value, dict):
@@ -253,6 +254,9 @@ def _check_shape(value, schema: dict, where: str) -> None:
         kinds = kind if isinstance(kind, list) else [kind]
         if not any(_SCALAR_TYPES[k](value) for k in kinds):
             raise ValueError(f"{where} is not of type {' or '.join(kinds)}")
+        minimum = schema.get("minimum")
+        if kind == "integer" and minimum is not None and value < minimum:
+            raise ValueError(f"{where} is less than the minimum of {minimum}")
 
 
 def canonical_degree_tuples(n: int, dmax: int):

@@ -432,6 +432,34 @@ def test_report_with_missing_key_exits_two(capsys, tmp_path, path):
     assert f"lacks {path[-1]}" in err
 
 
+@pytest.mark.parametrize("keys", [("n", "orbit", "dimP"), ("orbit",), ("dimP",)])
+def test_report_below_a_schema_minimum_exits_two(capsys, tmp_path, keys):
+    out_path, data = _saved_report(capsys, tmp_path)
+    for key in keys:
+        data["spaces"][0][key] = 0
+    out_path.write_text(json.dumps(data))
+    with pytest.raises(jsonschema.ValidationError, match="0 is less than the minimum of 1"):
+        jsonschema.validate(data, REPORT_SCHEMA)
+    code, out, err = run(capsys, "report", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert f"report.spaces[0].{keys[0]} is less than the minimum of 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["is-identity", "--model", "ut3:a:1", "x1^1"],
+     ["evaluate", "--model", "onedim:x", "x1^1"]],
+)
+def test_non_integer_model_parameter_exits_two(capsys, argv):
+    spec = argv[2]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"bad model spec {spec!r} (want u1|w1|ut3:<r>:<s>|onedim:<d>)" in err
+    assert "invalid literal" not in err
+
+
 def test_report_with_contradicting_summary_exits_one(capsys, tmp_path):
     out_path, data = _saved_report(capsys, tmp_path)
     assert data["summary"]["failed"] == 0

@@ -42,7 +42,7 @@ def test_u1_bracket_examples():
 
 def test_element_coefficients_are_reduced():
     assert ModelElement(GF2, {(1, 0): 2}).is_zero()
-    assert ModelElement(GF3, {(1, 0): -1}).entries == {(1, 0): 2}
+    assert ModelElement(GF3, {(1, 0): -1}).terms == {(1, 0): 2}
 
 
 def test_w1_examples():
@@ -262,7 +262,7 @@ def test_basis_substitutions_cover_every_basis_tuple():
     subs = list(basis_substitutions(ut, variables))
     assert len(subs) == 9
     assert all(set(s) == set(variables) for s in subs)
-    assert len({tuple(tuple(s[v].entries) for v in variables) for s in subs}) == 9
+    assert len({tuple(tuple(s[v].terms) for v in variables) for s in subs}) == 9
     # an empty component admits only the zero value, so no tuple at all
     assert list(basis_substitutions(w1_model(GF2), (Var(1, 1), Var(2, -3)))) == []
 
@@ -285,20 +285,20 @@ def test_bracket_is_bilinear_on_sums(field):
                 ModelElement(field, {
                     key: _random_scalar(rng, field)
                     for b in rng.sample(elements, rng.randint(1, min(4, len(elements))))
-                    for key in b.entries
+                    for key in b.terms
                 })
                 for _ in range(2)
             )
             expected = {}
-            for (k1, c1), (k2, c2) in itertools.product(x.entries.items(), y.entries.items()):
+            for (k1, c1), (k2, c2) in itertools.product(x.terms.items(), y.terms.items()):
                 unit = model.bracket(model.basis_element(*k1), model.basis_element(*k2))
-                for key, a in unit.entries.items():
+                for key, a in unit.terms.items():
                     expected[key] = field.add(
                         expected.get(key, field.zero), field.mul(field.mul(c1, c2), a)
                     )
             value = model.bracket(x, y)
             assert value == ModelElement(field, expected), (model, x, y)
-            assert all(not field.is_zero(c) for c in value.entries.values())
+            assert all(not field.is_zero(c) for c in value.terms.values())
 
 
 def _per_monomial_rows(model, variables, monomials):
@@ -500,4 +500,4 @@ def test_evaluation_matches_oracle(field, spec):
                     v: model.basis_element(v.degree, i) for v, i in choice.items()
                 }
                 value = evaluate(f, substitution, model)
-                assert value.entries == _oracle_evaluate(model, f, choice), (spec, degrees)
+                assert value.terms == _oracle_evaluate(model, f, choice), (spec, degrees)

@@ -79,6 +79,49 @@ def test_from_json_refuses_bad_budgets(budget, want):
         VerificationReport.from_json(json.dumps(data))
 
 
+def _json_paths(value, path=()):
+    """Every path into a JSON value, containers included."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+def test_shape_check_agrees_with_jsonschema():
+    # Every value of a report, in turn, set to 0, -1 or a value of a wrong
+    # type: the plain-Python check, with _check_budget for the budget's
+    # bound, refuses exactly what jsonschema refuses. Integral floats such
+    # as 2.0 are left out: jsonschema counts them as integers, the plain
+    # check does not.
+    config = SweepConfig(model="u1", nmax=2, dmax=1, extra_degree_tuples=[(1, 1, 1)])
+    report = verify_basis_theorem(config).to_json_dict()
+    report["spaces"] = report["spaces"][:2]
+    assert report["config"]["extra_degree_tuples"] == [[1, 1, 1]]
+    # jsonschema.validate's own validator, built once.
+    validator = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
+    refused = {True: 0, False: 0}
+    for path in itertools.islice(_json_paths(report), 1, None):
+        for bad in (0, -1, 1.5, "1", True, None, [], {}):
+            data = json.loads(json.dumps(report))
+            holder = data
+            for key in path[:-1]:
+                holder = holder[key]
+            holder[path[-1]] = bad
+            want = not validator.is_valid(data)
+            try:
+                verify._check_shape(data, REPORT_SCHEMA, "report")
+                verify._check_budget(data["config"].get("space_budget_s"), "budget")
+                got = False
+            except ValueError:
+                got = True
+            assert got == want, (path, bad)
+            refused[want] += 1
+    assert refused[True] > 200 and refused[False] > 50
+
+
 @pytest.mark.parametrize("budget", [None, 0.0, 0, 2.5, 10**400])
 def test_from_json_keeps_valid_budgets(budget):
     data = verify_basis_theorem(SweepConfig(model="u1", nmax=1, dmax=0)).to_json_dict()
