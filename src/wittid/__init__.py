@@ -39,6 +39,7 @@ from .models import (
 )
 from .tideal import (
     BasisFamily,
+    SpanMemo,
     consequence_subspace,
     family_for,
     identity_subspace,

@@ -351,8 +351,9 @@ def _cmd_report(args, field: Field) -> tuple:
     revalidated = None
     if args.revalidate:
         bad = []
+        memo = report.span_memo()
         for entry in report.spaces:
-            if not revalidate_entry(entry, report.config):
+            if not revalidate_entry(entry, report.config, memo):
                 bad.append(entry["degrees"])
         revalidated = not bad
         lines.append(

@@ -175,6 +175,8 @@ class Combination:
         return cls(field)
 
     def __add__(self, other: "Combination") -> "Combination":
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
         if self.field != other.field:
             raise ValueError("mixed fields")
         out = type(self)(self.field)

@@ -36,7 +36,8 @@ variable less. In coordinates, cores and ``ad_v`` depend only on
 letters, so their rows come from certified tables shared per size and
 field, in the form :class:`~wittid.linalg.SubspaceBasis` takes (over
 GF(2), masks); degrees only pick the family brackets, so a
-sub-component's span is determined by its degree tuple.
+sub-component's span is determined by its degree tuple. That tuple keys
+the :class:`SpanMemo` that the components of one sweep share.
 """
 
 from __future__ import annotations
@@ -270,12 +271,13 @@ def consequence_subspace(
     family: BasisFamily,
     space: MultilinearSpace,
     deadline: Optional[float] = None,
+    memo: Optional["SpanMemo"] = None,
 ) -> SubspaceBasis:
     """Span of all multilinear substitution instances of family members
     inside the component, as a row-echelon subspace.
 
     Computed by recursion over the sub-components T of the space (its
-    variables minus some, in index order), memoized within the call. An
+    variables minus some, in index order), memoized by degree tuple. An
     instance on T is either a core (a substituted generator that uses all
     of T) or ``[instance on T - v, v]`` for the variable v appended last, so
 
@@ -293,33 +295,89 @@ def consequence_subspace(
     :func:`consequence_instances` enumerates the same instances one by one
     and is the reference for this recursion.
 
+    Without ``memo`` the spans are kept for this call only. A
+    :class:`SpanMemo` shares them with the other calls of one run, under
+    its memory bound; it must hold the same family and field (ValueError
+    otherwise). The span returned may be the memo's own, so it is not to
+    be modified.
+
     ``deadline`` is an absolute time.monotonic() bound; running past it
     raises BudgetExceeded. It is checked before each core and each ad_v
-    image, so a component without instances never raises.
+    image, so a component without instances never raises. A span enters
+    the memo only once it is complete, so an interrupted call leaves no
+    partial span behind.
     """
-    return _SubSpans(family, space, deadline).cons(space.degrees)
+    if memo is None:
+        memo = SpanMemo(family, space.field)
+    memo.enter(family, space)
+    return _SubSpans(family, space, deadline, memo).cons(space.degrees)
+
+
+class SpanMemo:
+    """Consequence spans of one family over one field, by degree tuple,
+    shared by the :func:`consequence_subspace` calls of one run of
+    components (a sweep, a pool chunk of one, or the revalidation of one
+    report) and dropped with it. There is no memo across runs: each run
+    starts cold.
+
+    Memory bound: no span of ``largest`` variables or more is kept, since
+    the run's largest components are nobody's sub-components; and once the
+    run reaches a component of n variables, spans of fewer than n - 1
+    variables are dropped and no longer kept. A component of n variables
+    still reads its (n - 1)-variable sub-spans from the memo; the smaller
+    ones it needs beyond those live for its own call only. ``largest``
+    None puts no upper bound."""
+
+    __slots__ = ("family", "field", "largest", "floor", "spans")
+
+    def __init__(self, family: BasisFamily, field: Field, largest: Optional[int] = None):
+        self.family = family
+        self.field = field
+        self.largest = largest
+        self.floor = 0
+        self.spans = {}
+
+    def enter(self, family: BasisFamily, space: MultilinearSpace) -> None:
+        """Admit a call on ``space``: refuse another family or field, and
+        drop what the memory bound no longer keeps."""
+        if family != self.family or space.field != self.field:
+            raise ValueError(
+                f"span memo of {self.family} over {self.field} "
+                f"asked for {family} over {space.field}"
+            )
+        if space.n - 1 > self.floor:
+            self.floor = space.n - 1
+            self.spans = {d: s for d, s in self.spans.items() if len(d) >= self.floor}
+
+    def keeps(self, k: int) -> bool:
+        """Whether a span of ``k`` variables is kept."""
+        return self.floor <= k and (self.largest is None or k < self.largest)
 
 
 class _SubSpans:
     """The consequence spans of one space's sub-components, by degree
-    tuple, computed on demand and kept for one :func:`consequence_subspace`
-    call. A class rather than recursive closures: those form a reference
-    cycle, which keeps the memo alive until the garbage collector runs."""
+    tuple, computed on demand: in the memo when it keeps their size,
+    otherwise for this call only. A class rather than recursive closures:
+    those form a reference cycle, which keeps the spans alive until the
+    garbage collector runs."""
 
-    def __init__(self, family: BasisFamily, space: MultilinearSpace, deadline):
+    def __init__(self, family: BasisFamily, space: MultilinearSpace, deadline, memo: SpanMemo):
         self.family = family
         self.space = space
         self.deadline = deadline
-        self.spans = {}
+        self.memo = memo
+        self.local = {}
 
     def check_deadline(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded(f"consequence span in {self.space!r}")
 
     def cons(self, degrees: tuple) -> SubspaceBasis:
-        if degrees not in self.spans:
-            self.spans[degrees] = self._span_of(degrees)
-        return self.spans[degrees]
+        spans = self.memo.spans if self.memo.keeps(len(degrees)) else self.local
+        span = spans.get(degrees)
+        if span is None:
+            span = spans[degrees] = self._span_of(degrees)
+        return span
 
     def _span_of(self, degrees: tuple) -> SubspaceBasis:
         field = self.space.field

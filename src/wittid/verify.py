@@ -33,6 +33,7 @@ from .models import onedim_model, parse_model, satisfies_multilinear, u1_model, 
 from .tideal import (
     BasisFamily,
     BudgetExceeded,
+    SpanMemo,
     consequence_instances,
     consequence_subspace,
     family_for,
@@ -165,6 +166,16 @@ class VerificationReport:
         """The family of the configured model and range (ValueError when
         they name none)."""
         return family_for(self.config["model"], self.config.get("range"))
+
+    def span_memo(self) -> SpanMemo:
+        """One span memo for recomputing this report's entries in order
+        with :func:`revalidate_entry`: the configured family and field,
+        with no span kept as wide as the widest entry."""
+        return SpanMemo(
+            self.family(),
+            Field.from_spec(self.config["field"]),
+            largest=max((len(e["degrees"]) for e in self.spaces), default=None),
+        )
 
     def to_json_dict(self, with_timings: bool = True) -> dict:
         out = {
@@ -313,12 +324,25 @@ def summarize(entries) -> dict:
     }
 
 
-def _space_entry(payload: tuple) -> dict:
-    """Soundness/completeness check of one multilinear component."""
-    model_spec, family, field_spec, degrees, budget_s = payload
+def _space_entries(payloads: Sequence[tuple]) -> list:
+    """The entries of a run of payloads ``(model_spec, family, field_spec,
+    degrees, budget_s)`` that share their model, family and field, in
+    order. The field and model are resolved once, and one
+    :class:`~wittid.tideal.SpanMemo` serves every component of the run."""
+    model_spec, family, field_spec = payloads[0][:3]
     field = Field.from_spec(field_spec)
     model = parse_model(model_spec, field)
-    space = MultilinearSpace.for_degrees(degrees, field)
+    memo = SpanMemo(family, field, largest=max(len(p[3]) for p in payloads))
+    return [_entry(model, family, p[3], p[4], memo) for p in payloads]
+
+
+def _space_entry(payload: tuple) -> dict:
+    """Soundness/completeness check of one multilinear component."""
+    return _space_entries([payload])[0]
+
+
+def _entry(model, family: BasisFamily, degrees, budget_s, memo: SpanMemo) -> dict:
+    space = MultilinearSpace.for_degrees(degrees, model.field)
     entry = {
         "n": len(degrees),
         "degrees": list(degrees),
@@ -333,13 +357,15 @@ def _space_entry(payload: tuple) -> dict:
     entry["dimIdentity"] = ident.dim
     deadline = time.monotonic() + budget_s if budget_s is not None else None
     try:
-        cons = consequence_subspace(family, space, deadline=deadline)
+        cons = consequence_subspace(family, space, deadline=deadline, memo=memo)
     except BudgetExceeded:
         entry["skipped"] = True
         return entry
     entry["dimConsequence"] = cons.dim
     sound = subspace_contains(ident, cons)
-    complete = subspace_contains(cons, ident)
+    # A sound span lies inside the identities, so it is all of them
+    # exactly when the dimensions agree.
+    complete = cons.dim == ident.dim if sound else subspace_contains(cons, ident)
     entry["sound"] = sound
     entry["complete"] = complete
     if not sound:
@@ -356,6 +382,11 @@ def _space_entry(payload: tuple) -> dict:
     return entry
 
 
+#: Components per task of a sweep's process pool. Each task is one run of
+#: :func:`_space_entries`, so the components of a chunk share their spans.
+POOL_CHUNK = 64
+
+
 def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
     """Check consequence = identity on every component in range.
 
@@ -363,7 +394,8 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
     bounded by dmax is swept once; failures carry an explicit witness
     polynomial. Components whose consequence span computation exceeds the
     per-space budget are flagged as skipped rather than aborting the
-    sweep.
+    sweep. A serial sweep is one run of :func:`_space_entries`; a pool
+    runs it on contiguous chunks of :data:`POOL_CHUNK` components.
     """
     start = time.monotonic()
     family = config.family()
@@ -378,17 +410,18 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
         # Imported here: multiprocessing costs every serial run its import.
         from concurrent.futures import ProcessPoolExecutor
 
+        chunks = [payloads[i:i + POOL_CHUNK] for i in range(0, len(payloads), POOL_CHUNK)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_space_entry, payloads, chunksize=16))
+            entries = [e for chunk in pool.map(_space_entries, chunks) for e in chunk]
     else:
-        entries = [_space_entry(p) for p in payloads]
+        entries = _space_entries(payloads)
     timings = {"total_s": round(time.monotonic() - start, 3)}
     return VerificationReport(
         config=config.to_dict(), spaces=entries, summary=summarize(entries), timings=timings
     )
 
 
-def revalidate_entry(entry: dict, config: dict) -> bool:
+def revalidate_entry(entry: dict, config: dict, memo: Optional[SpanMemo] = None) -> bool:
     """Independently re-check one report entry.
 
     An entry off the configured sweep, or of more than :data:`MAX_VARIABLES`
@@ -399,6 +432,9 @@ def revalidate_entry(entry: dict, config: dict) -> bool:
     completeness witness must then be an identity of the model that row
     reduction leaves outside the consequence span; a soundness witness must lie
     in the consequence span yet take a nonzero value in the model.
+
+    The entries of one report may share ``memo``
+    (:meth:`VerificationReport.span_memo`), which only recomputation fills.
     """
     degrees = entry["degrees"]
     sweep = (config["nmax"], config["dmax"], config["extra_degree_tuples"])
@@ -415,8 +451,9 @@ def revalidate_entry(entry: dict, config: dict) -> bool:
     model = parse_model(config["model"], field)
     family = family_for(config["model"], config.get("range"))
     ident = identity_subspace(model, space)
-    cons = consequence_subspace(family, space)
+    cons = consequence_subspace(family, space, memo=memo)
     sound = subspace_contains(ident, cons)
+    # Both containments, not the sweep's dimension test: an independent check.
     complete = subspace_contains(cons, ident)
     stored = (entry["dimIdentity"], entry["dimConsequence"], entry["sound"], entry["complete"])
     if stored != (ident.dim, cons.dim, sound, complete):

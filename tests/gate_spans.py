@@ -3,7 +3,9 @@
 For every canonical degree tuple with n <= 5 and degrees in [-4, 4],
 under the u1, w1-wide and w1-tight families, over GF(2) and GF(3)
 (12,006 components), compares ``tideal.consequence_subspace`` with the
-span of ``tideal.consequence_instances`` and prints the mismatches, their
+span of ``tideal.consequence_instances``, once computed fresh and once
+through one ``tideal.SpanMemo`` shared per (field, family) in sweep order,
+under the memory bound of a sweep to n = 5. Prints the mismatches, their
 count and the time taken. Exits 1 on any mismatch. Not collected by
 pytest (the file name does not start with ``test_``); the suite runs a
 smaller sample of the same comparison.
@@ -20,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from conftest import instance_span  # noqa: E402
 from wittid.fields import Field  # noqa: E402
 from wittid.freealg import MultilinearSpace  # noqa: E402
-from wittid.tideal import consequence_subspace, u1_family, w1_family  # noqa: E402
+from wittid.tideal import SpanMemo, consequence_subspace, u1_family, w1_family  # noqa: E402
 from wittid.verify import canonical_degree_tuples  # noqa: E402
 
 NMAX, DMAX = 5, 4
@@ -34,13 +36,18 @@ def main() -> int:
     components = mismatches = 0
     for field in (Field.gf(2), Field.gf(3)):
         for name, family in families.items():
+            memo = SpanMemo(family, field, largest=NMAX)
             for n in range(1, NMAX + 1):
                 for degrees in canonical_degree_tuples(n, DMAX):
                     space = MultilinearSpace.for_degrees(degrees, field)
                     components += 1
-                    if consequence_subspace(family, space) != instance_span(family, space):
+                    want = instance_span(family, space)
+                    if consequence_subspace(family, space) != want:
                         mismatches += 1
                         print(f"mismatch: {name} {field} {degrees}")
+                    if consequence_subspace(family, space, memo=memo) != want:
+                        mismatches += 1
+                        print(f"mismatch with a shared memo: {name} {field} {degrees}")
     elapsed = time.perf_counter() - start
     print(f"{mismatches} mismatches over {components} components in {elapsed:.1f} s")
     return 1 if mismatches else 0

@@ -80,6 +80,25 @@ def test_mixing_fields_raises(cls, field):
 
 
 @fields
+@pytest.mark.parametrize(
+    "left, right",
+    [(LiePoly, AssocPoly), (ModelElement, LiePoly), (AssocPoly, ModelElement)],
+    ids=lambda c: c.__name__,
+)
+def test_adding_different_classes_raises(field, left, right):
+    # A Lie polynomial plus its associative words is no Lie polynomial, and
+    # a monomial is no model slot: the sum is refused either way round,
+    # even when the terms would cancel.
+    for a, b in ((left, right), (right, left)):
+        x = a(field, {KEYS[a][0]: field.one})
+        y = b(field, {KEYS[a][0]: field.from_int(-1)})
+        with pytest.raises(TypeError, match=f"cannot add {b.__name__} to {a.__name__}"):
+            x + y
+        with pytest.raises(TypeError):
+            x + Combination(field, {KEYS[a][0]: field.one})
+
+
+@fields
 def test_classes_with_the_same_terms_are_not_equal(field):
     terms = {(X1, X2): field.one}
     lie, assoc = LiePoly(field, terms), AssocPoly(field, terms)

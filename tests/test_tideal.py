@@ -12,7 +12,9 @@ from wittid.models import WittModel, evaluate, satisfies_multilinear, u1_model, 
 from wittid.tideal import (
     BasisFamily,
     BudgetExceeded,
+    SpanMemo,
     _bracket_splits,
+    _SubSpans,
     consequence_instances,
     consequence_subspace,
     family_for,
@@ -24,7 +26,7 @@ from wittid.tideal import (
     u1_family,
     w1_family,
 )
-from wittid.verify import canonical_degree_tuples
+from wittid.verify import canonical_degree_tuples, sweep_tuples
 
 GF2 = Field.gf(2)
 
@@ -462,6 +464,138 @@ def test_budget_exceeded(degrees):
     space = MultilinearSpace.for_degrees(list(degrees), GF2)
     with pytest.raises(BudgetExceeded):
         consequence_subspace(u1_family(), space, deadline=time.monotonic() - 1.0)
+
+
+# -- span memo ------------------------------------------------------------------
+
+MEMO_FAMILIES = {
+    "u1": u1_family(), "w1-wide": w1_family("wide"), "w1-tight": w1_family("tight"),
+}
+MEMO_FIELDS = {"gf2": GF2, "gf3": Field.gf(3)}
+memo_cases = pytest.mark.parametrize(
+    "family, field",
+    [(f, k) for f in MEMO_FAMILIES.values() for k in MEMO_FIELDS.values()],
+    ids=[f"{a}-{b}" for a in MEMO_FAMILIES for b in MEMO_FIELDS],
+)
+# Extras past nmax and off the canonical range, so their sub-spans are
+# not all swept before them.
+MEMO_EXTRAS = ((1, 2, 2, 2, 2), (-2, -1, 0, 3), (0, 1, 1, 3, 4))
+
+
+def _memo_sweep(field, nmax=4, dmax=2, extras=MEMO_EXTRAS):
+    return [MultilinearSpace.for_degrees(d, field) for d in sweep_tuples(nmax, dmax, extras)]
+
+
+def _span_of_calls(monkeypatch) -> list:
+    """Record the degree tuple of every span computed from scratch."""
+    calls = []
+    original = _SubSpans._span_of
+
+    def recording(self, degrees):
+        calls.append(degrees)
+        return original(self, degrees)
+
+    monkeypatch.setattr(_SubSpans, "_span_of", recording)
+    return calls
+
+
+@memo_cases
+@pytest.mark.parametrize("bounded", [True, False], ids=["bounded", "unbounded"])
+def test_shared_memo_spans_equal_fresh_spans(family, field, bounded):
+    spaces = _memo_sweep(field)
+    memo = SpanMemo(family, field, largest=max(s.n for s in spaces) if bounded else None)
+    for space in spaces:
+        shared = consequence_subspace(family, space, memo=memo)
+        assert shared == consequence_subspace(family, space), space.degrees
+
+
+@memo_cases
+def test_a_canonical_sweep_computes_each_span_once(monkeypatch, family, field):
+    # Every sub-tuple of a sorted sweep tuple is swept before it.
+    spaces = _memo_sweep(field, extras=())
+    calls = _span_of_calls(monkeypatch)
+    memo = SpanMemo(family, field, largest=4)
+    for space in spaces:
+        consequence_subspace(family, space, memo=memo)
+    assert sorted(calls) == sorted(s.degrees for s in spaces)
+
+
+def test_memo_refuses_another_family_or_field():
+    space = MultilinearSpace.for_degrees((0, 1, 1), GF2)
+    memo = SpanMemo(u1_family(), GF2)
+    consequence_subspace(u1_family(), space, memo=memo)
+    with pytest.raises(ValueError, match="span memo"):
+        consequence_subspace(w1_family("wide"), space, memo=memo)
+    with pytest.raises(ValueError, match="span memo"):
+        consequence_subspace(
+            u1_family(), MultilinearSpace.for_degrees((0, 1, 1), Field.gf(3)), memo=memo
+        )
+    wide_memo = SpanMemo(w1_family("wide"), GF2)
+    with pytest.raises(ValueError, match="span memo"):
+        consequence_subspace(w1_family("tight"), space, memo=wide_memo)
+
+
+@pytest.mark.parametrize("field", list(MEMO_FIELDS.values()), ids=list(MEMO_FIELDS))
+def test_budget_exceeded_leaves_no_partial_span(monkeypatch, field):
+    # The extra (1, 2, 2, 2, 4) follows an n <= 3 sweep; its degree sum is
+    # odd, so it has no cores and its 4-variable sub-spans enter the memo
+    # during its call. Stopping the call at one deadline check after
+    # another must leave only complete spans behind.
+    family = u1_family()
+    before = _memo_sweep(field, nmax=3, dmax=1, extras=())
+    target = MultilinearSpace.for_degrees((1, 2, 2, 2, 4), field)
+    after = MultilinearSpace.for_degrees((1, 2, 2, 2, 2), field)
+    fresh = {s.degrees: consequence_subspace(family, s) for s in (target, after)}
+    original = _SubSpans.check_deadline
+    grew = 0
+    stop_at = 1
+    while True:
+        memo = SpanMemo(family, field, largest=5)
+        for space in before:
+            consequence_subspace(family, space, memo=memo)
+        known = set(memo.spans)
+        checks = [0]
+
+        def stopping(self):
+            checks[0] += 1
+            if checks[0] == stop_at:
+                raise BudgetExceeded("stopped")
+            original(self)
+
+        monkeypatch.setattr(_SubSpans, "check_deadline", stopping)
+        try:
+            consequence_subspace(family, target, memo=memo)
+            finished = True
+        except BudgetExceeded:
+            finished = False
+        monkeypatch.setattr(_SubSpans, "check_deadline", original)
+        if finished:
+            break
+        assert target.degrees not in memo.spans
+        grew += bool(set(memo.spans) - known)
+        for degrees, span in memo.spans.items():
+            assert span == consequence_subspace(
+                family, MultilinearSpace.for_degrees(degrees, field)
+            ), degrees
+        assert consequence_subspace(family, after, memo=memo) == fresh[after.degrees]
+        assert consequence_subspace(family, target, memo=memo) == fresh[target.degrees]
+        stop_at += max(1, stop_at // 4)
+    assert stop_at > 10 and grew > 0
+
+
+@memo_cases
+def test_memo_keeps_to_its_memory_bound(family, field):
+    spaces = _memo_sweep(field)
+    largest = max(s.n for s in spaces)
+    memo = SpanMemo(family, field, largest=largest)
+    widest = 0
+    for space in spaces:
+        consequence_subspace(family, space, memo=memo)
+        widest = max(widest, space.n)
+        assert memo.spans
+        assert all(widest - 1 <= len(d) < largest for d in memo.spans)
+    # The run reached its largest size, so only spans one smaller remain.
+    assert {len(d) for d in memo.spans} == {largest - 1}
 
 
 def test_subspace_ops_examples():

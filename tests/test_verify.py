@@ -15,8 +15,10 @@ from wittid import verify
 from wittid.fields import Field
 from wittid.freealg import LiePoly, MultilinearSpace, Var
 from wittid.grammar import parse_polynomial
-from wittid.models import onedim_model, satisfies_multilinear
-from wittid.tideal import consequence_instances
+from wittid.models import onedim_model, parse_model, satisfies_multilinear
+from wittid.tideal import (
+    consequence_instances, consequence_subspace, identity_subspace, subspace_contains,
+)
 from wittid.verify import (
     PROBE_TUPLES,
     REPORT_SCHEMA,
@@ -271,12 +273,92 @@ def test_report_schema_and_roundtrip():
 
 
 def test_parallel_workers_match_sequential():
-    config = SweepConfig(model="u1", nmax=3, dmax=1)
-    sequential = verify_basis_theorem(config)
-    parallel = verify_basis_theorem(
-        SweepConfig(model="u1", nmax=3, dmax=1, workers=2)
-    )
+    # Several pool chunks, and an extra tuple past nmax whose sub-spans no
+    # chunk has swept.
+    sweep = dict(model="u1", nmax=4, dmax=3, extra_degree_tuples=[(2, 1, 2, 2, 2)])
+    sequential = verify_basis_theorem(SweepConfig(**sweep))
+    parallel = verify_basis_theorem(SweepConfig(**sweep, workers=2))
+    assert len(sequential.spaces) > 2 * verify.POOL_CHUNK
+    assert sequential.spaces[-1]["degrees"] == [1, 2, 2, 2, 2]
     assert sequential.spaces == parallel.spaces
+
+
+def _recorded_memos(monkeypatch) -> list:
+    """The span memos verify builds from now on."""
+    memos = []
+
+    class Recorded(verify.SpanMemo):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            memos.append(self)
+
+    monkeypatch.setattr(verify, "SpanMemo", Recorded)
+    return memos
+
+
+@pytest.mark.parametrize("model, family_range, field", [
+    ("u1", "wide", "gf2"), ("w1", "tight", "gf2"), ("u1", "wide", "gf3"),
+])
+def test_one_memo_per_run_within_its_bound(monkeypatch, model, family_range, field):
+    memos = _recorded_memos(monkeypatch)
+    config = SweepConfig(
+        model=model, family_range=family_range, nmax=4, dmax=2, field=field,
+        extra_degree_tuples=[(1, 2, 2, 2, 2), (-2, 3)],
+    )
+    entries = verify_basis_theorem(config).spaces
+    monkeypatch.undo()
+    assert len(memos) == 1
+    (memo,) = memos
+    assert (memo.family, memo.field, memo.largest) == (config.family(), Field.from_spec(field), 5)
+    # The run reached 5 variables: nothing of 5 is kept, nothing below 4.
+    assert memo.spans and {len(d) for d in memo.spans} == {4}
+    fresh = [verify._space_entry((model, config.family(), field, tuple(e["degrees"]), None))
+             for e in entries]
+    assert entries == fresh
+
+
+@pytest.mark.parametrize("model, family_range, field", [
+    ("u1", "wide", "gf2"), ("w1", "tight", "gf2"), ("w1", "wide", "gf2"), ("u1", "wide", "gf3"),
+])
+def test_completeness_from_dimensions_is_containment(model, family_range, field):
+    # Once cons <= ident, equal dimensions decide completeness; failing
+    # components of both kinds are in the sample.
+    config = SweepConfig(model=model, family_range=family_range, field=field)
+    family, k = config.family(), Field.from_spec(field)
+    tuples = [d for n in range(1, 6) for d in canonical_degree_tuples(n, 3)]
+    rng = random.Random(f"{model}-{family_range}-{field}")
+    sample = rng.sample(tuples, 60) + [(-1, 0, 1, 1), (-1, 1), (-1, 3), (1, 2, 2, 2)]
+    flags = set()
+    for degrees in sample:
+        entry = verify._space_entry((model, family, field, degrees, None))
+        space = MultilinearSpace.for_degrees(degrees, k)
+        ident = identity_subspace(parse_model(model, k), space)
+        cons = consequence_subspace(family, space)
+        assert entry["complete"] == subspace_contains(cons, ident), degrees
+        flags.add((entry["sound"], entry["complete"]))
+    assert (True, True) in flags
+    if (model, family_range) == ("w1", "tight"):
+        assert (True, False) in flags
+    if field == "gf3":
+        assert any(sound is False for sound, _ in flags)
+
+
+def test_revalidation_shares_one_memo():
+    report = verify_basis_theorem(SweepConfig(
+        model="w1", family_range="tight", nmax=3, dmax=2, extra_degree_tuples=[(-1, 0, 1, 1)],
+    ))
+    memo = report.span_memo()
+    assert memo.largest == 4
+    assert all(revalidate_entry(e, report.config, memo) for e in report.spaces)
+    assert {len(d) for d in memo.spans} == {3}
+    # The memo is filled by recomputation only: a forged entry still fails.
+    forged = {**report.spaces[-1], "dimConsequence": report.spaces[-1]["dimConsequence"] + 1}
+    assert not revalidate_entry(forged, report.config, memo)
+    other = verify_basis_theorem(SweepConfig(model="u1", nmax=3, dmax=2))
+    with pytest.raises(ValueError, match="span memo"):
+        revalidate_entry(other.spaces[-1], other.config, memo)
 
 
 def test_pool_is_clamped_to_the_cores(monkeypatch):
