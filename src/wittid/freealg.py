@@ -11,8 +11,11 @@ equality of Lie elements is decided through the expansion
 embedding over any field. One fold, :func:`_fold`, computes it on trees
 and on left-normed monomials alike, as uncollected words with signs: it
 walks the left spine in a loop and recurses only into right children
-that are brackets. :func:`_expand` collects its words once into a
-word -> coefficient dict.
+that are brackets. The words of a left-normed monomial of n letters
+depend only on its letters' positions, so they are read off
+:func:`_position_fold`, the fold of the monomial on ``0, ..., n-1``,
+computed once per n (one ``itemgetter`` per word, and the signs).
+:func:`_expand` collects the words once into a word -> coefficient dict.
 
 A :class:`MultilinearSpace` is the component of polynomials that are
 multilinear in a fixed set of distinct variables. Its dimension is
@@ -45,6 +48,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import factorial
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
 
@@ -119,23 +123,31 @@ def _fold(x, letter: Optional[dict] = None) -> tuple:
     """Uncollected image of a tree or a left-normed tuple under
     ``[a, b] -> ab - ba``: parallel lists of words and signs (+1 or -1).
 
-    The left spine is folded in a loop, one bracket with a right child
-    at a time; only a right child that is itself a bracket recurses.
-    Words are tuples of Vars, or of ``letter[v]`` when a letter map is
-    given. A word may occur more than once; collecting is the caller's.
+    On a tree, the left spine is folded in a loop, one bracket with a
+    right child at a time; only a right child that is itself a bracket
+    recurses. A left-normed tuple or list of n >= 2 letters is not folded
+    again: its words are read off :func:`_position_fold` ``(n)``, the fold
+    of the monomial on the positions ``0, ..., n-1``, by picking its
+    letters at those positions. Words are tuples of Vars, or of
+    ``letter[v]`` when a letter map is given. A word may occur more than
+    once; collecting is the caller's.
     """
-    if isinstance(x, Pair):
+    if isinstance(x, (tuple, list)):
+        if len(x) > 1:
+            getters, signs = _position_fold(len(x))
+            letters = tuple(x) if letter is None else tuple([letter[v] for v in x])
+            return [g(letters) for g in getters], list(signs)
+        if not x:
+            raise ValueError("empty monomial")
+        x, rights = x[0], ()
+    elif isinstance(x, Pair):
         rights = []
         while isinstance(x, Pair):
             rights.append(x.right)
             x = x.left
         rights.reverse()
-    elif isinstance(x, Var):
-        rights = ()
     else:
-        if not x:
-            raise ValueError("empty monomial")
-        x, rights = x[0], x[1:]
+        rights = ()
     if isinstance(x, Pair):
         words, signs = _fold(x, letter)
     else:
@@ -150,6 +162,18 @@ def _fold(x, letter: Optional[dict] = None) -> tuple:
             words = [u + w for u in words] + [w + u for u in words]
         signs += [-s for s in signs]
     return words, signs
+
+
+@lru_cache(maxsize=None)
+def _position_fold(n: int) -> tuple:
+    """The fold of the left-normed monomial on the positions ``0, ..., n-1``
+    (n >= 2), as ``(getters, signs)``: getter k picks the letters of a
+    monomial's word k out of the tuple of its letters, so
+    ``[g(letters) for g in getters]`` are its words in :func:`_fold`'s
+    order, with these signs. Keyed by n alone and read-only: 2^(n-1)
+    getters, no degrees and no field."""
+    words, signs = _fold(mono_to_tree(tuple(range(n))))
+    return tuple(itemgetter(*w) for w in words), tuple(signs)
 
 
 def _expand(x, field: Field, letter: Optional[dict] = None) -> dict:
@@ -173,8 +197,14 @@ class LiePoly(Combination):
 
     @classmethod
     def monomial(cls, field: Field, variables: Sequence[Var], coeff: Optional[Scalar] = None) -> "LiePoly":
+        # One key: Field.reduced's loop, inlined.
+        out = cls(field)
         c = field.one if coeff is None else coeff
-        return cls(field, {tuple(variables): c})
+        if field.p is not None:
+            c %= field.p
+        if c:
+            out.terms = {tuple(variables): c}
+        return out
 
     @classmethod
     def variable(cls, field: Field, v: Var) -> "LiePoly":

@@ -17,7 +17,9 @@ models:
   degree d.
 
 Models are immutable after construction and evaluation is pure. Values
-are computed by structure constants only, through :meth:`GradedModel.bracket`.
+are computed by structure constants only, through the model's ``bracket``:
+:meth:`WittModel.bracket` reads ``(j - i)`` term by term, the other
+models use :meth:`GradedModel.bracket` over their basis slots.
 One loop, :func:`_basis_tuple_rows`, evaluates a list of multilinear
 monomials on every tuple of component basis vectors, for both the
 multilinear identity check and the identity subspaces; it keeps a stack of
@@ -121,6 +123,9 @@ class GradedModel:
 class WittModel(GradedModel):
     """Derivation algebras with basis e_i and bracket [e_i,e_j] = (j-i)e_{i+j}.
 
+    The bracket of two elements is taken from this structure constant
+    directly, term by term, rather than through basis slots.
+
     ``min_degree=None`` keeps all integer degrees (Laurent case);
     ``min_degree=-1`` truncates to the polynomial case, where every
     component below -1 is zero.
@@ -136,17 +141,24 @@ class WittModel(GradedModel):
             return ()
         return (f"e{degree}",)
 
-    def bracket_slots(self, d1: int, i1: int, d2: int, i2: int) -> dict:
-        f = self.field
-        coeff = f.from_int(d2 - d1)
-        if f.is_zero(coeff):
-            return {}
-        target = d1 + d2
-        if self.min_degree is not None and target < self.min_degree:
-            # Cannot happen: within support, products landing below the
-            # truncation always carry coefficient zero.
-            raise AssertionError(f"bracket left the support at degree {target}")
-        return {(target, 0): coeff}
+    def bracket(self, x: ModelElement, y: ModelElement) -> ModelElement:
+        """``[a e_i, b e_j] = ab(j - i) e_{i+j}`` over every pair of terms,
+        summed by one :meth:`Field.add_into`, which reduces the products
+        and drops the zeros."""
+        value = ModelElement(self.field)
+        value.terms = out = self.field.add_into({}, [
+            ((d1 + d2, 0), c1 * c2 * (d2 - d1))
+            for (d1, _), c1 in x.terms.items()
+            for (d2, _), c2 in y.terms.items()
+        ])
+        low = self.min_degree
+        if low is not None:
+            for d, _ in out:
+                if d < low:
+                    # Cannot happen: within support, products landing below
+                    # the truncation always carry coefficient zero.
+                    raise AssertionError(f"bracket left the support at degree {d}")
+        return value
 
 
 class UT3Model(GradedModel):
@@ -255,6 +267,12 @@ def parse_model(text: str, field: Field) -> GradedModel:
 _VAR_ORDER = attrgetter("index", "degree")
 
 
+def _check_field(f: LiePoly, field: Field):
+    """f lives over the model's field (an equal field object will do)."""
+    if f.field is not field and f.field != field:
+        raise ValueError(f"polynomial field {f.field} does not match the model's field {field}")
+
+
 def _check_substitution(f: LiePoly, substitution: dict, model: GradedModel):
     """Every variable of f has a value over the model's field that lies in
     the component of its degree; the lowest offending variable is named."""
@@ -285,8 +303,9 @@ def _evaluate_monomial(mono: tuple, substitution: dict, model: GradedModel) -> M
 
 def evaluate(f: LiePoly, substitution: dict, model: GradedModel) -> ModelElement:
     """Value of f under an admissible substitution, by structure constants."""
-    _check_substitution(f, substitution, model)
     field = model.field
+    _check_field(f, field)
+    _check_substitution(f, substitution, model)
     one = field.one
     out = {}
     for mono, c in f.terms.items():
@@ -294,7 +313,10 @@ def evaluate(f: LiePoly, substitution: dict, model: GradedModel) -> ModelElement
         if c != one:
             value = [(key, field.mul(c, a)) for key, a in value]
         field.add_into(out, value)
-    return ModelElement(field, out)
+    # add_into leaves no zeros, so the constructor's filter is skipped.
+    result = ModelElement(field)
+    result.terms = out
+    return result
 
 
 def basis_substitutions(model: GradedModel, variables: Sequence[Var]) -> Iterator[dict]:
@@ -362,6 +384,7 @@ def satisfies_multilinear(model: GradedModel, f: LiePoly) -> bool:
     if not f.is_multilinear():
         raise ValueError("identity check by evaluation is restricted to multilinear input")
     field = model.field
+    _check_field(f, field)
     sums = {}
     # Sorted by monomial, so that monomials with a common prefix are adjacent.
     terms = sorted(f.terms.items())

@@ -1,18 +1,27 @@
 """Gate for the identity subspace against the evaluation oracle.
 
-For every canonical degree tuple with n <= 5 and degrees in [-3, 3],
-compares ``tideal.identity_subspace`` with the kernel of the values that
+Compares ``tideal.identity_subspace`` with the kernel of the values that
 ``conftest.oracle_rows`` computes without ``GradedModel.bracket``
-(closed forms for u1/w1, matrix commutators for ut3). Models: u1 and w1,
-and ut3:r:s for every valid r <= s in [-2, 2], each over GF(2) and
-GF(3). Prints the mismatches, their count and the time taken, and exits
+(closed forms for u1/w1, matrix commutators for ut3), over GF(2) and
+GF(3), on three parts:
+
+* ``n <= 5``: every canonical degree tuple with n <= 5 and degrees in
+  [-3, 3], for u1 and w1, and ut3:r:s for every valid r <= s in [-2, 2];
+* ``n = 6``: every canonical n = 6 tuple with degrees in [-3, 3], for u1
+  and w1;
+* ``n = 7 sample``: a seeded sample of ``N7_SAMPLE`` canonical n = 7
+  tuples with degrees in [-3, 3] per field, for u1 and w1.
+
+Prints the mismatches, each part's count and the time taken, and exits
 1 on any mismatch. Not collected by pytest (the file name does not start
 with ``test_``); ``test_models.py::test_evaluation_matches_oracle`` runs
-a random sample of the same comparison.
+a random sample of the same comparison, and ``test_gates.py`` runs
+:func:`component_mismatch` on a few components.
 
     python3 tests/gate_eval.py
 """
 
+import random
 import sys
 import time
 from pathlib import Path
@@ -29,33 +38,61 @@ from wittid.verify import canonical_degree_tuples  # noqa: E402
 
 NMAX, DMAX = 5, 3
 UT3_RANGE = range(-2, 3)
+N7_SAMPLE, SEED = 50, 16
+FIELDS = (Field.gf(2), Field.gf(3))
+WITT = ("u1", "w1")
 
 
-def main() -> int:
-    specs = ["u1", "w1"] + [
+def component_mismatch(model, degrees) -> bool:
+    """Whether the identity subspace of the component differs from the
+    kernel of its oracle rows."""
+    field = model.field
+    space = MultilinearSpace.for_degrees(degrees, field)
+    rows = oracle_rows(model, space.variables, space.basis)
+    oracle = SubspaceBasis.from_vectors(field, space.dim, oracle_kernel(rows, field))
+    return identity_subspace(model, space) != oracle
+
+
+def components():
+    """``(part, field, spec, degrees)`` of every compared component, in order."""
+    specs = list(WITT) + [
         f"ut3:{r}:{s}"
         for r in UT3_RANGE
         for s in UT3_RANGE
         if r <= s and (r - s) % 2 == 0
     ]
-    start = time.perf_counter()
-    components = mismatches = 0
-    for field in (Field.gf(2), Field.gf(3)):
+    for field in FIELDS:
         for spec in specs:
-            model = parse_model(spec, field)
             for n in range(1, NMAX + 1):
                 for degrees in canonical_degree_tuples(n, DMAX):
-                    space = MultilinearSpace.for_degrees(degrees, field)
-                    rows = oracle_rows(model, space.variables, space.basis)
-                    oracle = SubspaceBasis.from_vectors(
-                        field, space.dim, oracle_kernel(rows, field)
-                    )
-                    components += 1
-                    if identity_subspace(model, space) != oracle:
-                        mismatches += 1
-                        print(f"mismatch: {spec} {field} {degrees}")
+                    yield "n <= 5", field, spec, degrees
+    for field in FIELDS:
+        for spec in WITT:
+            for degrees in canonical_degree_tuples(6, DMAX):
+                yield "n = 6", field, spec, degrees
+    rng = random.Random(SEED)
+    for field in FIELDS:
+        sample = rng.sample(list(canonical_degree_tuples(7, DMAX)), N7_SAMPLE)
+        for spec in WITT:
+            for degrees in sample:
+                yield "n = 7 sample", field, spec, degrees
+
+
+def main() -> int:
+    start = time.perf_counter()
+    counts = {}  # part -> [components, mismatches]
+    for part, field, spec, degrees in components():
+        count = counts.setdefault(part, [0, 0])
+        count[0] += 1
+        if component_mismatch(parse_model(spec, field), degrees):
+            count[1] += 1
+            print(f"mismatch: {spec} {field} {degrees}")
     elapsed = time.perf_counter() - start
-    print(f"{mismatches} mismatches over {components} components in {elapsed:.1f} s")
+    for part, (seen, bad) in counts.items():
+        print(f"{part}: {bad} mismatches over {seen} components")
+    mismatches = sum(bad for _, bad in counts.values())
+    total = sum(seen for seen, _ in counts.values())
+    print(f"{mismatches} mismatches over {total} components in {elapsed:.1f} s")
     return 1 if mismatches else 0
 
 

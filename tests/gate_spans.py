@@ -8,7 +8,8 @@ through one ``tideal.SpanMemo`` shared per (field, family) in sweep order,
 under the memory bound of a sweep to n = 5. Prints the mismatches, their
 count and the time taken. Exits 1 on any mismatch. Not collected by
 pytest (the file name does not start with ``test_``); the suite runs a
-smaller sample of the same comparison.
+smaller sample of the same comparison, and ``test_gates.py`` runs
+:func:`component_mismatches` on a few components.
 
     python3 tests/gate_spans.py
 """
@@ -28,6 +29,20 @@ from wittid.verify import canonical_degree_tuples  # noqa: E402
 NMAX, DMAX = 5, 4
 
 
+def component_mismatches(family, degrees, field, memo) -> list:
+    """How the consequence span of the component, computed fresh and
+    through ``memo``, differs from the span of its instances: one label
+    per computation that differs."""
+    space = MultilinearSpace.for_degrees(degrees, field)
+    want = instance_span(family, space)
+    labels = []
+    if consequence_subspace(family, space) != want:
+        labels.append("mismatch")
+    if consequence_subspace(family, space, memo=memo) != want:
+        labels.append("mismatch with a shared memo")
+    return labels
+
+
 def main() -> int:
     families = {
         "u1": u1_family(), "w1-wide": w1_family("wide"), "w1-tight": w1_family("tight"),
@@ -39,15 +54,10 @@ def main() -> int:
             memo = SpanMemo(family, field, largest=NMAX)
             for n in range(1, NMAX + 1):
                 for degrees in canonical_degree_tuples(n, DMAX):
-                    space = MultilinearSpace.for_degrees(degrees, field)
                     components += 1
-                    want = instance_span(family, space)
-                    if consequence_subspace(family, space) != want:
+                    for label in component_mismatches(family, degrees, field, memo):
                         mismatches += 1
-                        print(f"mismatch: {name} {field} {degrees}")
-                    if consequence_subspace(family, space, memo=memo) != want:
-                        mismatches += 1
-                        print(f"mismatch with a shared memo: {name} {field} {degrees}")
+                        print(f"{label}: {name} {field} {degrees}")
     elapsed = time.perf_counter() - start
     print(f"{mismatches} mismatches over {components} components in {elapsed:.1f} s")
     return 1 if mismatches else 0

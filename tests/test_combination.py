@@ -141,3 +141,17 @@ def test_format_keeps_the_text_form(field, c, want_lie, want_assoc, want_model):
     for x in (LiePoly(field), AssocPoly(field)):
         assert repr(x) == "0"
     assert u1_model(field).format_element(ModelElement(field)) == "0"
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, Field.gf(5), Q], ids=str)
+def test_monomial_constructor_matches_the_general_one(field):
+    mono = (X2, X1, X3)
+    p = field.characteristic
+    coeffs = [0, 2, 3, -1, Fraction(1, 2), Fraction(-4, 3)] if not p else [0, p, p + 1, -1, 1]
+    for c in coeffs:
+        a, b = LiePoly.monomial(field, mono, c), LiePoly(field, {mono: c})
+        assert a.same_terms(b) and type(a) is LiePoly, c
+        assert [type(x) for x in a.terms.values()] == [type(x) for x in b.terms.values()]
+    assert LiePoly.monomial(field, mono, 0).terms == {}
+    assert LiePoly.monomial(field, list(mono)).terms == {mono: field.one}
+    assert LiePoly.monomial(field, mono).same_terms(LiePoly(field, {mono: field.one}))

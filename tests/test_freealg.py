@@ -19,6 +19,10 @@ from wittid.freealg import (
     Var,
     _ad_rows,
     _core_rows,
+    _expand,
+    _expand_element,
+    _fold,
+    _position_fold,
     apply_ad,
     expand_to_associative,
     is_regular,
@@ -217,6 +221,71 @@ def test_coordinates_match_oracle_on_random_trees(field):
                 for j, x in enumerate(oracle_coordinates(space, mono)):
                     want[j] = field.add(want[j], field.mul(c, x))
             assert space.coordinates(poly) == tuple(want)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_left_normed_fold_equals_tree_fold(n):
+    # A tuple or a list reads the per-n position table; the tree walks its
+    # spine. Same words, signs and order, with and without a letter map.
+    rng = random.Random(f"fold/{n}")
+    for _ in range(3):
+        mono = [v(i, rng.randint(-3, 3)) for i in rng.sample(range(1, 20), n)]
+        letter = {x: i for i, x in enumerate(sorted(mono, key=lambda x: x.index))}
+        for letters in (None, letter):
+            want = _fold(mono_to_tree(mono), letters)
+            assert _fold(tuple(mono), letters) == want
+            assert _fold(list(mono), letters) == want
+    with pytest.raises(ValueError, match="empty monomial"):
+        _fold(())
+
+
+def test_position_fold_is_keyed_by_n_alone():
+    _position_fold.cache_clear()
+    rng = random.Random(17)
+    lengths = [2, 3, 5, 6, 3, 2, 6]
+    for n in lengths:
+        for _ in range(4):
+            _fold(tuple(v(i + 1, rng.randint(-3, 3)) for i in range(n)))
+    assert _position_fold.cache_info().currsize == len(set(lengths))
+    for n in set(lengths):
+        getters, signs = _position_fold(n)
+        assert isinstance(getters, tuple) and isinstance(signs, tuple)
+        assert len(getters) == len(signs) == 2 ** (n - 1)
+        # The table holds positions only: each getter picks a permutation
+        # of the positions, and no degree or variable is kept.
+        for g in getters:
+            assert sorted(g(tuple(range(n)))) == list(range(n))
+        assert set(signs) <= {1, -1}
+
+
+@pytest.mark.parametrize("field", [GF2, Field.gf(3), Q], ids=str)
+def test_liepoly_input_agrees_with_tree_input(field):
+    rng = random.Random(f"liepoly/{field}")
+    for n in range(1, 7):
+        indices = rng.sample(range(1, 15), n)
+        space = MultilinearSpace([v(i, rng.randint(-2, 2)) for i in indices], field)
+        for _ in range(4):
+            terms = {
+                tuple(rng.sample(space.variables, n)): field.from_int(rng.randint(1, 6))
+                for _ in range(rng.randint(1, 4))
+            }
+            poly = LiePoly(field, terms)
+            letter = {x: i for i, x in enumerate(space.variables)}
+            for letters in (None, letter):
+                want = {}
+                coords = [field.zero] * space.dim
+                for mono, c in poly.terms.items():
+                    tree = mono_to_tree(mono)
+                    words = _expand(tree, field, letters).items()
+                    field.add_into(want, ((w, field.mul(c, a)) for w, a in words))
+                    coords = [
+                        field.add(x, field.mul(c, y))
+                        for x, y in zip(coords, space.coordinates(tree))
+                    ]
+                assert _expand_element(poly, field, letters) == want
+                assert space.coordinates(poly) == tuple(coords)
+            for mono in poly.terms:
+                assert _expand(mono, field) == _expand(mono_to_tree(mono), field)
 
 
 def test_certification_is_live_on_both_paths():

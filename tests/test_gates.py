@@ -1,0 +1,75 @@
+"""The offline gates, run on a handful of components.
+
+``gate_eval.py`` and ``gate_spans.py`` are run by hand and take minutes;
+here their per-component comparisons run on a few components each, so a
+rename in ``conftest`` or ``wittid`` that would break a gate fails the
+suite instead, and a comparison that stops telling spans apart does too.
+"""
+
+import gate_eval
+import gate_spans
+import pytest
+
+from wittid.fields import Field
+from wittid.linalg import SubspaceBasis
+from wittid.models import parse_model
+from wittid.tideal import SpanMemo, u1_family, w1_family
+
+FIELDS = [Field.gf(2), Field.gf(3)]
+fields = pytest.mark.parametrize("field", FIELDS, ids=str)
+
+EVAL_COMPONENTS = [
+    ("u1", (1,)), ("u1", (1, 2, 3)), ("w1", (-1, 0, 2)), ("w1", (-2, 1)),
+    ("ut3:0:2", (0, 2, 2)), ("ut3:-1:1", (-1, 1)), ("u1", (-1, 0, 1, 1, 2, 3)),
+]
+SPAN_COMPONENTS = [(1,), (0, 1), (-1, 1, 2), (1, 2, 2, 2)]
+
+
+@fields
+def test_eval_gate_compares_components(field):
+    for spec, degrees in EVAL_COMPONENTS:
+        assert not gate_eval.component_mismatch(parse_model(spec, field), degrees), (spec, degrees)
+
+
+def test_eval_gate_sees_a_wrong_subspace(monkeypatch):
+    model = parse_model("u1", Field.gf(2))
+    monkeypatch.setattr(
+        gate_eval, "identity_subspace", lambda m, space: SubspaceBasis.zero(m.field, space.dim)
+    )
+    assert gate_eval.component_mismatch(model, (1, 2, 3))
+
+
+def test_eval_gate_parts():
+    parts = {}
+    for part, field, spec, degrees in gate_eval.components():
+        parts[part] = parts.get(part, 0) + 1
+        if part != "n <= 5":
+            assert spec in gate_eval.WITT
+            assert len(degrees) == (6 if part == "n = 6" else 7)
+    assert parts == {
+        "n <= 5": 17402,
+        "n = 6": 2 * 2 * 924,
+        "n = 7 sample": 2 * 2 * gate_eval.N7_SAMPLE,
+    }
+
+
+@fields
+@pytest.mark.parametrize("name", ["u1", "w1-wide", "w1-tight"])
+def test_span_gate_compares_components(field, name):
+    family = {"u1": u1_family, "w1-wide": lambda: w1_family("wide"),
+              "w1-tight": lambda: w1_family("tight")}[name]()
+    memo = SpanMemo(family, field, largest=gate_spans.NMAX)
+    for degrees in SPAN_COMPONENTS:
+        assert gate_spans.component_mismatches(family, degrees, field, memo) == [], degrees
+
+
+def test_span_gate_sees_a_wrong_span(monkeypatch):
+    field = Field.gf(2)
+    family = u1_family()
+    memo = SpanMemo(family, field, largest=gate_spans.NMAX)
+    monkeypatch.setattr(
+        gate_spans, "instance_span", lambda fam, space: SubspaceBasis.zero(space.field, space.dim)
+    )
+    assert gate_spans.component_mismatches(family, (1, 2, 2), field, memo) == [
+        "mismatch", "mismatch with a shared memo",
+    ]

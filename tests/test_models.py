@@ -62,6 +62,60 @@ def test_w1_agrees_with_u1_on_common_support():
             assert basis_bracket(mu, i, j) == basis_bracket(mw, i, j)
 
 
+def _witt_closed_form(model, x, y):
+    """[x, y] by the structure constant, summed without the library."""
+    field = model.field
+    out = {}
+    for ((i, _), a), ((j, _), b) in itertools.product(x.terms.items(), y.terms.items()):
+        c = field.mul(field.mul(a, b), field.from_int(j - i))
+        out[(i + j, 0)] = field.add(out.get((i + j, 0), field.zero), c)
+    return {key: c for key, c in out.items() if not field.is_zero(c)}
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, Field.gf(5), Field.rationals()], ids=str)
+@pytest.mark.parametrize("make", [u1_model, w1_model], ids=["u1", "w1"])
+def test_witt_bracket_is_the_closed_form(field, make):
+    model = make(field)
+    e = model.basis_element
+    # Equal degrees: coefficient j - i = 0.
+    assert model.bracket(e(3), e(3)).terms == {}
+    assert model.bracket(e(-1), e(-1)).terms == {}
+    # [e_-1, e_j] = (j + 1) e_{j-1}, in u1 and w1 alike.
+    assert model.bracket(e(-1), e(2)).terms == ModelElement(field, {(1, 0): 3}).terms
+    # [e1 + e2, e1 + e2]: the two cross products cancel.
+    x = e(1) + e(2)
+    assert model.bracket(x, x).terms == {}
+    # Terms of equal degree on both sides, products that cancel mod p.
+    p = field.characteristic or 7
+    y = e(0) + e(p).scale(field.from_int(2)) + e(-1)
+    assert model.bracket(y, e(0)).terms == _witt_closed_form(model, y, e(0))
+    rng = random.Random(f"witt/{model.name}/{field}")
+    for _ in range(60):
+        x, y = (
+            ModelElement(field, {
+                (d, 0): _random_scalar(rng, field)
+                for d in rng.sample(range(-1, 9), rng.randint(1, 4))
+            })
+            for _ in range(2)
+        )
+        value = model.bracket(x, y)
+        assert value.terms == _witt_closed_form(model, x, y), (x, y)
+        assert all(value.terms.values()) and value.field is field
+
+
+def test_w1_bracket_asserts_it_stays_in_its_support():
+    # Only elements outside the support can bracket below -1.
+    m = w1_model(GF2)
+    below = ModelElement(GF2, {(-2, 0): 1})
+    assert m.bracket(below, m.basis_element(1)) == ModelElement(GF2, {(-1, 0): 1})
+    with pytest.raises(AssertionError, match="left the support at degree -3"):
+        m.bracket(below, m.basis_element(-1))
+    assert u1_model(GF2).bracket(below, u1_model(GF2).basis_element(-1)).terms == {(-3, 0): 1}
+    m3 = w1_model(GF3)
+    with pytest.raises(AssertionError, match="left the support at degree -2"):
+        m3.bracket(ModelElement(GF3, {(-2, 0): 1}), m3.basis_element(0))
+
+
 def test_grading_compatibility_window():
     for model in (u1_model(GF2), w1_model(GF2), u1_model(GF3)):
         for i in range(-12, 13):
@@ -246,6 +300,28 @@ def test_evaluate_rejects_wrong_field_and_inhomogeneous_values():
     zero = dict(sub)
     zero[Var(3, 1)] = ModelElement.zero(GF2)
     assert evaluate(f, zero, m).is_zero()
+
+
+@pytest.mark.parametrize(
+    "poly_field, model_field",
+    [(GF3, GF2), (GF2, GF3), (Field.rationals(), GF3), (GF3, Field.rationals())],
+    ids=str,
+)
+def test_a_polynomial_over_another_field_is_refused(poly_field, model_field):
+    model = u1_model(model_field)
+    x1, x2 = Var(1, 1), Var(2, 2)
+    f = LiePoly.monomial(poly_field, (x1, x2), 1 if poly_field == GF2 else 2)
+    sub = {x: model.basis_element(x.degree) for x in (x1, x2)}
+    with pytest.raises(ValueError, match="polynomial field .* does not match the model's field"):
+        evaluate(f, sub, model)
+    with pytest.raises(ValueError, match="polynomial field .* does not match the model's field"):
+        satisfies_multilinear(model, f)
+    # An equal field object that is not the model's own is accepted.
+    twin = Field.from_spec(str(model_field))
+    assert twin is not model_field
+    g, own = (LiePoly.monomial(field, (x1, x2), 2) for field in (twin, model_field))
+    assert evaluate(g, sub, model) == evaluate(own, sub, model)
+    assert satisfies_multilinear(model, g) == satisfies_multilinear(model, own)
 
 
 def test_satisfies_multilinear_examples():
