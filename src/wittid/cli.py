@@ -17,7 +17,6 @@ Exit codes: 0 pass/true, 1 fail/false, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
@@ -32,9 +31,6 @@ from .verify import (
     independence_check,
     minimality_sweep,
     no_finite_basis_demo,
-    revalidate_entry,
-    summarize,
-    sweep_tuples,
     variable_independence_check,
     verify_basis_theorem,
 )
@@ -315,55 +311,19 @@ def _cmd_contrast(args, field: Field) -> tuple:
 def _cmd_report(args, field: Field) -> tuple:
     with open(args.path) as handle:
         report = VerificationReport.from_json(handle.read())
+    problems, invalid = report.audit(args.revalidate)
     s = report.summary
     lines = [
         f"report for {report.config['model']} over {report.config['field']}: "
         f"{len(report.spaces)} components",
         f"passed {s['passed']}, failed {s['failed']}, skipped {s['skipped']}",
+        *problems,
     ]
-    code = 0 if report.passed else 1
-    family = report.family().describe()
-    if report.config["family"] != family:
-        lines.append(
-            f"FAMILY MISMATCH: the report names {report.config['family']!r}, "
-            f"its model and range give {family!r}"
-        )
-        code = 1
-    recount = summarize(report.spaces)
-    if recount != s:
-        lines.append(
-            "SUMMARY MISMATCH: the entries count "
-            + ", ".join(f"{key} {value}" for key, value in recount.items())
-        )
-        code = 1
-    config = report.config
-    expected = sweep_tuples(config["nmax"], config["dmax"], config["extra_degree_tuples"])
-    listed = (tuple(entry["degrees"]) for entry in report.spaces)
-    for i, (want, got) in enumerate(itertools.zip_longest(expected, listed)):
-        if want != got:
-            got, want = ("nothing" if d is None else list(d) for d in (got, want))
-            lines.append(
-                f"COVERAGE MISMATCH: at entry {i} the report has {got} "
-                f"and the configured sweep has {want}"
-            )
-            code = 1
-            break
-    revalidated = None
-    if args.revalidate:
-        bad = []
-        memo = report.span_memo()
-        for entry in report.spaces:
-            if not revalidate_entry(entry, report.config, memo):
-                bad.append(entry["degrees"])
-        revalidated = not bad
-        lines.append(
-            "witnesses revalidated" if revalidated else f"INVALID witnesses at {bad}"
-        )
-        if not revalidated:
-            code = 1
+    if invalid is not None:
+        lines.append(f"INVALID witnesses at {invalid}" if invalid else "witnesses revalidated")
     obj = report.to_json_dict()
-    obj["revalidated"] = revalidated
-    return code, lines, obj
+    obj["revalidated"] = None if invalid is None else not invalid
+    return (0 if report.passed and not problems and not invalid else 1), lines, obj
 
 
 #: verb -> handler; each takes (args, field) and returns (exit code,

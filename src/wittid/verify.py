@@ -13,7 +13,9 @@ single-variable certificates alike.
 
 Reports serialize to JSON with a stable field layout; identical
 configurations produce byte-identical reports once the wall-clock
-timings section is excluded.
+timings section is excluded. :meth:`VerificationReport.audit` is the one
+consistency check of a saved report: family, summary, coverage and,
+optionally, a recomputation of every entry.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ REPORT_SCHEMA = {
                 "model": {"type": "string"},
                 "family": {"type": "string"},
                 "field": {"type": "string"},
-                "nmax": {"type": "integer"},
-                "dmax": {"type": "integer"},
+                "nmax": {"type": "integer", "minimum": 1},
+                "dmax": {"type": "integer", "minimum": 0},
                 "range": {"type": ["string", "null"]},
                 "space_budget_s": {"type": ["number", "null"], "minimum": 0},
                 "extra_degree_tuples": {
@@ -119,9 +121,9 @@ class SweepConfig:
         if self.workers < 1:
             raise ValueError("need workers >= 1")
         _check_budget(self.space_budget_s, "the per-space budget")
-        self.extra_degree_tuples = tuple(
-            tuple(t) for t in self.extra_degree_tuples
-        )
+        self.extra_degree_tuples = tuple(tuple(t) for t in self.extra_degree_tuples)
+        if () in self.extra_degree_tuples:
+            raise ValueError("an extra degree tuple needs at least one degree")
         _check_size(self.nmax, self.extra_degree_tuples, "the sweep")
 
     def family(self) -> BasisFamily:
@@ -144,7 +146,8 @@ class SweepConfig:
 
 @dataclass
 class VerificationReport:
-    """Outcome of a sweep: one entry per canonical degree tuple."""
+    """Outcome of a sweep: one entry per canonical degree tuple. A loaded
+    one is checked by :meth:`audit`; ``passed`` reads only the summary."""
 
     config: dict
     spaces: list
@@ -176,6 +179,41 @@ class VerificationReport:
             Field.from_spec(self.config["field"]),
             largest=max((len(e["degrees"]) for e in self.spaces), default=None),
         )
+
+    def audit(self, revalidate: bool = False) -> tuple:
+        """``(problems, invalid)``. ``problems``: the lines of the family,
+        summary and coverage checks that fail, in that order. ``invalid``:
+        None, or with ``revalidate`` the degrees of the entries that
+        :func:`revalidate_entry` refuses, all through one :meth:`span_memo`."""
+        problems = []
+        config, family = self.config, self.family().describe()
+        if config["family"] != family:
+            problems.append(
+                f"FAMILY MISMATCH: the report names {config['family']!r}, "
+                f"its model and range give {family!r}"
+            )
+        recount = summarize(self.spaces)
+        if recount != self.summary:
+            problems.append(
+                "SUMMARY MISMATCH: the entries count "
+                + ", ".join(f"{key} {value}" for key, value in recount.items())
+            )
+        expected = sweep_tuples(config["nmax"], config["dmax"], config["extra_degree_tuples"])
+        listed = (tuple(entry["degrees"]) for entry in self.spaces)
+        for i, (want, got) in enumerate(itertools.zip_longest(expected, listed)):
+            if want != got:
+                got, want = ("nothing" if d is None else list(d) for d in (got, want))
+                problems.append(
+                    f"COVERAGE MISMATCH: at entry {i} the report has {got} "
+                    f"and the configured sweep has {want}"
+                )
+                break
+        if not revalidate:
+            return problems, None
+        memo = self.span_memo()
+        return problems, [
+            e["degrees"] for e in self.spaces if not revalidate_entry(e, config, memo)
+        ]
 
     def to_json_dict(self, with_timings: bool = True) -> dict:
         out = {

@@ -432,18 +432,33 @@ def test_report_with_missing_key_exits_two(capsys, tmp_path, path):
     assert f"lacks {path[-1]}" in err
 
 
-@pytest.mark.parametrize("keys", [("n", "orbit", "dimP"), ("orbit",), ("dimP",)])
+# Each case sets its keys of the first entry, or of the config, to the
+# value; the first key is the one refused. A sweep refuses the same
+# nmax and dmax ("need nmax >= 1 and dmax >= 0").
+@pytest.mark.parametrize(
+    "keys",
+    [("n", "orbit", "dimP"), ("orbit",), ("dimP",),
+     ("config.nmax", 0), ("config.nmax", -5), ("config.dmax", -3)],
+)
 def test_report_below_a_schema_minimum_exits_two(capsys, tmp_path, keys):
     out_path, data = _saved_report(capsys, tmp_path)
+    if keys[0].startswith("config."):
+        (where, value), holder = keys, data["config"]
+        keys = (where.split(".")[1],)
+        minimum = REPORT_SCHEMA["properties"]["config"]["properties"][keys[0]]["minimum"]
+    else:
+        where, value, minimum, holder = f"spaces[0].{keys[0]}", 0, 1, data["spaces"][0]
     for key in keys:
-        data["spaces"][0][key] = 0
+        holder[key] = value
     out_path.write_text(json.dumps(data))
-    with pytest.raises(jsonschema.ValidationError, match="0 is less than the minimum of 1"):
+    with pytest.raises(
+        jsonschema.ValidationError, match=f"{value} is less than the minimum of {minimum}"
+    ):
         jsonschema.validate(data, REPORT_SCHEMA)
     code, out, err = run(capsys, "report", str(out_path))
     assert code == 2
     assert out == ""
-    assert f"report.spaces[0].{keys[0]} is less than the minimum of 1" in err
+    assert f"report.{where} is less than the minimum of {minimum}" in err
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 from conftest import hand_report
-from wittid import verify
+from wittid import cli, verify
 from wittid.fields import Field
 from wittid.freealg import LiePoly, MultilinearSpace, Var
 from wittid.grammar import parse_polynomial
@@ -65,6 +65,18 @@ def test_config_validation():
     assert config.family().bracket_lower_bound == 0
     with pytest.raises(ValueError, match="unknown family range 'bogus'"):
         SweepConfig(model="w1", family_range="bogus")
+
+
+def test_config_refuses_an_empty_extra_tuple(monkeypatch):
+    # refused when the config is built, before any component is computed
+    monkeypatch.setattr(verify, "identity_subspace", _no_span)
+    for extras in ([()], [(1, 1), []]):
+        with pytest.raises(ValueError, match="an extra degree tuple needs at least one degree"):
+            SweepConfig(nmax=1, dmax=0, extra_degree_tuples=extras)
+
+
+def _no_span(*args, **kwargs):
+    raise AssertionError("a component was computed")
 
 
 @pytest.mark.parametrize(
@@ -361,6 +373,113 @@ def test_revalidation_shares_one_memo():
         revalidate_entry(other.spaces[-1], other.config, memo)
 
 
+def _small_report(model="u1"):
+    return verify_basis_theorem(SweepConfig(model=model, nmax=2, dmax=1)).to_json_dict()
+
+
+def _off_family(data):
+    data["config"]["family"] = "brackets of equal parity"
+
+
+def _off_summary(data):
+    data["summary"]["passed"] -= 1
+
+
+def _recounted(edit):
+    def edit_and_recount(data):
+        edit(data["spaces"])
+        data["summary"] = summarize(data["spaces"])
+    return edit_and_recount
+
+
+def _forged_dims(data):
+    data["spaces"][4]["dimIdentity"] = data["spaces"][4]["dimConsequence"] = 7
+
+
+def _off_sweep(data):
+    data["spaces"] = [{
+        "n": 7, "degrees": [1, 2, 2, 2, 2, 2, 2], "orbit": 7, "dimP": 720,
+        "dimIdentity": 720, "dimConsequence": 720, "sound": True, "complete": True,
+    }]
+
+
+def _cut_and_renamed(data):
+    data["spaces"] = data["spaces"][:1]
+    data["config"]["family"] = "anything"
+
+
+_W1_FAMILY = "brackets of equal parity with degrees >= -1, plus single variables of degree <= -2"
+
+
+@pytest.mark.parametrize(
+    "model, edit, problems, invalid",
+    [("u1", None, [], []),
+     ("w1", _off_family,
+      ["FAMILY MISMATCH: the report names 'brackets of equal parity', "
+       f"its model and range give {_W1_FAMILY!r}"], []),
+     ("u1", _off_summary,
+      ["SUMMARY MISMATCH: the entries count passed 9, failed 0, skipped 0"], []),
+     ("u1", _recounted(lambda s: s.append(dict(s[-1]))),
+      ["COVERAGE MISMATCH: at entry 9 the report has [1, 1] and the configured sweep has nothing"],
+      []),
+     ("u1", _recounted(lambda s: s.pop(1)),
+      ["COVERAGE MISMATCH: at entry 1 the report has [1] and the configured sweep has [0]"], []),
+     ("u1", _recounted(lambda s: s.insert(0, s.pop(1))),
+      ["COVERAGE MISMATCH: at entry 0 the report has [0] and the configured sweep has [-1]"], []),
+     ("u1", _forged_dims, [], [[-1, 0]]),
+     ("u1", _off_sweep,
+      ["SUMMARY MISMATCH: the entries count passed 1, failed 0, skipped 0",
+       "COVERAGE MISMATCH: at entry 0 the report has [1, 2, 2, 2, 2, 2, 2] "
+       "and the configured sweep has [-1]"], [[1, 2, 2, 2, 2, 2, 2]]),
+     ("u1", _cut_and_renamed,
+      ["FAMILY MISMATCH: the report names 'anything', "
+       "its model and range give 'brackets of equal parity'",
+       "SUMMARY MISMATCH: the entries count passed 1, failed 0, skipped 0",
+       "COVERAGE MISMATCH: at entry 1 the report has nothing and the configured sweep has [0]"],
+      [])],
+)
+def test_audit_finds_what_the_report_verb_prints(
+    capsys, tmp_path, monkeypatch, model, edit, problems, invalid
+):
+    data = _small_report(model)
+    if edit is not None:
+        edit(data)
+    text = json.dumps(data)
+    report = VerificationReport.from_json(text)
+    assert report.audit() == (problems, None)
+    # an off-sweep entry is refused before anything is computed
+    if edit is _off_sweep:
+        monkeypatch.setattr(verify, "identity_subspace", _no_span)
+    assert report.audit(revalidate=True) == (problems, invalid)
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert cli.main(["report", str(path), "--revalidate"]) == int(
+        bool(problems or invalid) or not report.passed
+    )
+    revalidated = f"INVALID witnesses at {invalid}" if invalid else "witnesses revalidated"
+    assert capsys.readouterr().out.splitlines()[2:] == problems + [revalidated]
+
+
+def test_audit_builds_one_span_memo(monkeypatch):
+    memos, used = [], set()
+
+    class CountedMemo(verify.SpanMemo):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            memos.append(self)
+
+    def recording(entry, config, memo=None):
+        used.add(id(memo))
+        return revalidate_entry(entry, config, memo)
+
+    report = VerificationReport.from_json(json.dumps(_small_report("w1")))
+    monkeypatch.setattr(verify, "SpanMemo", CountedMemo)
+    monkeypatch.setattr(verify, "revalidate_entry", recording)
+    assert report.audit() == ([], None) and memos == []
+    assert report.audit(True) == ([], [])
+    assert len(memos) == 1 and used == {id(memos[0])}
+
+
 def test_pool_is_clamped_to_the_cores(monkeypatch):
     requested = []
 
@@ -452,6 +571,7 @@ def test_committed_n6_reports_revalidate(name):
     assert [tuple(e["degrees"]) for e in report.spaces] == list(
         sweep_tuples(config["nmax"], config["dmax"], config["extra_degree_tuples"])
     )
+    assert report.audit() == ([], None)
     widest = [e for e in report.spaces if e["n"] == 6]
     for entry in random.Random(name).sample(widest, 12):
         assert revalidate_entry(entry, config), entry["degrees"]
