@@ -1,7 +1,7 @@
 """Concrete Z-graded Lie algebras as sparse structure-constant models.
 
 Every model exposes its homogeneous components as named basis slots per
-degree and a bracket given on basis slots; elements are sparse
+degree and a bracket of two elements; elements are sparse
 combinations over (degree, slot) keys (:class:`ModelElement`). Provided
 models:
 
@@ -17,9 +17,10 @@ models:
   degree d.
 
 Models are immutable after construction and evaluation is pure. Values
-are computed by structure constants only, through the model's ``bracket``:
-:meth:`WittModel.bracket` reads ``(j - i)`` term by term, the other
-models use :meth:`GradedModel.bracket` over their basis slots.
+are computed by structure constants only, through each model's one
+``bracket``: :meth:`WittModel.bracket` reads ``(j - i)`` term by term,
+:meth:`UT3Model.bracket` the E12 and E23 coefficients, and the
+one-dimensional model's bracket is zero.
 One loop, :func:`_basis_tuple_rows`, evaluates a list of multilinear
 monomials on every tuple of component basis vectors, for both the
 multilinear identity check and the identity subspaces; it keeps a stack of
@@ -58,7 +59,8 @@ class ModelElement(Combination):
 
 
 class GradedModel:
-    """Base class: a Z-graded Lie algebra given by structure constants."""
+    """Base class: a Z-graded Lie algebra given by structure constants;
+    each model defines its :meth:`bracket`."""
 
     name: str
 
@@ -70,11 +72,6 @@ class GradedModel:
 
     def component_slots(self, degree: int) -> tuple:
         """Names of the basis slots of the component of this degree."""
-        raise NotImplementedError
-
-    def bracket_slots(self, d1: int, i1: int, d2: int, i2: int) -> dict:
-        """Bracket of two basis slots, as a ``(degree, slot) -> c`` dict
-        without zeros; internal to :meth:`bracket`."""
         raise NotImplementedError
 
     def finite_support(self) -> Optional[tuple]:
@@ -90,25 +87,8 @@ class GradedModel:
         return ModelElement(self.field, {(degree, slot): self.field.one})
 
     def bracket(self, x: ModelElement, y: ModelElement) -> ModelElement:
-        f = self.field
-        mul = f.mul
-        bracket_slots = self.bracket_slots
-        out = {}
-        for (d1, i1), c1 in x.terms.items():
-            for (d2, i2), c2 in y.terms.items():
-                base = bracket_slots(d1, i1, d2, i2)
-                if not base:
-                    continue
-                c = mul(c1, c2)
-                if out:
-                    f.add_into(out, [(key, mul(c, a)) for key, a in base.items()])
-                else:
-                    # Nonzero times nonzero: the first product has no zero to drop.
-                    out = {key: mul(c, a) for key, a in base.items()}
-        # add_into leaves no zeros, so the constructor's filter is skipped.
-        value = ModelElement(f)
-        value.terms = out
-        return value
+        """The bracket of two elements, by the model's structure constants."""
+        raise NotImplementedError
 
     def slot_name(self, degree: int, slot: int) -> str:
         return self.component_slots(degree)[slot]
@@ -124,7 +104,7 @@ class WittModel(GradedModel):
     """Derivation algebras with basis e_i and bracket [e_i,e_j] = (j-i)e_{i+j}.
 
     The bracket of two elements is taken from this structure constant
-    directly, term by term, rather than through basis slots.
+    directly, term by term.
 
     ``min_degree=None`` keeps all integer degrees (Laurent case);
     ``min_degree=-1`` truncates to the polynomial case, where every
@@ -185,6 +165,7 @@ class UT3Model(GradedModel):
             components.setdefault(r + s, []).append("E13")
         self.collision_merged = r != s and (r + s in (r, s))
         self._components = {d: tuple(names) for d, names in components.items()}
+        self._e12, self._e23, self._e13 = map(self._locate, ("E12", "E23", "E13"))
 
     def component_slots(self, degree: int) -> tuple:
         return self._components.get(degree, ())
@@ -198,15 +179,15 @@ class UT3Model(GradedModel):
                 return d, names.index(unit)
         raise AssertionError(unit)
 
-    def bracket_slots(self, d1: int, i1: int, d2: int, i2: int) -> dict:
+    def bracket(self, x: ModelElement, y: ModelElement) -> ModelElement:
+        """``(x_E12 y_E23 - x_E23 y_E12) E13``: [E12, E23] = E13 is the only
+        nonzero bracket of basis matrices, whichever components they share."""
         f = self.field
-        a = self._components[d1][i1]
-        b = self._components[d2][i2]
-        if (a, b) == ("E12", "E23"):
-            return {self._locate("E13"): f.one}
-        if (a, b) == ("E23", "E12"):
-            return {self._locate("E13"): f.neg(f.one)}
-        return {}
+        c = f.sub(
+            f.mul(x.coeff(*self._e12), y.coeff(*self._e23)),
+            f.mul(x.coeff(*self._e23), y.coeff(*self._e12)),
+        )
+        return ModelElement(f, {self._e13: c})
 
 
 class OneDimModel(GradedModel):
@@ -223,8 +204,8 @@ class OneDimModel(GradedModel):
     def finite_support(self) -> tuple:
         return (self.d,)
 
-    def bracket_slots(self, d1: int, i1: int, d2: int, i2: int) -> dict:
-        return {}
+    def bracket(self, x: ModelElement, y: ModelElement) -> ModelElement:
+        return ModelElement(self.field)
 
 
 def u1_model(field: Field) -> WittModel:

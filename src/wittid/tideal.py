@@ -37,7 +37,9 @@ letters, so their rows come from certified tables shared per size and
 field, in the form :class:`~wittid.linalg.SubspaceBasis` takes (over
 GF(2), masks); degrees only pick the family brackets, so a
 sub-component's span is determined by its degree tuple. That tuple keys
-the :class:`SpanMemo` that the components of one sweep share.
+:class:`SpanMemo`, which runs the recursion and which the components of
+one run share; it keeps every span narrower than the run's widest
+components.
 """
 
 from __future__ import annotations
@@ -296,10 +298,10 @@ def consequence_subspace(
     and is the reference for this recursion.
 
     Without ``memo`` the spans are kept for this call only. A
-    :class:`SpanMemo` shares them with the other calls of one run, under
-    its memory bound; it must hold the same family and field (ValueError
-    otherwise). The span returned may be the memo's own, so it is not to
-    be modified.
+    :class:`SpanMemo` shares them with the other calls of one run; it must
+    hold the same family and field and be at least as wide as the space
+    (ValueError otherwise). The span returned may be the memo's own, so it
+    is not to be modified.
 
     ``deadline`` is an absolute time.monotonic() bound; running past it
     raises BudgetExceeded. It is checked before each core and each ad_v
@@ -308,9 +310,17 @@ def consequence_subspace(
     partial span behind.
     """
     if memo is None:
-        memo = SpanMemo(family, space.field)
-    memo.enter(family, space)
-    return _SubSpans(family, space, deadline, memo).cons(space.degrees)
+        memo = SpanMemo(family, space.field, largest=space.n)
+    if family != memo.family or space.field != memo.field:
+        raise ValueError(
+            f"span memo of {memo.family} over {memo.field} "
+            f"asked for {family} over {space.field}"
+        )
+    if memo.largest is not None and space.n > memo.largest:
+        raise ValueError(
+            f"span memo of at most {memo.largest} variables asked for {space.n}"
+        )
+    return memo.span(space.degrees, deadline)
 
 
 class SpanMemo:
@@ -321,85 +331,54 @@ class SpanMemo:
     starts cold.
 
     Memory bound: no span of ``largest`` variables or more is kept, since
-    the run's largest components are nobody's sub-components; and once the
-    run reaches a component of n variables, spans of fewer than n - 1
-    variables are dropped and no longer kept. A component of n variables
-    still reads its (n - 1)-variable sub-spans from the memo; the smaller
-    ones it needs beyond those live for its own call only. ``largest``
-    None puts no upper bound."""
+    the run's largest components are nobody's sub-components; ``largest``
+    None puts no bound. The memo runs the recursion itself, by methods
+    rather than recursive closures: those form a reference cycle, which
+    keeps the spans alive until the garbage collector runs."""
 
-    __slots__ = ("family", "field", "largest", "floor", "spans")
+    __slots__ = ("family", "field", "largest", "spans")
 
     def __init__(self, family: BasisFamily, field: Field, largest: Optional[int] = None):
         self.family = family
         self.field = field
         self.largest = largest
-        self.floor = 0
         self.spans = {}
 
-    def enter(self, family: BasisFamily, space: MultilinearSpace) -> None:
-        """Admit a call on ``space``: refuse another family or field, and
-        drop what the memory bound no longer keeps."""
-        if family != self.family or space.field != self.field:
-            raise ValueError(
-                f"span memo of {self.family} over {self.field} "
-                f"asked for {family} over {space.field}"
-            )
-        if space.n - 1 > self.floor:
-            self.floor = space.n - 1
-            self.spans = {d: s for d, s in self.spans.items() if len(d) >= self.floor}
-
-    def keeps(self, k: int) -> bool:
-        """Whether a span of ``k`` variables is kept."""
-        return self.floor <= k and (self.largest is None or k < self.largest)
-
-
-class _SubSpans:
-    """The consequence spans of one space's sub-components, by degree
-    tuple, computed on demand: in the memo when it keeps their size,
-    otherwise for this call only. A class rather than recursive closures:
-    those form a reference cycle, which keeps the spans alive until the
-    garbage collector runs."""
-
-    def __init__(self, family: BasisFamily, space: MultilinearSpace, deadline, memo: SpanMemo):
-        self.family = family
-        self.space = space
-        self.deadline = deadline
-        self.memo = memo
-        self.local = {}
-
-    def check_deadline(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded(f"consequence span in {self.space!r}")
-
-    def cons(self, degrees: tuple) -> SubspaceBasis:
-        spans = self.memo.spans if self.memo.keeps(len(degrees)) else self.local
-        span = spans.get(degrees)
+    def span(self, degrees: tuple, deadline: Optional[float] = None) -> SubspaceBasis:
+        """The consequence span of the component of ``degrees``, kept when
+        it is narrower than ``largest``."""
+        span = self.spans.get(degrees)
         if span is None:
-            span = spans[degrees] = self._span_of(degrees)
+            span = self._span_of(degrees, deadline)
+            if self.largest is None or len(degrees) < self.largest:
+                self.spans[degrees] = span
         return span
 
-    def _span_of(self, degrees: tuple) -> SubspaceBasis:
-        field = self.space.field
+    def _check_deadline(self, deadline: Optional[float], degrees: tuple) -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded(f"consequence span of degrees {degrees}")
+
+    def _span_of(self, degrees: tuple, deadline: Optional[float]) -> SubspaceBasis:
+        field, family, check = self.field, self.family, self._check_deadline
         k = len(degrees)
         dim = factorial(k - 1)
-        if self.family.contains_single(sum(degrees)):
-            self.check_deadline()
+        if family.contains_single(sum(degrees)):
+            check(deadline, degrees)
             return SubspaceBasis.full(field, dim)
         acc = SubspaceBasis.zero(field, dim)
-        for left, _ in _bracket_splits(self.family, degrees, range(k)):
+        for left, _ in _bracket_splits(family, degrees, range(k)):
             for row in _core_rows(k, left, field):
-                self.check_deadline()
+                check(deadline, degrees)
                 acc.insert(row)
                 if acc.is_full():
                     return acc
         if k == 1:
             return acc
         for pos in range(k):
-            inner = self.cons(degrees[:pos] + degrees[pos + 1:])
+            inner = self.span(degrees[:pos] + degrees[pos + 1:], deadline)
             if inner.is_zero():
                 continue
-            self.check_deadline()
+            check(deadline, degrees)
             for image in inner.images(_ad_rows(k, pos, field), dim):
                 acc.insert(image)
                 if acc.is_full():

@@ -3,7 +3,10 @@
 Runs exhaustive desk-scale sweeps over multilinear components, comparing
 the identity subspace of a model with the consequence subspace of a
 generating family (soundness: consequences are identities; completeness:
-identities are consequences), and produces machine-readable reports.
+identities are consequences), and produces machine-readable reports. A
+run of components is the :class:`SweepConfig` and a list of degree
+tuples: the whole sweep when serial, one chunk per task of a process
+pool, with one span memo per run.
 Also provides separation certificates: graded algebras that violate one
 family member while satisfying all the others, which is what rules out
 any finite generating set. One private check evaluates every separation
@@ -20,6 +23,7 @@ optionally, a recomputation of every entry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -60,7 +64,7 @@ REPORT_SCHEMA = {
                 "space_budget_s": {"type": ["number", "null"], "minimum": 0},
                 "extra_degree_tuples": {
                     "type": "array",
-                    "items": {"type": "array", "items": {"type": "integer"}},
+                    "items": {"type": "array", "minItems": 1, "items": {"type": "integer"}},
                 },
             },
         },
@@ -118,6 +122,7 @@ class SweepConfig:
         if self.nmax < 1 or self.dmax < 0:
             raise ValueError("need nmax >= 1 and dmax >= 0")
         self.family()  # refuses a model without a family and an unknown range
+        Field.from_spec(self.field)  # refuses an unknown field before any component runs
         if self.workers < 1:
             raise ValueError("need workers >= 1")
         _check_budget(self.space_budget_s, "the per-space budget")
@@ -281,9 +286,9 @@ def _check_size(nmax: int, extra_degree_tuples, where: str) -> None:
 
 
 def _check_shape(value, schema: dict, where: str) -> None:
-    """Types, required keys and integer minimums as REPORT_SCHEMA lays
-    them out, checked in plain Python. The budget's bound is
-    :func:`_check_budget`'s."""
+    """Types, required keys, integer minimums and array minimum lengths
+    as REPORT_SCHEMA lays them out, checked in plain Python. The budget's
+    bound is :func:`_check_budget`'s."""
     kind = schema.get("type")
     if kind == "object":
         if not isinstance(value, dict):
@@ -297,6 +302,8 @@ def _check_shape(value, schema: dict, where: str) -> None:
     elif kind == "array":
         if not isinstance(value, list):
             raise ValueError(f"{where} is not a JSON array")
+        if len(value) < schema.get("minItems", 0):
+            raise ValueError(f"{where} has fewer than {schema['minItems']} items")
         for i, item in enumerate(value):
             _check_shape(item, schema.get("items", {}), f"{where}[{i}]")
     elif kind is not None:
@@ -362,24 +369,18 @@ def summarize(entries) -> dict:
     }
 
 
-def _space_entries(payloads: Sequence[tuple]) -> list:
-    """The entries of a run of payloads ``(model_spec, family, field_spec,
-    degrees, budget_s)`` that share their model, family and field, in
-    order. The field and model are resolved once, and one
+def _space_entries(config: SweepConfig, tuples: Sequence[tuple]) -> list:
+    """The entries of a run of the sweep's degree tuples, in order. The
+    field, model and family are resolved once, and one
     :class:`~wittid.tideal.SpanMemo` serves every component of the run."""
-    model_spec, family, field_spec = payloads[0][:3]
-    field = Field.from_spec(field_spec)
-    model = parse_model(model_spec, field)
-    memo = SpanMemo(family, field, largest=max(len(p[3]) for p in payloads))
-    return [_entry(model, family, p[3], p[4], memo) for p in payloads]
+    field = Field.from_spec(config.field)
+    model = parse_model(config.model, field)
+    memo = SpanMemo(config.family(), field, largest=max(map(len, tuples)))
+    return [_entry(model, degrees, config.space_budget_s, memo) for degrees in tuples]
 
 
-def _space_entry(payload: tuple) -> dict:
-    """Soundness/completeness check of one multilinear component."""
-    return _space_entries([payload])[0]
-
-
-def _entry(model, family: BasisFamily, degrees, budget_s, memo: SpanMemo) -> dict:
+def _entry(model, degrees, budget_s, memo: SpanMemo) -> dict:
+    family = memo.family
     space = MultilinearSpace.for_degrees(degrees, model.field)
     entry = {
         "n": len(degrees),
@@ -436,11 +437,7 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
     runs it on contiguous chunks of :data:`POOL_CHUNK` components.
     """
     start = time.monotonic()
-    family = config.family()
-    payloads = [
-        (config.model, family, config.field, degrees, config.space_budget_s)
-        for degrees in sweep_tuples(config.nmax, config.dmax, config.extra_degree_tuples)
-    ]
+    tuples = list(sweep_tuples(config.nmax, config.dmax, config.extra_degree_tuples))
     if config.workers > 1:
         # The report keeps the requested count; the pool gets no more
         # processes than the machine has cores.
@@ -448,11 +445,12 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
         # Imported here: multiprocessing costs every serial run its import.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [payloads[i:i + POOL_CHUNK] for i in range(0, len(payloads), POOL_CHUNK)]
+        chunks = [tuples[i:i + POOL_CHUNK] for i in range(0, len(tuples), POOL_CHUNK)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = [e for chunk in pool.map(_space_entries, chunks) for e in chunk]
+            run = functools.partial(_space_entries, config)
+            entries = [e for chunk in pool.map(run, chunks) for e in chunk]
     else:
-        entries = _space_entries(payloads)
+        entries = _space_entries(config, tuples)
     timings = {"total_s": round(time.monotonic() - start, 3)}
     return VerificationReport(
         config=config.to_dict(), spaces=entries, summary=summarize(entries), timings=timings
@@ -472,7 +470,8 @@ def revalidate_entry(entry: dict, config: dict, memo: Optional[SpanMemo] = None)
     in the consequence span yet take a nonzero value in the model.
 
     The entries of one report may share ``memo``
-    (:meth:`VerificationReport.span_memo`), which only recomputation fills.
+    (:meth:`VerificationReport.span_memo`, as wide as the widest entry),
+    which only recomputation fills.
     """
     degrees = entry["degrees"]
     sweep = (config["nmax"], config["dmax"], config["extra_degree_tuples"])

@@ -434,31 +434,40 @@ def test_report_with_missing_key_exits_two(capsys, tmp_path, path):
 
 # Each case sets its keys of the first entry, or of the config, to the
 # value; the first key is the one refused. A sweep refuses the same
-# nmax and dmax ("need nmax >= 1 and dmax >= 0").
+# nmax and dmax ("need nmax >= 1 and dmax >= 0") and the same empty
+# extra tuple ("an extra degree tuple needs at least one degree").
 @pytest.mark.parametrize(
     "keys",
     [("n", "orbit", "dimP"), ("orbit",), ("dimP",),
-     ("config.nmax", 0), ("config.nmax", -5), ("config.dmax", -3)],
+     ("config.nmax", 0), ("config.nmax", -5), ("config.dmax", -3),
+     ("config.extra_degree_tuples", [[1], []])],
 )
 def test_report_below_a_schema_minimum_exits_two(capsys, tmp_path, keys):
     out_path, data = _saved_report(capsys, tmp_path)
     if keys[0].startswith("config."):
         (where, value), holder = keys, data["config"]
         keys = (where.split(".")[1],)
-        minimum = REPORT_SCHEMA["properties"]["config"]["properties"][keys[0]]["minimum"]
+        schema = REPORT_SCHEMA["properties"]["config"]["properties"][keys[0]]
     else:
-        where, value, minimum, holder = f"spaces[0].{keys[0]}", 0, 1, data["spaces"][0]
+        where, value, holder = f"spaces[0].{keys[0]}", 0, data["spaces"][0]
+        schema = REPORT_SCHEMA["properties"]["spaces"]["items"]["properties"][keys[0]]
     for key in keys:
         holder[key] = value
     out_path.write_text(json.dumps(data))
-    with pytest.raises(
-        jsonschema.ValidationError, match=f"{value} is less than the minimum of {minimum}"
-    ):
+    with pytest.raises(jsonschema.ValidationError) as refused:
         jsonschema.validate(data, REPORT_SCHEMA)
+    if "minimum" in schema:
+        minimum = schema["minimum"]
+        assert refused.value.message == f"{value} is less than the minimum of {minimum}"
+        want = f"report.{where} is less than the minimum of {minimum}"
+    else:
+        # an array of arrays: its second member is the empty one
+        assert refused.value.validator == "minItems" and refused.value.instance == []
+        want = f"report.{where}[1] has fewer than 1 items"
     code, out, err = run(capsys, "report", str(out_path))
     assert code == 2
     assert out == ""
-    assert f"report.{where} is less than the minimum of {minimum}" in err
+    assert want in err
 
 
 @pytest.mark.parametrize(

@@ -201,6 +201,56 @@ def test_ut3_bracket_is_e13():
     assert not value.is_zero()
 
 
+def _matrix_commutator(model, x, y):
+    """[x, y] as the commutator of 3x3 matrices, read back into the
+    model's slots, without the library's bracket."""
+    field = model.field
+    where = {model.slot_name(d, i): (d, i) for d in model.finite_support()
+             for i in range(model.dim(d))}
+
+    def matrix(z):
+        m = [[field.zero] * 3 for _ in range(3)]
+        for key, c in z.terms.items():
+            unit = model.slot_name(*key)
+            m[int(unit[1]) - 1][int(unit[2]) - 1] = c
+        return m
+
+    def entry(a, b, i, j):
+        total = field.zero
+        for k in range(3):
+            total = field.add(total, field.mul(a[i][k], b[k][j]))
+        return total
+
+    a, b = matrix(x), matrix(y)
+    out = {}
+    for i, j in itertools.product(range(3), repeat=2):
+        c = field.sub(entry(a, b, i, j), entry(b, a, i, j))
+        if not field.is_zero(c):
+            out[where[f"E{i + 1}{j + 1}"]] = c
+    return out
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, Field.gf(5), Field.rationals()], ids=str)
+@pytest.mark.parametrize("r, s", [(-1, 3), (2, 2), (0, 0), (0, 2), (-2, 0), (1, 1)])
+def test_ut3_bracket_is_the_matrix_commutator(field, r, s):
+    # Multi-term elements, in separate and in merged components, against
+    # the commutator of the matrices they stand for.
+    model = ut3_model(field, r, s)
+    slots = [(d, i) for d in model.finite_support() for i in range(model.dim(d))]
+    rng = random.Random(f"ut3/{r}/{s}/{field}")
+    for _ in range(40):
+        x, y = (
+            ModelElement(field, {
+                key: _random_scalar(rng, field)
+                for key in rng.sample(slots, rng.randint(1, len(slots)))
+            })
+            for _ in range(2)
+        )
+        value = model.bracket(x, y)
+        assert value.terms == _matrix_commutator(model, x, y), (x, y)
+        assert value.field is field
+
+
 def test_onedim_model():
     m = onedim_model(GF2, -3)
     assert not satisfies_multilinear(m, LiePoly.variable(GF2, Var(1, -3)))

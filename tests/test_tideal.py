@@ -14,7 +14,6 @@ from wittid.tideal import (
     BudgetExceeded,
     SpanMemo,
     _bracket_splits,
-    _SubSpans,
     consequence_instances,
     consequence_subspace,
     family_for,
@@ -489,13 +488,13 @@ def _memo_sweep(field, nmax=4, dmax=2, extras=MEMO_EXTRAS):
 def _span_of_calls(monkeypatch) -> list:
     """Record the degree tuple of every span computed from scratch."""
     calls = []
-    original = _SubSpans._span_of
+    original = SpanMemo._span_of
 
-    def recording(self, degrees):
+    def recording(self, degrees, deadline):
         calls.append(degrees)
-        return original(self, degrees)
+        return original(self, degrees, deadline)
 
-    monkeypatch.setattr(_SubSpans, "_span_of", recording)
+    monkeypatch.setattr(SpanMemo, "_span_of", recording)
     return calls
 
 
@@ -535,6 +534,21 @@ def test_memo_refuses_another_family_or_field():
         consequence_subspace(w1_family("tight"), space, memo=wide_memo)
 
 
+def test_memo_refuses_a_wider_space(monkeypatch):
+    # A memo keeps no span of its largest size, so a wider space would
+    # recompute those sub-spans: refused before any span is computed.
+    memo = SpanMemo(u1_family(), GF2, largest=3)
+    consequence_subspace(u1_family(), MultilinearSpace.for_degrees((0, 1, 1), GF2), memo=memo)
+    calls = _span_of_calls(monkeypatch)
+    wider = MultilinearSpace.for_degrees((0, 1, 1, 2), GF2)
+    with pytest.raises(ValueError, match="span memo of at most 3 variables asked for 4"):
+        consequence_subspace(u1_family(), wider, memo=memo)
+    assert calls == []
+    monkeypatch.undo()
+    fresh = consequence_subspace(u1_family(), wider)
+    assert fresh == consequence_subspace(u1_family(), wider, memo=SpanMemo(u1_family(), GF2, 4))
+
+
 @pytest.mark.parametrize("field", list(MEMO_FIELDS.values()), ids=list(MEMO_FIELDS))
 def test_budget_exceeded_leaves_no_partial_span(monkeypatch, field):
     # The extra (1, 2, 2, 2, 4) follows an n <= 3 sweep; its degree sum is
@@ -546,7 +560,7 @@ def test_budget_exceeded_leaves_no_partial_span(monkeypatch, field):
     target = MultilinearSpace.for_degrees((1, 2, 2, 2, 4), field)
     after = MultilinearSpace.for_degrees((1, 2, 2, 2, 2), field)
     fresh = {s.degrees: consequence_subspace(family, s) for s in (target, after)}
-    original = _SubSpans.check_deadline
+    original = SpanMemo._check_deadline
     grew = 0
     stop_at = 1
     while True:
@@ -556,19 +570,19 @@ def test_budget_exceeded_leaves_no_partial_span(monkeypatch, field):
         known = set(memo.spans)
         checks = [0]
 
-        def stopping(self):
+        def stopping(self, deadline, degrees):
             checks[0] += 1
             if checks[0] == stop_at:
                 raise BudgetExceeded("stopped")
-            original(self)
+            original(self, deadline, degrees)
 
-        monkeypatch.setattr(_SubSpans, "check_deadline", stopping)
+        monkeypatch.setattr(SpanMemo, "_check_deadline", stopping)
         try:
             consequence_subspace(family, target, memo=memo)
             finished = True
         except BudgetExceeded:
             finished = False
-        monkeypatch.setattr(_SubSpans, "check_deadline", original)
+        monkeypatch.setattr(SpanMemo, "_check_deadline", original)
         if finished:
             break
         assert target.degrees not in memo.spans
@@ -584,18 +598,23 @@ def test_budget_exceeded_leaves_no_partial_span(monkeypatch, field):
 
 
 @memo_cases
-def test_memo_keeps_to_its_memory_bound(family, field):
+def test_memo_keeps_to_its_memory_bound(monkeypatch, family, field):
+    # Every span narrower than largest is kept, and none as wide, so one
+    # run computes each span once; only the widest, the sweep's own, are
+    # computed per call.
     spaces = _memo_sweep(field)
     largest = max(s.n for s in spaces)
+    calls = _span_of_calls(monkeypatch)
     memo = SpanMemo(family, field, largest=largest)
-    widest = 0
     for space in spaces:
         consequence_subspace(family, space, memo=memo)
-        widest = max(widest, space.n)
         assert memo.spans
-        assert all(widest - 1 <= len(d) < largest for d in memo.spans)
-    # The run reached its largest size, so only spans one smaller remain.
-    assert {len(d) for d in memo.spans} == {largest - 1}
+        assert all(len(d) < largest for d in memo.spans)
+    narrower = [d for d in calls if len(d) < largest]
+    assert len(narrower) == len(set(narrower)) and set(narrower) == set(memo.spans)
+    assert {len(d) for d in memo.spans} == set(range(1, largest))
+    widest = sorted(d for d in calls if len(d) == largest)
+    assert widest == sorted(s.degrees for s in spaces if s.n == largest)
 
 
 def test_subspace_ops_examples():

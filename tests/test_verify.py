@@ -75,6 +75,15 @@ def test_config_refuses_an_empty_extra_tuple(monkeypatch):
             SweepConfig(nmax=1, dmax=0, extra_degree_tuples=extras)
 
 
+def test_config_refuses_an_unknown_field(monkeypatch):
+    # refused when the config is built, before a process pool or any
+    # component starts
+    monkeypatch.setattr(verify, "identity_subspace", _no_span)
+    for field in ("gf4", "gf1", "gfx", "reals"):
+        with pytest.raises(ValueError, match="field"):
+            SweepConfig(nmax=1, dmax=0, field=field, workers=2)
+
+
 def _no_span(*args, **kwargs):
     raise AssertionError("a component was computed")
 
@@ -177,7 +186,7 @@ def test_space_entry_at_720_columns(model, family_range, degrees, dims, complete
     config = SweepConfig(
         model=model, family_range=family_range, nmax=1, dmax=0, extra_degree_tuples=[degrees]
     )
-    entry = verify._space_entry((model, config.family(), "gf2", degrees, None))
+    (entry,) = verify._space_entries(config, [degrees])
     assert entry["dimP"] == 720
     assert (entry["dimIdentity"], entry["dimConsequence"]) == dims
     assert (entry["sound"], entry["complete"]) == (True, complete)
@@ -295,9 +304,10 @@ def test_parallel_workers_match_sequential():
     assert sequential.spaces == parallel.spaces
 
 
-def _recorded_memos(monkeypatch) -> list:
-    """The span memos verify builds from now on."""
-    memos = []
+def _recorded_memos(monkeypatch) -> tuple:
+    """The span memos verify builds from now on, and the degree tuples
+    whose spans they compute from scratch."""
+    memos, computed = [], []
 
     class Recorded(verify.SpanMemo):
         __slots__ = ()
@@ -306,15 +316,19 @@ def _recorded_memos(monkeypatch) -> list:
             super().__init__(*args, **kwargs)
             memos.append(self)
 
+        def _span_of(self, degrees, deadline):
+            computed.append(degrees)
+            return super()._span_of(degrees, deadline)
+
     monkeypatch.setattr(verify, "SpanMemo", Recorded)
-    return memos
+    return memos, computed
 
 
 @pytest.mark.parametrize("model, family_range, field", [
     ("u1", "wide", "gf2"), ("w1", "tight", "gf2"), ("u1", "wide", "gf3"),
 ])
 def test_one_memo_per_run_within_its_bound(monkeypatch, model, family_range, field):
-    memos = _recorded_memos(monkeypatch)
+    memos, computed = _recorded_memos(monkeypatch)
     config = SweepConfig(
         model=model, family_range=family_range, nmax=4, dmax=2, field=field,
         extra_degree_tuples=[(1, 2, 2, 2, 2), (-2, 3)],
@@ -324,10 +338,12 @@ def test_one_memo_per_run_within_its_bound(monkeypatch, model, family_range, fie
     assert len(memos) == 1
     (memo,) = memos
     assert (memo.family, memo.field, memo.largest) == (config.family(), Field.from_spec(field), 5)
-    # The run reached 5 variables: nothing of 5 is kept, nothing below 4.
-    assert memo.spans and {len(d) for d in memo.spans} == {4}
-    fresh = [verify._space_entry((model, config.family(), field, tuple(e["degrees"]), None))
-             for e in entries]
+    # Every span narrower than 5 variables is kept, none of 5, so the run
+    # computes each span once.
+    assert {len(d) for d in memo.spans} == {1, 2, 3, 4}
+    assert len(computed) == len(set(computed))
+    assert set(computed) - set(memo.spans) == {(1, 2, 2, 2, 2)}
+    fresh = [verify._space_entries(config, [tuple(e["degrees"])])[0] for e in entries]
     assert entries == fresh
 
 
@@ -344,7 +360,7 @@ def test_completeness_from_dimensions_is_containment(model, family_range, field)
     sample = rng.sample(tuples, 60) + [(-1, 0, 1, 1), (-1, 1), (-1, 3), (1, 2, 2, 2)]
     flags = set()
     for degrees in sample:
-        entry = verify._space_entry((model, family, field, degrees, None))
+        (entry,) = verify._space_entries(config, [degrees])
         space = MultilinearSpace.for_degrees(degrees, k)
         ident = identity_subspace(parse_model(model, k), space)
         cons = consequence_subspace(family, space)
@@ -364,7 +380,7 @@ def test_revalidation_shares_one_memo():
     memo = report.span_memo()
     assert memo.largest == 4
     assert all(revalidate_entry(e, report.config, memo) for e in report.spaces)
-    assert {len(d) for d in memo.spans} == {3}
+    assert {len(d) for d in memo.spans} == {1, 2, 3}
     # The memo is filled by recomputation only: a forged entry still fails.
     forged = {**report.spaces[-1], "dimConsequence": report.spaces[-1]["dimConsequence"] + 1}
     assert not revalidate_entry(forged, report.config, memo)
