@@ -1,13 +1,21 @@
 """Exact row-echelon linear algebra over a :class:`~wittid.fields.Field`.
 
-Subspaces of F^n are kept in reduced row echelon form, which is a
-canonical representation: two subspaces are equal iff their stored rows
-coincide. Rows are stored packed: over GF(2) as int bitmasks (bit j =
-column j), over other fields as scalar lists; :func:`pack_bits` and
-:func:`unpack_bits` convert between a GF(2) tuple and its mask.
-:meth:`SubspaceBasis.insert` also takes masks, such as the certified
-coordinate masks of :mod:`wittid.freealg`. Spans, images, kernels,
-containment and equality work on the packed rows; only
+Subspaces of F^n are kept in semi-echelon form: each stored row is 1 at
+its pivot, its first nonzero column. An insert reduces the vector by the
+stored rows in pivot order and stores the rest at its pivot, without
+touching the stored rows. The residue of a reduction is unique, so the
+dimension, containment and :meth:`SubspaceBasis.reduce` do not depend on
+which semi-echelon rows are stored. Reduced row echelon form, the
+canonical one (two subspaces are equal iff their reduced rows coincide),
+is made in place only when it is read: by :meth:`SubspaceBasis.rows`,
+``==`` and :func:`linear_dependencies`.
+
+Rows are stored packed: over GF(2) as int bitmasks (bit j = column j),
+over other fields as scalar lists with inline arithmetic, mod p over
+GF(p); :func:`pack_bits` and :func:`unpack_bits` convert between a GF(2)
+tuple and its mask. :meth:`SubspaceBasis.insert` also takes masks, such
+as the certified coordinate masks of :mod:`wittid.freealg`. Spans,
+images, kernels, containment and equality work on the packed rows; only
 :meth:`SubspaceBasis.rows`, :meth:`SubspaceBasis.reduce` and
 :meth:`SubspaceBasis.contains_vector` take or give scalar tuples.
 """
@@ -16,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from typing import Iterable, Sequence
 
 from .fields import Field, Scalar
@@ -59,10 +67,21 @@ def xor_selected(mask: int, table: Sequence[int]) -> int:
     return out
 
 
-class SubspaceBasis:
-    """Row-echelon basis of a subspace of F^ncols."""
+def _subtract(vec: list, c: Scalar, row: list, start: int, p: int) -> None:
+    """``vec -= c * row`` in place, for a row that is zero before column
+    ``start``: mod p over GF(p), exactly over the rationals (p = 0)."""
+    tail = zip(islice(vec, start, None), islice(row, start, None))
+    if p:
+        vec[start:] = [(a - c * b) % p for a, b in tail]
+    else:
+        vec[start:] = [a - c * b for a, b in tail]
 
-    __slots__ = ("field", "ncols", "_gf2", "_rows", "_pivots", "_pivot_mask")
+
+class SubspaceBasis:
+    """Semi-echelon basis of a subspace of F^ncols, put in reduced row
+    echelon form when that form is read."""
+
+    __slots__ = ("field", "ncols", "_gf2", "_p", "_rows", "_pivots", "_pivot_mask", "_reduced")
 
     def __init__(self, field: Field, ncols: int):
         if ncols < 0:
@@ -70,11 +89,15 @@ class SubspaceBasis:
         self.field = field
         self.ncols = ncols
         self._gf2 = _is_gf2(field)
+        # The modulus of the inline arithmetic; 0 over the rationals.
+        self._p = field.p if field.kind == "prime" else 0
         # Sorted by pivot. GF(2): int masks, plus the mask of the pivot
-        # columns; otherwise scalar lists.
+        # columns; otherwise scalar lists. _reduced: whether the rows are
+        # in reduced row echelon form.
         self._rows = []
         self._pivots = []
         self._pivot_mask = 0
+        self._reduced = True
 
     @classmethod
     def zero(cls, field: Field, ncols: int) -> "SubspaceBasis":
@@ -114,13 +137,14 @@ class SubspaceBasis:
     # -- GF(2) bitmask path -------------------------------------------------
 
     def _reduce_mask(self, mask: int) -> int:
-        # In reduced echelon form a row is zero in every other pivot
-        # column, so the pivot bits of the input pick the rows to add.
-        hits = mask & self._pivot_mask
+        # A row is zero below its pivot bit, so adding it clears that bit
+        # and changes only higher ones: the lowest pivot bit left in the
+        # mask picks the next row to add.
+        rows, pivots, pivot_mask = self._rows, self._pivots, self._pivot_mask
+        hits = mask & pivot_mask
         while hits:
-            low = hits & -hits
-            mask ^= self._rows[bisect_left(self._pivots, low.bit_length() - 1)]
-            hits ^= low
+            mask ^= rows[bisect_left(pivots, (hits & -hits).bit_length() - 1)]
+            hits = mask & pivot_mask
         return mask
 
     def _insert_mask(self, mask: int) -> bool:
@@ -130,42 +154,58 @@ class SubspaceBasis:
         low = mask & -mask
         pivot = low.bit_length() - 1
         at = bisect_left(self._pivots, pivot)
-        rows = self._rows
-        # Only rows with a smaller pivot can have a one in this column.
-        for i in range(at):
-            if rows[i] & low:
-                rows[i] ^= mask
         self._pivots.insert(at, pivot)
-        rows.insert(at, mask)
+        self._rows.insert(at, mask)
         self._pivot_mask |= low
+        self._reduced = False
         return True
 
     # -- generic path -------------------------------------------------------
 
     def _reduce_list(self, vec: list) -> list:
-        f = self.field
+        """Reduce ``vec``, a list of the caller's own, in place; returns it."""
+        p = self._p
         for pivot, row in zip(self._pivots, self._rows):
             c = vec[pivot]
-            if not f.is_zero(c):
-                vec = [f.sub(a, f.mul(c, b)) for a, b in zip(vec, row)]
+            if c:
+                _subtract(vec, c, row, pivot, p)
         return vec
 
     def _insert_list(self, vec: list) -> bool:
-        f = self.field
         vec = self._reduce_list(vec)
-        pivot = next((j for j, c in enumerate(vec) if not f.is_zero(c)), None)
+        pivot = next((j for j, c in enumerate(vec) if c), None)
         if pivot is None:
             return False
-        scale = f.inv(vec[pivot])
-        vec = [f.mul(scale, c) for c in vec]
-        for i, row in enumerate(self._rows):
-            c = row[pivot]
-            if not f.is_zero(c):
-                self._rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, vec)]
+        scale, p = self.field.inv(vec[pivot]), self._p
+        vec = [(scale * c) % p for c in vec] if p else [scale * c for c in vec]
         at = bisect_left(self._pivots, pivot)
         self._pivots.insert(at, pivot)
         self._rows.insert(at, vec)
+        self._reduced = False
         return True
+
+    def _reduce_rows(self) -> None:
+        """Put the stored rows in reduced row echelon form, in place."""
+        if self._reduced:
+            return
+        rows, pivots, p = self._rows, self._pivots, self._p
+        # From the highest pivot down: the rows after row i are reduced,
+        # so clearing their pivot columns in row i sets no other one.
+        for i in range(len(rows) - 2, -1, -1):
+            row = rows[i]
+            if self._gf2:
+                hits = (row & self._pivot_mask) ^ (1 << pivots[i])
+                while hits:
+                    low = hits & -hits
+                    row ^= rows[bisect_left(pivots, low.bit_length() - 1, i + 1)]
+                    hits ^= low
+                rows[i] = row
+            else:
+                for j in range(i + 1, len(rows)):
+                    c = row[pivots[j]]
+                    if c:
+                        _subtract(row, c, rows[j], pivots[j], p)
+        self._reduced = True
 
     # -- public interface ---------------------------------------------------
 
@@ -186,25 +226,28 @@ class SubspaceBasis:
 
     def images(self, packed_map: Sequence, ncols: int) -> list:
         """The packed images of the stored rows under a linear map from
-        F^self.ncols to F^ncols. ``packed_map[j]`` is the image of column
-        j: over GF(2) an int mask, elsewhere its nonzero ``(i, c)``."""
+        F^self.ncols to F^ncols; they span the image of the subspace,
+        whichever echelon rows are stored. ``packed_map[j]`` is the image
+        of column j: over GF(2) an int mask, elsewhere its nonzero
+        ``(i, c)``."""
         if len(packed_map) != self.ncols:
             raise ValueError(f"expected a map on {self.ncols} columns, got {len(packed_map)}")
         if self._gf2:
             return [xor_selected(mask, packed_map) for mask in self._rows]
-        f = self.field
+        p, zero = self._p, self.field.zero
         out = []
         for row in self._rows:
-            image = [f.zero] * ncols
+            image = [zero] * ncols
             for a, targets in zip(row, packed_map):
-                if not f.is_zero(a):
+                if a:
                     for j, c in targets:
-                        image[j] = f.add(image[j], f.mul(a, c))
-            out.append(image)
+                        image[j] += a * c
+            out.append([x % p for x in image] if p else image)
         return out
 
     def reduce(self, vec: Sequence[Scalar]) -> tuple:
-        """Residual of a vector after elimination by the stored rows."""
+        """The residue of a vector by the span: the vector minus the one
+        element of the span that agrees with it in every pivot column."""
         self._check_length(vec)
         if self._gf2:
             return unpack_bits(self._reduce_mask(pack_bits(vec)), self.ncols)
@@ -214,20 +257,18 @@ class SubspaceBasis:
         self._check_length(vec)
         if self._gf2:
             return self._reduce_mask(pack_bits(vec)) == 0
-        f = self.field
-        return all(f.is_zero(c) for c in self._reduce_list(list(vec)))
+        return not any(self._reduce_list(list(vec)))
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         self._check_ambient(other)
         if self._gf2:
             return not any(self._reduce_mask(row) for row in other._rows)
-        f = self.field
-        return all(
-            f.is_zero(c) for row in other._rows for c in self._reduce_list(row)
-        )
+        return not any(any(self._reduce_list(list(row))) for row in other._rows)
 
     def rows(self) -> list:
-        """The reduced row-echelon rows, as scalar tuples."""
+        """The reduced row-echelon rows, as scalar tuples; the stored rows
+        are put in that form first."""
+        self._reduce_rows()
         if self._gf2:
             return [unpack_bits(m, self.ncols) for m in self._rows]
         return [tuple(row) for row in self._rows]
@@ -243,9 +284,15 @@ class SubspaceBasis:
             raise ValueError("subspaces live in different ambient spaces")
 
     def __eq__(self, other) -> bool:
+        """Equality of subspaces: the same pivot columns, which every
+        echelon basis of a subspace shares, then the same reduced rows."""
         if not isinstance(other, SubspaceBasis):
             return NotImplemented
         self._check_ambient(other)
+        if self._pivots != other._pivots:
+            return False
+        self._reduce_rows()
+        other._reduce_rows()
         return self._rows == other._rows
 
     def __repr__(self):
@@ -257,9 +304,10 @@ def linear_dependencies(
 ) -> SubspaceBasis:
     """Kernel {c : sum_i c_i * vectors[i] = 0} as a subspace of F^len(vectors).
 
-    One elimination, of the transposed system with its columns reversed: the
-    row of pivot p is then zero at every free column above p, so the kernel
-    row ``e_f - sum_p row_p[f] * e_p`` of free column f is already reduced.
+    One elimination, of the transposed system with its columns reversed,
+    whose rows are then put in reduced form: the row of pivot p is zero at
+    every other pivot and at every free column above p, so the kernel row
+    ``e_f - sum_p row_p[f] * e_p`` of free column f is already reduced.
     """
     m = len(vectors)
     if len({len(v) for v in vectors}) > 1:
@@ -268,6 +316,7 @@ def linear_dependencies(
     echelon = SubspaceBasis(field, m)
     for column in zip(*vectors):
         echelon.insert(column[::-1])
+    echelon._reduce_rows()
     pivot_rows = [(m - 1 - q, row) for q, row in zip(echelon._pivots, echelon._rows)]
     kernel = SubspaceBasis(field, m)
     kernel._pivots = sorted(set(range(m)).difference(p for p, _ in pivot_rows))

@@ -276,7 +276,7 @@ def consequence_subspace(
     memo: Optional["SpanMemo"] = None,
 ) -> SubspaceBasis:
     """Span of all multilinear substitution instances of family members
-    inside the component, as a row-echelon subspace.
+    inside the component, as a semi-echelon subspace.
 
     Computed by recursion over the sub-components T of the space (its
     variables minus some, in index order), memoized by degree tuple. An
@@ -392,5 +392,6 @@ def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:
 
 
 def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    """Exact equality of subspaces (canonical echelon forms coincide)."""
+    """Exact equality of subspaces: their reduced row echelon forms, into
+    which both are put in place, coincide."""
     return a == b

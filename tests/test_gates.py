@@ -73,3 +73,28 @@ def test_span_gate_sees_a_wrong_span(monkeypatch):
     assert gate_spans.component_mismatches(family, (1, 2, 2), field, memo) == [
         "mismatch", "mismatch with a shared memo",
     ]
+
+
+def test_span_gate_frontier_sample():
+    sample = list(gate_spans.frontier_sample())
+    sizes = {}
+    for field, name, degrees in sample:
+        sizes[len(degrees)] = sizes.get(len(degrees), 0) + 1
+    per_field_family = len(FIELDS) * len(gate_spans.FAMILIES) * 2
+    assert sizes == {
+        6: per_field_family * gate_spans.N6_SAMPLE, 7: per_field_family * gate_spans.N7_SAMPLE,
+    }
+    # one n = 6 component of the sample whose span does not fill
+    field, name, degrees = next(
+        (f, n, d) for f, n, d in sample
+        if len(d) == 6 and n == "u1" and sum(x % 2 for x in d) == 1
+    )
+    assert not gate_spans.frontier_mismatch(gate_spans.FAMILIES[name], degrees, field)
+
+
+def test_span_gate_frontier_sees_a_wrong_span(monkeypatch):
+    real = gate_spans.oracle_span_rows
+    monkeypatch.setattr(
+        gate_spans, "oracle_span_rows", lambda vectors, ncols, field: real(vectors, ncols, field)[1:]
+    )
+    assert gate_spans.frontier_mismatch(u1_family(), (1, 2, 2, 2), Field.gf(3))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import _row_reduce, oracle_kernel
+from conftest import _row_reduce, oracle_kernel, oracle_rref, oracle_span_rows
 from wittid.fields import Field
 from wittid.freealg import MultilinearSpace
 from wittid.models import _basis_tuple_rows, parse_model
@@ -124,14 +124,6 @@ def test_dependencies_of_independent_vectors_trivial():
 
 
 # -- packed rows against the from-scratch elimination of conftest ----------------
-
-
-def oracle_rref(vectors, ncols, field):
-    """The nonzero reduced row-echelon rows of the vectors, by conftest's
-    elimination: the canonical form SubspaceBasis.rows() must match."""
-    aug = [list(v) for v in vectors]
-    pivots = _row_reduce(aug, ncols, field)
-    return [tuple(row) for row in aug[: len(pivots)]]
 
 
 def random_scalar(rng, field, low=1):
@@ -343,3 +335,141 @@ def test_bits_round_trip_and_unpacked_rows_match_oracle(width):
             if residual[pivot]:
                 residual = [a ^ b for a, b in zip(residual, row)]
         assert span.reduce(vec) == tuple(residual)
+
+
+# -- semi-echelon storage, made canonical on demand -----------------------------
+
+QQ = Field.rationals()
+
+
+def oracle_residue(rref, vec, field):
+    """The residue of ``vec`` by reduced echelon rows: each row clears its
+    own pivot column and no other one."""
+    out = list(vec)
+    for row in rref:
+        c = vec[next(j for j, x in enumerate(row) if not field.is_zero(x))]
+        if not field.is_zero(c):
+            out = [field.sub(a, field.mul(c, b)) for a, b in zip(out, row)]
+    return tuple(out)
+
+
+def random_sparse_map(rng, field, source_cols, ncols):
+    """A linear map as SubspaceBasis.images takes it, and the dense image
+    of a vector under it."""
+    sparse = [
+        [(i, random_scalar(rng, field))
+         for i in sorted(rng.sample(range(ncols), rng.randint(0, min(3, ncols))))]
+        for _ in range(source_cols)
+    ]
+
+    def apply(vec):
+        image = [field.zero] * ncols
+        for a, targets in zip(vec, sparse):
+            for i, c in targets:
+                image[i] = field.add(image[i], field.mul(a, c))
+        return image
+
+    packed = [sum(1 << i for i, _ in row) for row in sparse] if field == GF2 else sparse
+    return packed, apply
+
+
+def draw(rng, field, ncols, inserted):
+    """A new vector, a combination of the ones inserted, or a stored row
+    scaled: inserts that grow the span and inserts that do not."""
+    kind = rng.random()
+    if inserted and kind < 0.3:
+        return combination(rng, field, rng.sample(inserted, min(3, len(inserted))), ncols)
+    if inserted and kind < 0.4:
+        c = random_scalar(rng, field)
+        return [field.mul(c, x) for x in rng.choice(inserted)]
+    return random_vector(rng, field, ncols, rng.choice([0.1, 0.4, 0.8]))
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_reads_interleaved_with_inserts_match_oracle(field):
+    rng = random.Random(19)
+    reads = {}
+    for _ in range(30):
+        wide = (60, 70) if field.kind == "prime" else (12, 16)
+        ncols = rng.choice([rng.randint(1, 8), rng.randint(*wide)])
+        span = SubspaceBasis.zero(field, ncols)
+        inserted, rank = [], 0
+        for _ in range(rng.randint(1, 24)):
+            vec = draw(rng, field, ncols, inserted)
+            inserted.append(vec)
+            rref = oracle_rref(inserted, ncols, field)
+            assert span.insert(vec) == (len(rref) > rank)
+            rank = len(rref)
+            assert span.dim == rank and span.is_full() == (rank == ncols)
+            read = rng.choice(["none", "rows", "eq", "deps", "reduce", "contains"])
+            reads[read] = reads.get(read, 0) + 1
+            if read == "rows":
+                assert span.rows() == rref
+            elif read == "eq":
+                # the same vectors in another order; or all but one
+                shuffled = rng.sample(inserted, len(inserted))
+                assert span == SubspaceBasis.from_vectors(field, ncols, shuffled)
+                fewer = shuffled[1:]
+                equal = len(oracle_rref(fewer, ncols, field)) == rank
+                assert (span == SubspaceBasis.from_vectors(field, ncols, fewer)) == equal
+            elif read == "deps":
+                m = len(inserted)
+                kernel = linear_dependencies(inserted, field)
+                assert kernel.rows() == oracle_rref(oracle_kernel(inserted, field), m, field)
+                # a canonical kernel that takes more inserts
+                extra = [random_vector(rng, field, m, 0.5) for _ in range(rng.randint(1, 3))]
+                for vec in extra:
+                    kernel.insert(vec)
+                assert kernel.rows() == oracle_rref(oracle_kernel(inserted, field) + extra, m, field)
+            elif read == "reduce":
+                probe = draw(rng, field, ncols, inserted)
+                residue = oracle_residue(rref, probe, field)
+                assert span.reduce(probe) == residue
+                assert span.contains_vector(probe) == (not any(residue))
+            elif read == "contains":
+                part = SubspaceBasis.from_vectors(field, ncols, rng.sample(inserted, len(inserted) // 2))
+                other = SubspaceBasis.from_vectors(field, ncols, [draw(rng, field, ncols, [])])
+                assert span.contains_subspace(part)
+                assert part.contains_subspace(span) == (part.dim == rank)
+                both = len(oracle_rref(inserted + other.rows(), ncols, field))
+                assert span.contains_subspace(other) == (both == rank)
+        assert span.rows() == oracle_rref(inserted, ncols, field)
+    assert min(reads.values()) >= 20, reads
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_images_of_semi_echelon_rows_span_the_image(field):
+    rng = random.Random(20)
+    differs = set()
+    for _ in range(30):
+        source_cols = rng.choice([rng.randint(1, 8), rng.randint(20, 30)])
+        ncols = rng.choice([rng.randint(1, 8), rng.randint(60, 70)])
+        packed, apply = random_sparse_map(rng, field, source_cols, ncols)
+        vectors = [random_vector(rng, field, source_cols, 0.4) for _ in range(rng.randint(0, 8))]
+        span = SubspaceBasis.from_vectors(field, source_cols, vectors)
+        # images of the stored rows first, while they are semi-echelon
+        semi = span.images(packed, ncols)
+        if field == GF2:
+            semi = [unpack_bits(mask, ncols) for mask in semi]
+        assert len(semi) == span.dim
+        canonical = [apply(row) for row in oracle_rref(vectors, source_cols, field)]
+        assert oracle_rref(semi, ncols, field) == oracle_rref(canonical, ncols, field)
+        differs.add([list(v) for v in semi] != [list(v) for v in canonical])
+        # once the rows are read, images are those of the canonical rows
+        span.rows()
+        after = span.images(packed, ncols)
+        if field == GF2:
+            after = [unpack_bits(mask, ncols) for mask in after]
+        assert [list(v) for v in after] == [list(v) for v in canonical]
+    # some images came from rows that were not yet reduced
+    assert differs == {True, False}
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_sparse_oracle_matches_dense_oracle(field):
+    rng = random.Random(21)
+    for _ in range(40):
+        ncols = rng.randint(0, 12)
+        vectors = [random_vector(rng, field, ncols, 0.3) for _ in range(rng.randint(0, 8))]
+        vectors += [combination(rng, field, vectors, ncols) for _ in range(rng.randint(0, 3))]
+        assert oracle_span_rows(vectors, ncols, field) == oracle_rref(vectors, ncols, field)
