@@ -15,7 +15,10 @@ that are brackets. The words of a left-normed monomial of n letters
 depend only on its letters' positions, so they are read off
 :func:`_position_fold`, the fold of the monomial on ``0, ..., n-1``,
 computed once per n (one ``itemgetter`` per word, and the signs).
-:func:`_expand` collects the words once into a word -> coefficient dict.
+:func:`_expand_element` is the one fold-and-collect: it folds each
+monomial of its input (a LiePoly, a tree, a variable or a left-normed
+tuple) and adds the words, times the coefficient, into one word ->
+coefficient dict.
 
 A :class:`MultilinearSpace` is the component of polynomials that are
 multilinear in a fixed set of distinct variables. Its dimension is
@@ -176,16 +179,6 @@ def _position_fold(n: int) -> tuple:
     return tuple(itemgetter(*w) for w in words), tuple(signs)
 
 
-def _expand(x, field: Field, letter: Optional[dict] = None) -> dict:
-    """Image of a tree or a left-normed tuple under ``[a, b] -> ab - ba``,
-    as a word -> coefficient dict with no zero coefficients: :func:`_fold`,
-    collected once."""
-    words, signs = _fold(x, letter)
-    # +-one keeps the field's scalar type; add_into reduces -1 mod p.
-    one = field.one
-    return field.add_into({}, zip(words, [one * s for s in signs]))
-
-
 class LiePoly(Combination):
     """Formal combination of left-normed monomials over a field."""
 
@@ -278,20 +271,22 @@ def expand_to_associative(x, field: Optional[Field] = None) -> AssocPoly:
 
 
 def _expand_element(x, field: Field, letter: Optional[dict] = None) -> dict:
-    """:func:`_expand` of a LiePoly (summed over its monomials), a tree, a
-    variable, or a left-normed monomial given as a tuple or list."""
+    """Image of a LiePoly, a tree, a variable or a left-normed tuple or list
+    under ``[a, b] -> ab - ba``, as a word -> coefficient dict with no zero
+    coefficients. The one fold-and-collect: each monomial is folded by
+    :func:`_fold` and its words are added with one :meth:`Field.add_into`
+    of ``c * sign``, c its coefficient."""
     if isinstance(x, LiePoly):
-        acc = {}
-        one = field.one
-        for mono, c in x.terms.items():
-            words = _expand(mono, field, letter).items()
-            if c != one:
-                words = [(w, field.mul(c, a)) for w, a in words]
-            field.add_into(acc, words)
-        return acc
-    if not isinstance(x, (Var, Pair, tuple, list)):
+        terms = x.terms.items()
+    elif isinstance(x, (Var, Pair, tuple, list)):
+        terms = ((x, field.one),)  # the field's one keeps its scalar type
+    else:
         raise TypeError(f"cannot expand {type(x).__name__}")
-    return _expand(x, field, letter)
+    acc = {}
+    for mono, c in terms:
+        words, signs = _fold(mono, letter)
+        field.add_into(acc, zip(words, [c * s for s in signs]))
+    return acc
 
 
 def zdegree(x) -> int:
@@ -401,7 +396,7 @@ def _letter_tables(n: int, field: Field) -> tuple:
         word_id = {w: i for i, w in enumerate(itertools.chain(lead_words, others))}
         masks = tuple(_word_mask(_fold(w)[0], word_id) for w in lead_words)
         return lead_words, MappingProxyType(word_id), masks, None
-    expansions = (_expand(w, field) for w in lead_words)
+    expansions = (_expand_element(w, field) for w in lead_words)
     return lead_words, None, None, tuple(MappingProxyType(e) for e in expansions)
 
 

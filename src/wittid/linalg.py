@@ -8,16 +8,18 @@ dimension, containment and :meth:`SubspaceBasis.reduce` do not depend on
 which semi-echelon rows are stored. Reduced row echelon form, the
 canonical one (two subspaces are equal iff their reduced rows coincide),
 is made in place only when it is read: by :meth:`SubspaceBasis.rows`,
-``==`` and :func:`linear_dependencies`.
+``==``, :meth:`SubspaceBasis.row_outside` and :func:`linear_dependencies`.
 
 Rows are stored packed: over GF(2) as int bitmasks (bit j = column j),
 over other fields as scalar lists with inline arithmetic, mod p over
 GF(p); :func:`pack_bits` and :func:`unpack_bits` convert between a GF(2)
-tuple and its mask. :meth:`SubspaceBasis.insert` also takes masks, such
-as the certified coordinate masks of :mod:`wittid.freealg`. Spans,
-images, kernels, containment and equality work on the packed rows; only
-:meth:`SubspaceBasis.rows`, :meth:`SubspaceBasis.reduce` and
-:meth:`SubspaceBasis.contains_vector` take or give scalar tuples.
+tuple and its mask. Each row form has one residue routine, which inserts,
+reductions, containment and the canonical form share. ``insert``,
+``reduce`` and ``contains_vector`` read a vector through one helper, so
+over GF(2) each also takes a mask that fits in ``ncols`` bits, such as
+the certified coordinate masks of :mod:`wittid.freealg`. Everything else
+works on the packed rows; only ``rows``, ``reduce`` and ``row_outside``
+give scalar tuples.
 """
 
 from __future__ import annotations
@@ -134,95 +136,96 @@ class SubspaceBasis:
     def is_full(self) -> bool:
         return len(self._rows) == self.ncols
 
-    # -- GF(2) bitmask path -------------------------------------------------
+    # -- the residue routines: one per row form ------------------------------
 
-    def _reduce_mask(self, mask: int) -> int:
+    def _reduce_mask(self, mask: int, start: int = 0) -> int:
+        """The residue of a GF(2) row mask modulo the rows from index
+        ``start`` on."""
         # A row is zero below its pivot bit, so adding it clears that bit
         # and changes only higher ones: the lowest pivot bit left in the
         # mask picks the next row to add.
-        rows, pivots, pivot_mask = self._rows, self._pivots, self._pivot_mask
-        hits = mask & pivot_mask
+        rows, pivots, live = self._rows, self._pivots, self._pivot_mask
+        if start:
+            live &= -(1 << pivots[start])  # the pivots from row ``start`` on
+        hits = mask & live
         while hits:
-            mask ^= rows[bisect_left(pivots, (hits & -hits).bit_length() - 1)]
-            hits = mask & pivot_mask
+            mask ^= rows[bisect_left(pivots, (hits & -hits).bit_length() - 1, start)]
+            hits = mask & live
         return mask
 
-    def _insert_mask(self, mask: int) -> bool:
-        mask = self._reduce_mask(mask)
-        if mask == 0:
-            return False
-        low = mask & -mask
-        pivot = low.bit_length() - 1
-        at = bisect_left(self._pivots, pivot)
-        self._pivots.insert(at, pivot)
-        self._rows.insert(at, mask)
-        self._pivot_mask |= low
-        self._reduced = False
-        return True
-
-    # -- generic path -------------------------------------------------------
-
-    def _reduce_list(self, vec: list) -> list:
-        """Reduce ``vec``, a list of the caller's own, in place; returns it."""
+    def _reduce_list(self, vec: list, start: int = 0) -> list:
+        """The residue of ``vec``, a list of the caller's own, modulo the
+        rows from index ``start`` on, made in place; returns it."""
         p = self._p
-        for pivot, row in zip(self._pivots, self._rows):
+        pairs = zip(self._pivots, self._rows)
+        if start:
+            pairs = islice(pairs, start, None)
+        for pivot, row in pairs:
             c = vec[pivot]
             if c:
                 _subtract(vec, c, row, pivot, p)
         return vec
 
-    def _insert_list(self, vec: list) -> bool:
-        vec = self._reduce_list(vec)
-        pivot = next((j for j, c in enumerate(vec) if c), None)
-        if pivot is None:
-            return False
-        scale, p = self.field.inv(vec[pivot]), self._p
-        vec = [(scale * c) % p for c in vec] if p else [scale * c for c in vec]
-        at = bisect_left(self._pivots, pivot)
-        self._pivots.insert(at, pivot)
-        self._rows.insert(at, vec)
-        self._reduced = False
-        return True
+    def _first_outside(self, rows: Iterable):
+        """The first of some packed rows, which are left as they are, that
+        the span misses; None when it contains them all."""
+        if self._gf2:
+            return next((row for row in rows if self._reduce_mask(row)), None)
+        return next((row for row in rows if any(self._reduce_list(list(row)))), None)
 
     def _reduce_rows(self) -> None:
         """Put the stored rows in reduced row echelon form, in place."""
         if self._reduced:
             return
-        rows, pivots, p = self._rows, self._pivots, self._p
-        # From the highest pivot down: the rows after row i are reduced,
-        # so clearing their pivot columns in row i sets no other one.
+        rows = self._rows
+        residue = self._reduce_mask if self._gf2 else self._reduce_list
+        # From the highest pivot down: the rows after row i are reduced, so
+        # the residue of row i modulo them is zero in every other pivot
+        # column and keeps its own pivot.
         for i in range(len(rows) - 2, -1, -1):
-            row = rows[i]
-            if self._gf2:
-                hits = (row & self._pivot_mask) ^ (1 << pivots[i])
-                while hits:
-                    low = hits & -hits
-                    row ^= rows[bisect_left(pivots, low.bit_length() - 1, i + 1)]
-                    hits ^= low
-                rows[i] = row
-            else:
-                for j in range(i + 1, len(rows)):
-                    c = row[pivots[j]]
-                    if c:
-                        _subtract(row, c, rows[j], pivots[j], p)
+            rows[i] = residue(rows[i], i + 1)
         self._reduced = True
+
+    def _read(self, vec: Sequence[Scalar] | int):
+        """A vector as a packed row of the caller's own: over GF(2) a mask,
+        taken as it is if it comes as one that fits in ``ncols`` bits;
+        elsewhere a list."""
+        if self._gf2 and isinstance(vec, int):
+            if vec < 0 or vec.bit_length() > self.ncols:
+                raise ValueError(f"mask does not fit in {self.ncols} columns")
+            return vec
+        if len(vec) != self.ncols:
+            raise ValueError(f"expected length {self.ncols}, got {len(vec)}")
+        return pack_bits(vec) if self._gf2 else list(vec)
+
+    def _unpack(self, row) -> tuple:
+        return unpack_bits(row, self.ncols) if self._gf2 else tuple(row)
 
     # -- public interface ---------------------------------------------------
 
     def insert(self, vec: Sequence[Scalar] | int) -> bool:
-        """Add a vector to the span; returns True if the rank grew.
-
-        Over GF(2) the vector may come packed, as an int mask (bit j =
-        column j) that fits in ``ncols`` bits."""
+        """Add a vector to the span; returns True if the rank grew. Its
+        residue, normalised to 1 at its pivot, is stored at that pivot."""
+        row = self._read(vec)
         if self._gf2:
-            if isinstance(vec, int):
-                if vec < 0 or vec.bit_length() > self.ncols:
-                    raise ValueError(f"mask does not fit in {self.ncols} columns")
-                return self._insert_mask(vec)
-            self._check_length(vec)
-            return self._insert_mask(pack_bits(vec))
-        self._check_length(vec)
-        return self._insert_list(list(vec))
+            row = self._reduce_mask(row)
+            if not row:
+                return False
+            low = row & -row
+            pivot = low.bit_length() - 1
+            self._pivot_mask |= low
+        else:
+            row = self._reduce_list(row)
+            pivot = next((j for j, c in enumerate(row) if c), None)
+            if pivot is None:
+                return False
+            scale, p = self.field.inv(row[pivot]), self._p
+            row = [(scale * c) % p for c in row] if p else [scale * c for c in row]
+        at = bisect_left(self._pivots, pivot)
+        self._pivots.insert(at, pivot)
+        self._rows.insert(at, row)
+        self._reduced = False
+        return True
 
     def images(self, packed_map: Sequence, ncols: int) -> list:
         """The packed images of the stored rows under a linear map from
@@ -245,37 +248,34 @@ class SubspaceBasis:
             out.append([x % p for x in image] if p else image)
         return out
 
-    def reduce(self, vec: Sequence[Scalar]) -> tuple:
-        """The residue of a vector by the span: the vector minus the one
-        element of the span that agrees with it in every pivot column."""
-        self._check_length(vec)
-        if self._gf2:
-            return unpack_bits(self._reduce_mask(pack_bits(vec)), self.ncols)
-        return tuple(self._reduce_list(list(vec)))
+    def reduce(self, vec: Sequence[Scalar] | int) -> tuple:
+        """The residue of a vector by the span, as a scalar tuple: the
+        vector minus the one element of the span that agrees with it in
+        every pivot column."""
+        row = self._read(vec)
+        return self._unpack(self._reduce_mask(row) if self._gf2 else self._reduce_list(row))
 
-    def contains_vector(self, vec: Sequence[Scalar]) -> bool:
-        self._check_length(vec)
-        if self._gf2:
-            return self._reduce_mask(pack_bits(vec)) == 0
-        return not any(self._reduce_list(list(vec)))
+    def contains_vector(self, vec: Sequence[Scalar] | int) -> bool:
+        return self._first_outside((self._read(vec),)) is None
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         self._check_ambient(other)
-        if self._gf2:
-            return not any(self._reduce_mask(row) for row in other._rows)
-        return not any(any(self._reduce_list(list(row))) for row in other._rows)
+        return self._first_outside(other._rows) is None
+
+    def row_outside(self, other: "SubspaceBasis") -> tuple | None:
+        """The first reduced row of ``other`` that the span misses, as a
+        scalar tuple; None when the span contains ``other``. Only that row
+        is unpacked."""
+        self._check_ambient(other)
+        other._reduce_rows()
+        row = self._first_outside(other._rows)
+        return None if row is None else other._unpack(row)
 
     def rows(self) -> list:
         """The reduced row-echelon rows, as scalar tuples; the stored rows
         are put in that form first."""
         self._reduce_rows()
-        if self._gf2:
-            return [unpack_bits(m, self.ncols) for m in self._rows]
-        return [tuple(row) for row in self._rows]
-
-    def _check_length(self, vec: Sequence[Scalar]):
-        if len(vec) != self.ncols:
-            raise ValueError(f"expected length {self.ncols}, got {len(vec)}")
+        return list(map(self._unpack, self._rows))
 
     def _check_ambient(self, other: "SubspaceBasis"):
         if not isinstance(other, SubspaceBasis):

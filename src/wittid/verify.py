@@ -235,7 +235,7 @@ class VerificationReport:
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
         """Load a report; a malformed one, or one whose model and range
-        name no family, raises ValueError."""
+        name no family or whose field is none, raises ValueError."""
         data = json.loads(text)
         _check_shape(data, REPORT_SCHEMA, "report")
         config = data["config"]
@@ -248,6 +248,7 @@ class VerificationReport:
             timings=data["timings"],
         )
         report.family()
+        Field.from_spec(config["field"])
         return report
 
 
@@ -414,10 +415,8 @@ def _entry(model, degrees, budget_s, memo: SpanMemo) -> dict:
                 entry["witness"] = format_polynomial(space.poly_from_coords(coords))
                 break
     elif not complete:
-        for row in ident.rows():
-            if not cons.contains_vector(row):
-                entry["witness"] = format_polynomial(space.poly_from_coords(row))
-                break
+        row = cons.row_outside(ident)
+        entry["witness"] = format_polynomial(space.poly_from_coords(row))
     return entry
 
 

@@ -104,6 +104,30 @@ def test_evaluate_explicit_substitution(capsys):
     assert out.strip() == "E13"
 
 
+
+@pytest.mark.parametrize(
+    "at, want",
+    [("x1", "bad substitution item 'x1' (want x1=e2)"),
+     ("y1=e2", "bad variable name 'y1'"),
+     ("xa=e2", "bad variable name 'xa'"),
+     ("x9=e2", "variable x9 does not occur in the polynomial"),
+     ("x1=e7", "'e7' is not a basis vector of degree 1 in u1"),
+     ("x1=e1", "substitution misses x2^2")],
+)
+def test_evaluate_refuses_a_bad_substitution(capsys, at, want):
+    code, out, err = run(capsys, "evaluate", "--model", "u1", "--at", at, "[x1^1, x2^2]")
+    assert code == 2
+    assert out == ""
+    assert want in err
+
+
+def test_evaluate_substitution_allows_spaces(capsys):
+    code, out, _ = run(
+        capsys, "evaluate", "--model", "u1", "--at", "x1 = e1 , x2=e2", "[x1^1, x2^2]"
+    )
+    assert code == 0
+    assert out.strip() == "e3"
+
 def test_evaluate_needs_at_for_wide_components(capsys):
     code, _, err = run(capsys, "evaluate", "--model", "ut3:2:2", "[x1^2, x2^2]")
     assert code == 2
@@ -508,6 +532,21 @@ def test_report_without_a_family_exits_two(capsys, tmp_path, key, value, want):
     assert out == ""
     assert want in err
 
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [("gf4", "field modulus must be prime, got 4"), ("banana", "bad field spec 'banana'")],
+)
+@pytest.mark.parametrize("revalidate", [(), ("--revalidate",)], ids=["report", "revalidate"])
+def test_report_over_a_non_field_exits_two(capsys, tmp_path, value, want, revalidate):
+    out_path, data = _saved_report(capsys, tmp_path)
+    data["config"]["field"] = value
+    out_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "report", str(out_path), *revalidate)
+    assert code == 2
+    assert out == ""
+    assert want in err
 
 def test_report_with_another_family_exits_one(capsys, tmp_path):
     out_path, data = _saved_report(capsys, tmp_path, "w1")

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -19,7 +20,6 @@ from wittid.freealg import (
     Var,
     _ad_rows,
     _core_rows,
-    _expand,
     _expand_element,
     _fold,
     _position_fold,
@@ -276,7 +276,7 @@ def test_liepoly_input_agrees_with_tree_input(field):
                 coords = [field.zero] * space.dim
                 for mono, c in poly.terms.items():
                     tree = mono_to_tree(mono)
-                    words = _expand(tree, field, letters).items()
+                    words = _expand_element(tree, field, letters).items()
                     field.add_into(want, ((w, field.mul(c, a)) for w, a in words))
                     coords = [
                         field.add(x, field.mul(c, y))
@@ -285,7 +285,7 @@ def test_liepoly_input_agrees_with_tree_input(field):
                 assert _expand_element(poly, field, letters) == want
                 assert space.coordinates(poly) == tuple(coords)
             for mono in poly.terms:
-                assert _expand(mono, field) == _expand(mono_to_tree(mono), field)
+                assert _expand_element(mono, field) == _expand_element(mono_to_tree(mono), field)
 
 
 def test_certification_is_live_on_both_paths():
@@ -454,6 +454,27 @@ def test_expansion_matches_orientation_oracle(field):
             for x in (tree, mono, repeated):
                 assert expand_to_associative(x, field).terms == oracle_expand(x, field)
 
+
+
+@pytest.mark.parametrize("field", [Field.gf(3), Q], ids=str)
+def test_expand_element_of_scaled_polys_matches_oracle(field):
+    # Each monomial's words are added once, times its coefficient; the
+    # monomials may repeat letters, so that words cancel within them.
+    rng = random.Random(f"scaled/{field}")
+    for n in range(1, 6):
+        vs = [v(i + 1, rng.randint(-2, 2)) for i in range(n)]
+        for _ in range(10):
+            monos = {tuple(rng.sample(vs, n)) for _ in range(rng.randint(1, 4))}
+            monos.add(tuple(rng.choice(vs) for _ in range(n)))
+            if field == Q:
+                terms = {m: Fraction(rng.choice([-3, -2, 2, 5]), rng.randint(1, 4)) for m in monos}
+            else:
+                terms = {m: 2 for m in monos}
+            want = {}
+            for mono, c in terms.items():
+                words = oracle_expand(mono, field).items()
+                field.add_into(want, ((w, field.mul(c, a)) for w, a in words))
+            assert _expand_element(LiePoly(field, terms), field) == want
 
 @pytest.mark.parametrize("field", [GF2, Field.gf(3), Q])
 def test_basis_expansions_full_rank(field):

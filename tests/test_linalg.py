@@ -299,13 +299,25 @@ def test_image_insertion_matches_oracle(field):
 
 @pytest.mark.parametrize("ncols", [3, 64, 130])
 def test_packed_row_must_fit(ncols):
+    # insert, reduce and contains_vector read a vector through one helper:
+    # over GF(2) each takes a mask that fits in ncols bits, and no other.
     basis = SubspaceBasis.zero(GF2, ncols)
-    for mask in (1 << ncols, (1 << (ncols + 1)) - 1, -1):
-        with pytest.raises(ValueError, match="does not fit"):
-            basis.insert(mask)
+    for read in (basis.insert, basis.reduce, basis.contains_vector):
+        for mask in (1 << ncols, (1 << (ncols + 1)) - 1, -1):
+            with pytest.raises(ValueError, match="does not fit"):
+                read(mask)
     assert basis.is_zero()
-    assert basis.insert(1 << (ncols - 1)) and basis.insert((1 << ncols) - 1)
+    top, ones = 1 << (ncols - 1), (1 << ncols) - 1
+    assert basis.insert(ones) and not basis.contains_vector(top)
+    assert basis.reduce(top) == basis.reduce(unpack_bits(top, ncols)) == unpack_bits(top, ncols)
+    assert basis.reduce(ones) == (0,) * ncols and basis.contains_vector(ones)
+    assert basis.insert(top)
     assert basis.rows() == oracle_rref([[0] * (ncols - 1) + [1], [1] * ncols], ncols, GF2)
+    # A mask is a GF(2) row; other fields take scalar sequences only.
+    other = SubspaceBasis.from_vectors(GF3, ncols, [[1] * ncols])
+    for read in (other.insert, other.reduce, other.contains_vector):
+        with pytest.raises(TypeError):
+            read(top)
 
 
 def test_images_check_the_map_width():
@@ -473,3 +485,31 @@ def test_sparse_oracle_matches_dense_oracle(field):
         vectors = [random_vector(rng, field, ncols, 0.3) for _ in range(rng.randint(0, 8))]
         vectors += [combination(rng, field, vectors, ncols) for _ in range(rng.randint(0, 3))]
         assert oracle_span_rows(vectors, ncols, field) == oracle_rref(vectors, ncols, field)
+
+
+# -- the first reduced row a span misses ----------------------------------------
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_row_outside_is_the_first_reduced_row_missed(field):
+    rng = random.Random(20)
+    outcomes = []
+    for _ in range(60):
+        ncols = rng.randint(1, 12)
+        inner = [random_vector(rng, field, ncols, 0.4) for _ in range(rng.randint(0, 6))]
+        outer = rng.sample(inner, rng.randint(0, len(inner)))
+        outer += [draw(rng, field, ncols, inner) for _ in range(rng.randint(0, 2))]
+        span = SubspaceBasis.from_vectors(field, ncols, outer)
+        rank = len(oracle_rref(outer, ncols, field))
+        want = next(
+            (row for row in oracle_rref(inner, ncols, field)
+             if len(oracle_rref(outer + [row], ncols, field)) > rank),
+            None,
+        )
+        other = SubspaceBasis.from_vectors(field, ncols, inner)
+        assert span.row_outside(other) == want
+        assert span.contains_subspace(other) == (want is None)
+        outcomes.append(want is None)
+    assert 10 <= sum(outcomes) <= 50, sum(outcomes)
+    with pytest.raises(ValueError, match="different ambient"):
+        span.row_outside(SubspaceBasis.zero(field, ncols + 1))

@@ -542,6 +542,18 @@ def test_budget_flags_skipped_spaces():
     jsonschema.validate(report.to_json_dict(), REPORT_SCHEMA)
 
 
+
+def test_skipped_entries_revalidate_unless_their_shape_is_forged():
+    # A skipped entry is checked only against the n, dimP and orbit of its
+    # degrees, which every entry must match.
+    report = verify_basis_theorem(SweepConfig(model="u1", nmax=3, dmax=1, space_budget_s=0.0))
+    skipped = [e for e in report.spaces if e.get("skipped")]
+    assert skipped
+    for entry in skipped:
+        assert revalidate_entry(entry, report.config)
+        for key in ("n", "dimP", "orbit"):
+            assert not revalidate_entry({**entry, key: entry[key] + 1}, report.config)
+
 def test_extra_degree_tuples_are_included_once():
     config = SweepConfig(
         model="w1", nmax=2, dmax=1, extra_degree_tuples=((-1, 3), (1, -1))
