@@ -17,16 +17,23 @@ models:
   degree d.
 
 Models are immutable after construction and evaluation is pure. Values
-are computed by structure constants only, through each model's one
-``bracket``: :meth:`WittModel.bracket` reads ``(j - i)`` term by term,
-:meth:`UT3Model.bracket` the E12 and E23 coefficients, and the
-one-dimensional model's bracket is zero.
-One loop, :func:`_basis_tuple_rows`, evaluates a list of multilinear
+are computed by structure constants only, through each model's one term
+bracket, :meth:`~GradedModel.bracket_terms`, on reduced
+``(degree, slot) -> scalar`` dicts: :meth:`WittModel.bracket_terms`
+reads ``(j - i)`` term by term with the residues taken inline,
+:meth:`UT3Model.bracket_terms` the E12 and E23 coefficients, and the
+one-dimensional model's is zero. :meth:`GradedModel.bracket` is the one
+wrapper that gives it :class:`ModelElement` arguments and value.
+One evaluator, :func:`_value`, takes a bracket tree or a left-normed
+tuple, and stops at the first part whose value is zero; :func:`evaluate`
+and :func:`first_nonzero` (the soundness-witness search) use it. One
+loop, :func:`_basis_tuple_rows`, evaluates a list of multilinear
 monomials on every tuple of component basis vectors, for both the
 multilinear identity check and the identity subspaces; it keeps a stack of
 prefix values per tuple, so a prefix that consecutive monomials share is
 bracketed once (the left-normed basis, in lexicographic order, brackets
-about e·(n-1)! prefixes instead of (n-1)·(n-1)!).
+about e·(n-1)! prefixes instead of (n-1)·(n-1)!), and the monomials after
+a zero prefix that start with it get zero rows without a bracket.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ import itertools
 from operator import attrgetter
 from typing import Dict, Iterator, Optional, Sequence
 
-from .fields import Combination, Field, Scalar
-from .freealg import LiePoly, Var
+from .fields import Combination, Field
+from .freealg import LiePoly, Pair, Var
 
 
 class ModelElement(Combination):
@@ -50,9 +57,6 @@ class ModelElement(Combination):
     def is_homogeneous(self, degree: int) -> bool:
         """Lies in the component of the given degree (zero qualifies)."""
         return all(d == degree for d, _ in self.terms)
-
-    def coeff(self, degree: int, slot: int) -> Scalar:
-        return self.terms.get((degree, slot), self.field.zero)
 
     def __repr__(self):
         return f"ModelElement({self.terms})"
@@ -87,7 +91,14 @@ class GradedModel:
         return ModelElement(self.field, {(degree, slot): self.field.one})
 
     def bracket(self, x: ModelElement, y: ModelElement) -> ModelElement:
-        """The bracket of two elements, by the model's structure constants."""
+        """The bracket of two elements: :meth:`bracket_terms` of their terms."""
+        value = ModelElement(self.field)
+        value.terms = self.bracket_terms(x.terms, y.terms)
+        return value
+
+    def bracket_terms(self, x: dict, y: dict) -> dict:
+        """The bracket of two reduced ``(degree, slot) -> scalar`` dicts, as
+        one, by the model's structure constants."""
         raise NotImplementedError
 
     def slot_name(self, degree: int, slot: int) -> str:
@@ -116,21 +127,27 @@ class WittModel(GradedModel):
         self.min_degree = min_degree
         self.name = "u1" if min_degree is None else "w1"
 
-    def component_slots(self, degree: int) -> tuple:
-        if self.min_degree is not None and degree < self.min_degree:
-            return ()
-        return (f"e{degree}",)
+    def dim(self, degree: int) -> int:
+        return int(self.min_degree is None or degree >= self.min_degree)
 
-    def bracket(self, x: ModelElement, y: ModelElement) -> ModelElement:
+    def component_slots(self, degree: int) -> tuple:
+        return (f"e{degree}",) if self.dim(degree) else ()
+
+    def bracket_terms(self, x: dict, y: dict) -> dict:
         """``[a e_i, b e_j] = ab(j - i) e_{i+j}`` over every pair of terms,
-        summed by one :meth:`Field.add_into`, which reduces the products
-        and drops the zeros."""
-        value = ModelElement(self.field)
-        value.terms = out = self.field.add_into({}, [
-            ((d1 + d2, 0), c1 * c2 * (d2 - d1))
-            for (d1, _), c1 in x.terms.items()
-            for (d2, _), c2 in y.terms.items()
-        ])
+        summed with the residues taken inline and the zeros dropped."""
+        p = self.field.p
+        out = {}
+        for (d1, _), c1 in x.items():
+            for (d2, _), c2 in y.items():
+                key = (d1 + d2, 0)
+                c = out.get(key, 0) + c1 * c2 * (d2 - d1)
+                if p is not None:
+                    c %= p
+                if c:
+                    out[key] = c
+                else:
+                    out.pop(key, None)
         low = self.min_degree
         if low is not None:
             for d, _ in out:
@@ -138,7 +155,7 @@ class WittModel(GradedModel):
                     # Cannot happen: within support, products landing below
                     # the truncation always carry coefficient zero.
                     raise AssertionError(f"bracket left the support at degree {d}")
-        return value
+        return out
 
 
 class UT3Model(GradedModel):
@@ -179,15 +196,12 @@ class UT3Model(GradedModel):
                 return d, names.index(unit)
         raise AssertionError(unit)
 
-    def bracket(self, x: ModelElement, y: ModelElement) -> ModelElement:
+    def bracket_terms(self, x: dict, y: dict) -> dict:
         """``(x_E12 y_E23 - x_E23 y_E12) E13``: [E12, E23] = E13 is the only
         nonzero bracket of basis matrices, whichever components they share."""
-        f = self.field
-        c = f.sub(
-            f.mul(x.coeff(*self._e12), y.coeff(*self._e23)),
-            f.mul(x.coeff(*self._e23), y.coeff(*self._e12)),
-        )
-        return ModelElement(f, {self._e13: c})
+        e12, e23 = self._e12, self._e23
+        c = x.get(e12, 0) * y.get(e23, 0) - x.get(e23, 0) * y.get(e12, 0)
+        return self.field.reduced([(self._e13, c)])
 
 
 class OneDimModel(GradedModel):
@@ -204,8 +218,8 @@ class OneDimModel(GradedModel):
     def finite_support(self) -> tuple:
         return (self.d,)
 
-    def bracket(self, x: ModelElement, y: ModelElement) -> ModelElement:
-        return ModelElement(self.field)
+    def bracket_terms(self, x: dict, y: dict) -> dict:
+        return {}
 
 
 def u1_model(field: Field) -> WittModel:
@@ -254,43 +268,69 @@ def _check_field(f: LiePoly, field: Field):
         raise ValueError(f"polynomial field {f.field} does not match the model's field {field}")
 
 
-def _check_substitution(f: LiePoly, substitution: dict, model: GradedModel):
-    """Every variable of f has a value over the model's field that lies in
-    the component of its degree; the lowest offending variable is named."""
+def _substituted_terms(f: LiePoly, substitution: dict, model: GradedModel) -> dict:
+    """The terms of the value of each variable of f, checked in one pass:
+    every value lies over the model's field and in the component of its
+    variable's degree. On failure the lowest offending variable is named."""
     field = model.field
-    for v in sorted(f.variables(), key=_VAR_ORDER):
+    values = {}
+    variables = f.variables()
+    for v in variables:
+        value = substitution.get(v)
+        if value is None or value.field is not field and value.field != field:
+            continue
+        degree = v.degree
+        for d, _ in value.terms:
+            if d != degree:
+                break
+        else:
+            values[v] = value.terms
+    if len(values) < len(variables):
+        v = min(variables - values.keys(), key=_VAR_ORDER)
         value = substitution.get(v)
         if value is None:
             raise ValueError(f"substitution misses variable {v}")
         if value.field is not field and value.field != field:
             raise ValueError(f"value for {v} lives over a different field")
-        degree = v.degree
-        for d, _ in value.terms:
-            if d != degree:
-                raise ValueError(
-                    f"inadmissible substitution: value for {v} is not homogeneous "
-                    f"of degree {degree} (degrees {sorted(value.degrees())})"
-                )
+        raise ValueError(
+            f"inadmissible substitution: value for {v} is not homogeneous "
+            f"of degree {v.degree} (degrees {sorted(value.degrees())})"
+        )
+    return values
 
 
-def _evaluate_monomial(mono: tuple, substitution: dict, model: GradedModel) -> ModelElement:
-    acc = substitution[mono[0]]
-    for v in mono[1:]:
-        if acc.is_zero():
-            return acc
-        acc = model.bracket(acc, substitution[v])
-    return acc
+def _value(x, values: dict, bracket) -> dict:
+    """The terms of the value of ``x``, a bracket tree or a left-normed
+    tuple of variables, when each variable v takes the terms ``values[v]``;
+    ``bracket`` is the model's :meth:`~GradedModel.bracket_terms`. A part
+    whose value is zero ends the evaluation: a left-normed prefix, or the
+    left side of a bracket before its right side is evaluated."""
+    if type(x) is tuple:
+        acc = values[x[0]]
+        for v in x[1:]:
+            if not acc:
+                break
+            acc = bracket(acc, values[v])
+        return acc
+    if type(x) is Pair:
+        left = _value(x.left, values, bracket)
+        if not left:
+            return left
+        right = _value(x.right, values, bracket)
+        return bracket(left, right) if right else right
+    return values[x]
 
 
 def evaluate(f: LiePoly, substitution: dict, model: GradedModel) -> ModelElement:
     """Value of f under an admissible substitution, by structure constants."""
     field = model.field
     _check_field(f, field)
-    _check_substitution(f, substitution, model)
+    values = _substituted_terms(f, substitution, model)
+    bracket = model.bracket_terms
     one = field.one
     out = {}
     for mono, c in f.terms.items():
-        value = _evaluate_monomial(mono, substitution, model).terms.items()
+        value = _value(mono, values, bracket).items()
         if c != one:
             value = [(key, field.mul(c, a)) for key, a in value]
         field.add_into(out, value)
@@ -306,12 +346,32 @@ def basis_substitutions(model: GradedModel, variables: Sequence[Var]) -> Iterato
     Yields nothing when some variable's component is zero, since then
     every admissible value of that variable is zero.
     """
+    for letters in _basis_terms(model, variables):
+        yield {v: ModelElement(model.field, terms) for v, terms in letters.items()}
+
+
+def _basis_terms(model: GradedModel, variables: Sequence[Var]) -> list:
+    """The :func:`basis_substitutions` as ``Var -> terms`` dicts, in order."""
+    one = model.field.one
     per_var = [
-        [model.basis_element(v.degree, i) for i in range(model.dim(v.degree))]
+        [{(v.degree, slot): one} for slot in range(model.dim(v.degree))]
         for v in variables
     ]
-    for choice in itertools.product(*per_var):
-        yield dict(zip(variables, choice))
+    return [dict(zip(variables, choice)) for choice in itertools.product(*per_var)]
+
+
+def first_nonzero(model: GradedModel, variables: Sequence[Var], elements):
+    """The first of ``elements`` (bracket trees or left-normed tuples in
+    the variables) that takes a nonzero value on some basis tuple, or
+    None. The identity subspace is the kernel of this evaluation, so that
+    is the first element outside it."""
+    substitutions = _basis_terms(model, variables)
+    bracket = model.bracket_terms
+    for x in elements:
+        for values in substitutions:
+            if _value(x, values, bracket):
+                return x
+    return None
 
 
 def _basis_tuple_rows(model: GradedModel, variables: Sequence[Var], monomials) -> list:
@@ -319,11 +379,13 @@ def _basis_tuple_rows(model: GradedModel, variables: Sequence[Var], monomials) -
     coordinates in the component of the variables' degree sum, concatenated.
     The tuples are admissible by construction, so none is checked.
 
-    Each substitution keeps a stack of prefix values: the values of the
-    prefixes that a monomial shares with the one before it in the list are
-    reused, so a run of monomials with a common prefix brackets it once,
-    and a zero prefix ends the monomial. Any order of ``monomials`` gives
-    the same rows; the lexicographic order shares the most.
+    Each substitution keeps a stack of prefix values (term dicts): the
+    values of the prefixes that a monomial shares with the one before it in
+    the list are reused, so a run of monomials with a common prefix brackets
+    it once, and a zero prefix ends the monomial. The monomials that follow
+    and start with the same zero prefix, found by one tuple-slice compare,
+    get zero rows with no bracket. Any order of ``monomials`` gives the same
+    rows; the lexicographic order shares the most.
     """
     total = sum(v.degree for v in variables)
     keys = [(total, slot) for slot in range(model.dim(total))]
@@ -331,14 +393,18 @@ def _basis_tuple_rows(model: GradedModel, variables: Sequence[Var], monomials) -
     if not keys:
         return rows
     zeros = [model.field.zero] * len(keys)
-    bracket = model.bracket
-    for substitution in basis_substitutions(model, variables):
+    bracket = model.bracket_terms
+    for letters in _basis_terms(model, variables):
         # values[k] is the value of the previous monomial's first k + 1
-        # letters; the stack stops at the first zero prefix, so only the
-        # letters it covers are compared.
+        # letters; the stack stops at the first zero prefix, whose letters
+        # are ``dead`` (else ``dead`` is None).
         values = []
         previous = ()
+        dead = None
         for row, mono in zip(rows, monomials):
+            if dead is not None and mono[:len(dead)] == dead:
+                row.extend(zeros)
+                continue
             k = 0
             for a, b, _ in zip(mono, previous, values):
                 if a is not b and a != b:
@@ -346,14 +412,19 @@ def _basis_tuple_rows(model: GradedModel, variables: Sequence[Var], monomials) -
                 k += 1
             del values[k:]
             if not values:
-                values.append(substitution[mono[0]])
+                values.append(letters[mono[0]])
             acc = values[-1]
             for v in mono[len(values):]:
-                if not acc.terms:
+                if not acc:
                     break
-                acc = bracket(acc, substitution[v])
+                acc = bracket(acc, letters[v])
                 values.append(acc)
-            row.extend(map(acc.terms.get, keys, zeros))
+            if acc:
+                row.extend(map(acc.get, keys, zeros))
+                dead = None
+            else:
+                row.extend(zeros)
+                dead = mono[:len(values)]
             previous = mono
     return rows
 

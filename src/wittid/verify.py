@@ -6,7 +6,12 @@ generating family (soundness: consequences are identities; completeness:
 identities are consequences), and produces machine-readable reports. A
 run of components is the :class:`SweepConfig` and a list of degree
 tuples: the whole sweep when serial, one chunk per task of a process
-pool, with one span memo per run.
+pool, with one span memo per run. A sweep refuses a configuration of
+more than :data:`MAX_COMPONENTS` components or :data:`MAX_VARIABLES`
+variables before any component runs. The soundness witness of an unsound
+component is the first consequence instance that evaluation on the basis
+tuples does not send to zero (:func:`~wittid.models.first_nonzero`);
+only that instance's coordinates are computed.
 Also provides separation certificates: graded algebras that violate one
 family member while satisfying all the others, which is what rules out
 any finite generating set. One private check evaluates every separation
@@ -29,13 +34,20 @@ import json
 import os
 import time
 from dataclasses import dataclass, field as dataclass_field
-from math import factorial, inf
+from math import comb, factorial, inf
 from typing import Optional, Sequence
 
 from .fields import Field
 from .freealg import LiePoly, MultilinearSpace, Var
 from .grammar import format_polynomial, parse_polynomial
-from .models import onedim_model, parse_model, satisfies_multilinear, u1_model, ut3_model
+from .models import (
+    first_nonzero,
+    onedim_model,
+    parse_model,
+    satisfies_multilinear,
+    u1_model,
+    ut3_model,
+)
 from .tideal import (
     BasisFamily,
     BudgetExceeded,
@@ -130,6 +142,11 @@ class SweepConfig:
         if () in self.extra_degree_tuples:
             raise ValueError("an extra degree tuple needs at least one degree")
         _check_size(self.nmax, self.extra_degree_tuples, "the sweep")
+        count = sweep_size(self.nmax, self.dmax, self.extra_degree_tuples)
+        if count > MAX_COMPONENTS:
+            raise ValueError(
+                f"the sweep has {count:,} components; at most {MAX_COMPONENTS:,} are supported"
+            )
 
     def family(self) -> BasisFamily:
         return family_for(self.model, self.family_range)
@@ -274,6 +291,11 @@ def _check_budget(budget, where: str) -> None:
 #: and 60 MiB on a 2-core machine; on 9 an expansion has 362,880 words.
 MAX_VARIABLES = 8
 
+#: The most components a sweep may have. The widest documented sweep,
+#: u1 ``nmax=6, dmax=4``, has 5,004, and ``nmax=8`` at the default
+#: ``dmax=3`` has 6,434; ``nmax=8, dmax=40`` would have about 7·10^10.
+MAX_COMPONENTS = 10_000
+
 
 def _check_size(nmax: int, extra_degree_tuples, where: str) -> None:
     """Refuse a sweep that reaches a component of more than
@@ -340,6 +362,14 @@ def sweep_tuples(nmax: int, dmax: int, extra_degree_tuples=()):
         if key not in seen:
             seen.add(key)
             yield key
+
+
+def sweep_size(nmax: int, dmax: int, extra_degree_tuples=()) -> int:
+    """The number of tuples :func:`sweep_tuples` lists, in closed form: the
+    nondecreasing n-tuples from 2·dmax + 1 degrees number C(2·dmax + n, n)."""
+    extras = {tuple(sorted(t)) for t in extra_degree_tuples}
+    outside = sum(not in_sweep(t, nmax, dmax) for t in extras)
+    return sum(comb(2 * dmax + n, n) for n in range(1, nmax + 1)) + outside
 
 
 def in_sweep(degrees: Sequence[int], nmax: int, dmax: int, extra_degree_tuples=()) -> bool:
@@ -409,11 +439,11 @@ def _entry(model, degrees, budget_s, memo: SpanMemo) -> dict:
     entry["sound"] = sound
     entry["complete"] = complete
     if not sound:
-        for tree in consequence_instances(family, space):
-            coords = space.coordinates(tree)
-            if not ident.contains_vector(coords):
-                entry["witness"] = format_polynomial(space.poly_from_coords(coords))
-                break
+        # The identity subspace is the kernel of evaluation on the basis
+        # tuples, so the first instance outside it is the first that some
+        # basis tuple does not send to zero.
+        tree = first_nonzero(model, space.variables, consequence_instances(family, space))
+        entry["witness"] = format_polynomial(space.poly_from_coords(space.coordinates(tree)))
     elif not complete:
         row = cons.row_outside(ident)
         entry["witness"] = format_polynomial(space.poly_from_coords(row))

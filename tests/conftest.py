@@ -6,7 +6,7 @@ summed over every orientation of the tree, coordinates are recovered by a
 from-scratch Gaussian solve on the full word-coordinate system, so they
 can certify the first-letter extraction used by the package, and model
 values come from closed forms and matrix commutators rather than
-``GradedModel.bracket``.
+the models' brackets.
 """
 
 import itertools

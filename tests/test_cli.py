@@ -286,6 +286,21 @@ def test_size_cap_writes_no_report(capsys, tmp_path, monkeypatch):
     assert not out_path.exists()
 
 
+def test_an_absurd_sweep_exits_two(capsys, tmp_path, monkeypatch):
+    # nmax 8, dmax 40 has about 7*10^10 components: refused before any is listed.
+    def no_sweep(config):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(cli, "verify_basis_theorem", no_sweep)
+    out_path = tmp_path / "r.json"
+    code, out, err = run(
+        capsys, "--out", str(out_path), "verify-basis", "--nmax", "8", "--dmax", "40",
+    )
+    assert code == 2 and out == ""
+    assert "the sweep has 70,625,252,862 components; at most 10,000 are supported" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("nmax, extras", [(9, ()), (2, [(0, 1), (2,) * 9])])
 def test_report_past_the_size_cap_exits_two(capsys, tmp_path, nmax, extras):
     path = tmp_path / "edited.json"

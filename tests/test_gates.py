@@ -9,6 +9,7 @@ suite instead, and a comparison that stops telling spans apart does too.
 import gate_eval
 import gate_spans
 import pytest
+from conftest import oracle_rows
 
 from wittid.fields import Field
 from wittid.linalg import SubspaceBasis
@@ -45,12 +46,51 @@ def test_eval_gate_parts():
         parts[part] = parts.get(part, 0) + 1
         if part != "n <= 5":
             assert spec in gate_eval.WITT
-            assert len(degrees) == (6 if part == "n = 6" else 7)
+            assert len(degrees) == {"n = 6": 6, "n = 7 sample": 7, "n = 8 sample": 8}[part]
     assert parts == {
         "n <= 5": 17402,
         "n = 6": 2 * 2 * 924,
         "n = 7 sample": 2 * 2 * gate_eval.N7_SAMPLE,
+        "n = 8 sample": 2 * 2 * gate_eval.N8_SAMPLE,
     }
+
+
+#: Small u1 and w1 components: functionals of rank 1 and of rank 0
+#: (w1 below its support, and GF(2) parity zeros).
+FUNCTIONAL_COMPONENTS = [
+    ("u1", (1,)), ("u1", (1, 2, 3)), ("u1", (0, 2, 2, 4)), ("w1", (-1, 0, 2)),
+    ("w1", (-2, 1)), ("w1", (-1, 1, 2, 2, 3)), ("u1", (-1, 0, 1, 1, 2, 3)),
+]
+
+
+@fields
+def test_functional_gate_compares_components(field):
+    for spec, degrees in FUNCTIONAL_COMPONENTS:
+        model = parse_model(spec, field)
+        assert not gate_eval.functional_mismatch(model, degrees), (spec, degrees)
+
+
+@fields
+def test_functional_gate_sees_a_wrong_subspace(field, monkeypatch):
+    real = gate_eval.identity_subspace
+    model = parse_model("u1", field)
+    # Too small, then of the right size but not the kernel: the rank-one
+    # functional's kernel with one row traded for the missing direction.
+    monkeypatch.setattr(
+        gate_eval, "identity_subspace", lambda m, space: SubspaceBasis.zero(m.field, space.dim)
+    )
+    assert gate_eval.functional_mismatch(model, (1, 2, 3))
+
+    def shifted(m, space):
+        ident = real(m, space)
+        assert ident.dim == space.dim - 1
+        values = oracle_rows(m, space.variables, space.basis)
+        outside = next(j for j, row in enumerate(values) if any(row))
+        vectors = list(ident.rows())[1:] + [tuple(int(i == outside) for i in range(space.dim))]
+        return SubspaceBasis.from_vectors(m.field, space.dim, vectors)
+
+    monkeypatch.setattr(gate_eval, "identity_subspace", shifted)
+    assert gate_eval.functional_mismatch(model, (1, 2, 4, 6))
 
 
 @fields

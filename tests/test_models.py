@@ -4,17 +4,21 @@ import re
 from fractions import Fraction
 
 import pytest
-from conftest import oracle_kernel, oracle_rows, oracle_satisfies, oracle_value
+from conftest import (
+    oracle_kernel, oracle_rows, oracle_satisfies, oracle_value, random_multilinear_tree,
+)
 
 from wittid.fields import Field
 from wittid.freealg import LiePoly, MultilinearSpace, Var
 from wittid.linalg import SubspaceBasis
 from wittid.models import (
     ModelElement,
+    _basis_terms,
     _basis_tuple_rows,
-    _evaluate_monomial,
+    _value,
     basis_substitutions,
     evaluate,
+    first_nonzero,
     onedim_model,
     parse_model,
     satisfies_multilinear,
@@ -427,6 +431,85 @@ def test_bracket_is_bilinear_on_sums(field):
             assert all(not field.is_zero(c) for c in value.terms.values())
 
 
+#: Models whose term bracket is compared on random elements, with ut3:0:2
+#: collision-merged (E23 and E13 share degree 2).
+TERM_MODELS = ["u1", "w1", "ut3:0:0", "ut3:1:1", "ut3:0:2", "onedim:-2"]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, Field.rationals()], ids=str)
+@pytest.mark.parametrize("spec", TERM_MODELS)
+def test_bracket_is_the_term_bracket(field, spec):
+    """model.bracket wraps bracket_terms, which leaves its inputs as they
+    are, returns reduced terms and is bilinear over the oracle's values of
+    the basis brackets."""
+    model = parse_model(spec, field)
+    if spec.startswith("ut3"):
+        assert model.collision_merged == (spec == "ut3:0:2")
+    rng = random.Random(f"terms/{spec}/{field}")
+    elements = _all_basis_elements(model)
+    for _ in range(40):
+        x, y = (
+            ModelElement(field, {
+                key: _random_scalar(rng, field)
+                for b in rng.sample(elements, rng.randint(1, min(4, len(elements))))
+                for key in b.terms
+            })
+            for _ in range(2)
+        )
+        before = dict(x.terms), dict(y.terms)
+        terms = model.bracket_terms(x.terms, y.terms)
+        assert (x.terms, y.terms) == before
+        assert model.bracket(x, y).terms == terms
+        assert all(c and (not field.p or 0 < c < field.p) for c in terms.values())
+        expected = {}
+        for ((d1, s1), c1), ((d2, s2), c2) in itertools.product(x.terms.items(), y.terms.items()):
+            a, b = Var(1, d1), Var(2, d2)
+            for key, c in oracle_value(model, (a, b), {a: s1, b: s2}).items():
+                expected[key] = field.add(expected.get(key, field.zero), field.mul(field.mul(c1, c2), c))
+        assert terms == {k: c for k, c in expected.items() if c}, (spec, x, y)
+    if spec == "w1":
+        with pytest.raises(AssertionError, match="left the support at degree -3"):
+            model.bracket_terms({(-2, 0): field.one}, {(-1, 0): field.one})
+
+
+def test_zero_prefix_runs_keep_the_rows():
+    """u1 over GF(2) at degrees (-2, -2, -1, -2): [x1, x2] and [x1, x4] are
+    zero (equal degrees), [x1, x3] is not. Zero-prefix runs followed by a
+    monomial that shares only x1, and a proper prefix listed before its
+    extensions, give the per-monomial rows in this order and shuffled, and
+    the sorted list brackets each prefix whose shorter prefix is nonzero
+    once per substitution."""
+    model = u1_model(GF2)
+    space = MultilinearSpace.for_degrees((-2, -2, -1, -2), GF2)
+    x1, x2, x3, x4 = space.variables
+    monomials = [
+        (x1, x2), (x1, x2, x3, x4), (x1, x2, x4, x3),
+        (x1, x3), (x1, x3, x2, x4), (x1, x3, x4, x2),
+        (x1, x4, x2, x3), (x1, x4, x3, x2), (x2, x1, x3, x4),
+    ]
+    assert monomials == sorted(monomials)
+    letters, = _basis_terms(model, space.variables)
+    assert not _monomial_value(model, (x1, x2), letters)
+    assert not _monomial_value(model, (x1, x4), letters)
+    assert all(_monomial_value(model, mono, letters) for mono in monomials[3:6])
+    rng = random.Random("zero-prefix")
+    for order in (monomials, rng.sample(monomials, len(monomials)), monomials[::-1]):
+        expected = _per_monomial_rows(model, space.variables, order)
+        assert _basis_tuple_rows(model, space.variables, order) == expected
+    rows = _basis_tuple_rows(model, space.variables, monomials)
+    # x1, x3 lies in degree -3, not in the component's degree -7.
+    assert [bool(row[0]) for row in rows] == [False] * 4 + [True] * 2 + [False] * 3
+    calls = _count_brackets(model)
+    _basis_tuple_rows(model, space.variables, monomials)
+    del model.bracket_terms
+    assert calls[0] == _prefix_brackets(model, space.variables, monomials)
+
+
+def _monomial_value(model, mono, letters):
+    """Terms of one left-normed monomial, through the term bracket."""
+    return _value(tuple(mono), letters, model.bracket_terms)
+
+
 def _per_monomial_rows(model, variables, monomials):
     """The rows of _basis_tuple_rows, each monomial evaluated on its own."""
     total = sum(v.degree for v in variables)
@@ -434,10 +517,11 @@ def _per_monomial_rows(model, variables, monomials):
     rows = [[] for _ in monomials]
     if not slots:
         return rows
-    for substitution in basis_substitutions(model, variables):
+    zero = model.field.zero
+    for letters in _basis_terms(model, variables):
         for row, mono in zip(rows, monomials):
-            value = _evaluate_monomial(mono, substitution, model)
-            row.extend(value.coeff(total, slot) for slot in slots)
+            value = _monomial_value(model, mono, letters)
+            row.extend(value.get((total, slot), zero) for slot in slots)
     return rows
 
 
@@ -448,22 +532,22 @@ def _prefix_brackets(model, variables, monomials):
         return 0
     prefixes = {mono[:k] for mono in monomials for k in range(2, len(mono) + 1)}
     return sum(
-        not _evaluate_monomial(prefix[:-1], substitution, model).is_zero()
-        for substitution in basis_substitutions(model, variables)
+        bool(_monomial_value(model, prefix[:-1], letters))
+        for letters in _basis_terms(model, variables)
         for prefix in prefixes
     )
 
 
 def _count_brackets(model):
-    """Wrap the model's bracket; returns the one-element call counter."""
+    """Wrap the model's term bracket; returns the one-element call counter."""
     calls = [0]
-    inner = model.bracket
+    inner = model.bracket_terms
 
     def counted(x, y):
         calls[0] += 1
         return inner(x, y)
 
-    model.bracket = counted
+    model.bracket_terms = counted
     return calls
 
 
@@ -511,8 +595,8 @@ def test_basis_tuple_rows_share_prefixes(field, spec, degrees):
         assert _basis_tuple_rows(model, variables, monomials) == expected
     if spec == "w1":
         assert any(
-            _evaluate_monomial(mono[:k], substitution, model).is_zero()
-            for substitution in basis_substitutions(model, variables)
+            not _monomial_value(model, mono[:k], letters)
+            for letters in _basis_terms(model, variables)
             for mono in basis
             for k in range(2, len(mono))
         )
@@ -522,7 +606,7 @@ def test_basis_tuple_rows_share_prefixes(field, spec, degrees):
         expected = _prefix_brackets(model, variables, monomials)
         calls = _count_brackets(model)
         _basis_tuple_rows(model, variables, monomials)
-        del model.bracket
+        del model.bracket_terms
         assert calls[0] == expected
 
 
@@ -553,7 +637,7 @@ def test_satisfies_multilinear_evaluates_in_sorted_order(field, degrees):
         expected = _prefix_brackets(model, space.variables, sorted(f.terms))
         calls = _count_brackets(model)
         verdict = satisfies_multilinear(model, f)
-        del model.bracket
+        del model.bracket_terms
         assert calls[0] == expected
         assert verdict == oracle_satisfies(model, f), f.terms
 
@@ -593,7 +677,7 @@ def _oracle_evaluate(model, poly, choice):
 @pytest.mark.parametrize("spec", sorted(ORACLE_MODELS))
 def test_evaluation_matches_oracle(field, spec):
     """identity_subspace, satisfies_multilinear and evaluate against values
-    computed without GradedModel.bracket, on random multi-term
+    computed without a model bracket, on random multi-term
     polynomials; the identities built from oracle kernel vectors have
     coefficients that cancel only when sums are reduced in the field."""
     rng = random.Random(f"{spec}/{field}")
@@ -627,3 +711,32 @@ def test_evaluation_matches_oracle(field, spec):
                 }
                 value = evaluate(f, substitution, model)
                 assert value.terms == _oracle_evaluate(model, f, choice), (spec, degrees)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, Field.rationals()], ids=str)
+@pytest.mark.parametrize("spec", sorted(ORACLE_MODELS))
+def test_tree_values_are_the_values_of_their_coordinates(field, spec):
+    """On every basis tuple, the value of a random bracket tree is the
+    combination of the oracle values of the left-normed basis that its
+    certified coordinates give, and first_nonzero picks the first tree
+    whose coordinates lie outside the identity subspace."""
+    rng = random.Random(f"trees/{spec}/{field}")
+    model = parse_model(spec, field)
+    for _ in range(10):
+        degrees = [rng.choice(ORACLE_MODELS[spec]) for _ in range(rng.randint(1, 4))]
+        space = MultilinearSpace.for_degrees(degrees, field)
+        trees = [random_multilinear_tree(rng, space.variables) for _ in range(4)]
+        slots = list(itertools.product(*(range(model.dim(v.degree)) for v in space.variables)))
+        for tree in trees:
+            coords = space.coordinates(tree)
+            for choice, letters in zip(slots, _basis_terms(model, space.variables)):
+                picked = dict(zip(space.variables, choice))
+                expected = {}
+                for c, mono in zip(coords, space.basis):
+                    for key, a in oracle_value(model, mono, picked).items():
+                        expected[key] = field.add(expected.get(key, field.zero), field.mul(c, a))
+                got = _value(tree, letters, model.bracket_terms)
+                assert got == {k: a for k, a in expected.items() if a}, (spec, degrees, tree)
+        ident = identity_subspace(model, space)
+        outside = [t for t in trees if not ident.contains_vector(space.coordinates(t))]
+        assert first_nonzero(model, space.variables, trees) == (outside[0] if outside else None)

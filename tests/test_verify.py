@@ -14,7 +14,7 @@ from conftest import hand_report
 from wittid import cli, verify
 from wittid.fields import Field
 from wittid.freealg import LiePoly, MultilinearSpace, Var
-from wittid.grammar import parse_polynomial
+from wittid.grammar import format_polynomial, parse_polynomial
 from wittid.models import onedim_model, parse_model, satisfies_multilinear
 from wittid.tideal import (
     consequence_instances, consequence_subspace, identity_subspace, subspace_contains,
@@ -86,6 +86,31 @@ def test_config_refuses_an_unknown_field(monkeypatch):
 
 def _no_span(*args, **kwargs):
     raise AssertionError("a component was computed")
+
+
+def test_sweep_size_counts_the_sweep_tuples():
+    for nmax, dmax in itertools.product(range(1, 5), range(4)):
+        for extras in ((), [(9,)], [(dmax, -dmax)] * 2 + [(dmax + 1,) * (nmax + 1)]):
+            want = len(list(verify.sweep_tuples(nmax, dmax, extras)))
+            assert verify.sweep_size(nmax, dmax, extras) == want, (nmax, dmax, extras)
+    assert verify.sweep_size(6, 4) == 5004 and verify.sweep_size(8, 2) == 1286
+
+
+def test_config_refuses_too_many_components(monkeypatch):
+    # Refused when the config is built, before the sweep's tuples are listed.
+    monkeypatch.setattr(verify, "identity_subspace", _no_span)
+    monkeypatch.setattr(verify, "sweep_tuples", _no_span)
+    assert verify.MAX_COMPONENTS == 10_000
+    for nmax, dmax, extras, count in [
+        (8, 40, (), "70,625,252,862"),
+        (1, 5000, (), "10,001"),
+        (1, 4999, [(0, 1), (-1, 2)], "10,001"),
+    ]:
+        with pytest.raises(ValueError, match=f"the sweep has {count} components; at most 10,000"):
+            SweepConfig(nmax=nmax, dmax=dmax, extra_degree_tuples=extras)
+    # The widest documented sweeps, and the cap itself, are accepted.
+    for nmax, dmax, extras in [(6, 4, ()), (8, 3, ()), (1, 4999, [(0, 1), (1, 0), (1,)])]:
+        assert SweepConfig(nmax=nmax, dmax=dmax, extra_degree_tuples=extras).dmax == dmax
 
 
 @pytest.mark.parametrize(
@@ -737,3 +762,38 @@ def test_char_contrast_gf3():
         char_contrast(4)
     with pytest.raises(ValueError, match="nonnegative"):
         char_contrast(3, bound=-1)
+
+
+def _coordinates_witness(model, family, space, ident):
+    """The soundness-witness search by certified coordinates: the first
+    consequence instance whose coordinates the identity subspace misses."""
+    for tree in consequence_instances(family, space):
+        coords = space.coordinates(tree)
+        if not ident.contains_vector(coords):
+            return format_polynomial(space.poly_from_coords(coords))
+    return None
+
+
+@pytest.mark.parametrize("model, family_range", [("u1", "wide"), ("w1", "wide"), ("w1", "tight")])
+def test_witness_by_evaluation_is_the_coordinates_witness(model, family_range):
+    """Over GF(3), on the nmax=4, dmax=4 range plus seeded n = 5 extras, each
+    unsound entry's witness is the first instance found by the coordinates
+    search."""
+    rng = random.Random(f"witness/{model}/{family_range}")
+    extras = [tuple(sorted(rng.randint(-4, 4) for _ in range(5))) for _ in range(8)]
+    config = SweepConfig(
+        model=model, family_range=family_range, nmax=4, dmax=4, field="gf3",
+        extra_degree_tuples=extras,
+    )
+    gf3 = Field.gf(3)
+    spec = parse_model(model, gf3)
+    family = config.family()
+    unsound = 0
+    for entry in verify_basis_theorem(config).spaces:
+        if entry["sound"] is not False:
+            continue
+        unsound += 1
+        space = MultilinearSpace.for_degrees(entry["degrees"], gf3)
+        want = _coordinates_witness(spec, family, space, identity_subspace(spec, space))
+        assert entry["witness"] == want, entry["degrees"]
+    assert unsound >= 50
