@@ -185,6 +185,8 @@ def _parse_substitution(text: str, poly, model: GradedModel) -> dict:
         if index not in by_index:
             raise UsageError(f"variable {name} does not occur in the polynomial")
         var = by_index[index]
+        if var in out:
+            raise UsageError(f"variable {name} is assigned twice")
         slots = model.component_slots(var.degree)
         matches = [i for i, slot in enumerate(slots) if slot.lower() == value.lower()]
         if not matches:

@@ -23,7 +23,9 @@ coefficient dict.
 A :class:`MultilinearSpace` is the component of polynomials that are
 multilinear in a fixed set of distinct variables. Its dimension is
 ``(n-1)!`` and it carries the left-normed basis whose monomials all
-start with the highest-indexed variable. In the associative expansion of
+start with the highest-indexed variable; :func:`_basis_prefixes` is
+that basis's prefix tree on letters, once per n, which evaluation walks
+to bracket each shared prefix once. In the associative expansion of
 such a basis monomial, the only word that starts with the leading
 variable is the monomial's own letter sequence (coefficient 1), so
 coordinates can be read off the words that start with the leading
@@ -177,6 +179,28 @@ def _position_fold(n: int) -> tuple:
     getters, no degrees and no field."""
     words, signs = _fold(mono_to_tree(tuple(range(n))))
     return tuple(itemgetter(*w) for w in words), tuple(signs)
+
+
+@lru_cache(maxsize=None)
+def _basis_prefixes(n: int) -> tuple:
+    """The prefix tree of the left-normed basis of :class:`MultilinearSpace`
+    on the letters ``0, ..., n-1``, as ``(nodes, leaves)``. Prefix 0 is the
+    lead letter ``n-1``; ``nodes[k] = (parent, letter)`` is prefix k + 1,
+    prefix ``parent`` followed by ``letter``, in depth-first order, so a
+    parent comes before its children; ``leaves[i]`` is the prefix that is
+    basis monomial i, in :attr:`MultilinearSpace.basis` order. Keyed by n
+    alone and read-only: one node per prefix of two or more letters."""
+    nodes, leaves = [], []
+
+    def walk(parent: int, rest: tuple):
+        if not rest:
+            leaves.append(parent)
+        for i, letter in enumerate(rest):
+            nodes.append((parent, letter))
+            walk(len(nodes), rest[:i] + rest[i + 1:])
+
+    walk(0, tuple(range(n - 1)))
+    return tuple(nodes), tuple(leaves)
 
 
 class LiePoly(Combination):

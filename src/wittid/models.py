@@ -26,14 +26,13 @@ one-dimensional model's is zero. :meth:`GradedModel.bracket` is the one
 wrapper that gives it :class:`ModelElement` arguments and value.
 One evaluator, :func:`_value`, takes a bracket tree or a left-normed
 tuple, and stops at the first part whose value is zero; :func:`evaluate`
-and :func:`first_nonzero` (the soundness-witness search) use it. One
-loop, :func:`_basis_tuple_rows`, evaluates a list of multilinear
-monomials on every tuple of component basis vectors, for both the
-multilinear identity check and the identity subspaces; it keeps a stack of
-prefix values per tuple, so a prefix that consecutive monomials share is
-bracketed once (the left-normed basis, in lexicographic order, brackets
-about e·(n-1)! prefixes instead of (n-1)·(n-1)!), and the monomials after
-a zero prefix that start with it get zero rows without a bracket.
+and :func:`first_nonzero` (the soundness-witness search) use it, and
+:func:`satisfies_multilinear` evaluates the polynomial on every tuple of
+component basis vectors through the loop of :func:`evaluate`. The identity
+subspaces read the rows of :func:`_basis_tuple_rows`, which walks the
+prefix tree of the left-normed basis (:func:`~wittid.freealg._basis_prefixes`)
+once per tuple: each prefix is bracketed at most once (about e·(n-1)!
+brackets instead of (n-1)·(n-1)!), and nothing below a zero prefix.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from operator import attrgetter
 from typing import Dict, Iterator, Optional, Sequence
 
 from .fields import Combination, Field
-from .freealg import LiePoly, Pair, Var
+from .freealg import LiePoly, Pair, Var, _basis_prefixes
 
 
 class ModelElement(Combination):
@@ -321,11 +320,11 @@ def _value(x, values: dict, bracket) -> dict:
     return values[x]
 
 
-def evaluate(f: LiePoly, substitution: dict, model: GradedModel) -> ModelElement:
-    """Value of f under an admissible substitution, by structure constants."""
+def _poly_value(f: LiePoly, values: dict, model: GradedModel) -> dict:
+    """The terms of the value of f when each variable v takes the terms
+    ``values[v]``: each monomial's :func:`_value` times its coefficient,
+    summed with the zeros dropped."""
     field = model.field
-    _check_field(f, field)
-    values = _substituted_terms(f, substitution, model)
     bracket = model.bracket_terms
     one = field.one
     out = {}
@@ -334,9 +333,17 @@ def evaluate(f: LiePoly, substitution: dict, model: GradedModel) -> ModelElement
         if c != one:
             value = [(key, field.mul(c, a)) for key, a in value]
         field.add_into(out, value)
-    # add_into leaves no zeros, so the constructor's filter is skipped.
+    return out
+
+
+def evaluate(f: LiePoly, substitution: dict, model: GradedModel) -> ModelElement:
+    """Value of f under an admissible substitution, by structure constants."""
+    field = model.field
+    _check_field(f, field)
+    values = _substituted_terms(f, substitution, model)
+    # _poly_value leaves no zeros, so the constructor's filter is skipped.
     result = ModelElement(field)
-    result.terms = out
+    result.terms = _poly_value(f, values, model)
     return result
 
 
@@ -374,58 +381,34 @@ def first_nonzero(model: GradedModel, variables: Sequence[Var], elements):
     return None
 
 
-def _basis_tuple_rows(model: GradedModel, variables: Sequence[Var], monomials) -> list:
-    """Per monomial, its values on the :func:`basis_substitutions` tuples as
-    coordinates in the component of the variables' degree sum, concatenated.
-    The tuples are admissible by construction, so none is checked.
+def _basis_tuple_rows(model: GradedModel, variables: Sequence[Var]) -> list:
+    """Per monomial of :attr:`MultilinearSpace.basis` on ``variables`` (in
+    the space's order, by index), its values on the :func:`basis_substitutions`
+    tuples as coordinates in the component of the variables' degree sum,
+    concatenated. The tuples are admissible by construction, so none is
+    checked.
 
-    Each substitution keeps a stack of prefix values (term dicts): the
-    values of the prefixes that a monomial shares with the one before it in
-    the list are reused, so a run of monomials with a common prefix brackets
-    it once, and a zero prefix ends the monomial. The monomials that follow
-    and start with the same zero prefix, found by one tuple-slice compare,
-    get zero rows with no bracket. Any order of ``monomials`` gives the same
-    rows; the lexicographic order shares the most.
+    Each tuple makes one pass over the nodes of :func:`_basis_prefixes`:
+    a prefix's value is its parent's bracketed with its letter, or its
+    parent's zero with no bracket, so every prefix is bracketed at most
+    once; the rows are read at the leaves.
     """
     total = sum(v.degree for v in variables)
     keys = [(total, slot) for slot in range(model.dim(total))]
-    rows = [[] for _ in monomials]
+    nodes, leaves = _basis_prefixes(len(variables))
+    rows = [[] for _ in leaves]
     if not keys:
         return rows
     zeros = [model.field.zero] * len(keys)
     bracket = model.bracket_terms
     for letters in _basis_terms(model, variables):
-        # values[k] is the value of the previous monomial's first k + 1
-        # letters; the stack stops at the first zero prefix, whose letters
-        # are ``dead`` (else ``dead`` is None).
-        values = []
-        previous = ()
-        dead = None
-        for row, mono in zip(rows, monomials):
-            if dead is not None and mono[:len(dead)] == dead:
-                row.extend(zeros)
-                continue
-            k = 0
-            for a, b, _ in zip(mono, previous, values):
-                if a is not b and a != b:
-                    break
-                k += 1
-            del values[k:]
-            if not values:
-                values.append(letters[mono[0]])
-            acc = values[-1]
-            for v in mono[len(values):]:
-                if not acc:
-                    break
-                acc = bracket(acc, letters[v])
-                values.append(acc)
-            if acc:
-                row.extend(map(acc.get, keys, zeros))
-                dead = None
-            else:
-                row.extend(zeros)
-                dead = mono[:len(values)]
-            previous = mono
+        terms = [letters[v] for v in variables]
+        values = [terms[-1]]
+        for parent, letter in nodes:
+            acc = values[parent]
+            values.append(bracket(acc, terms[letter]) if acc else acc)
+        for row, leaf in zip(rows, leaves):
+            row.extend(map(values[leaf].get, keys, zeros))
     return rows
 
 
@@ -435,12 +418,7 @@ def satisfies_multilinear(model: GradedModel, f: LiePoly) -> bool:
     suffices by multilinearity)."""
     if not f.is_multilinear():
         raise ValueError("identity check by evaluation is restricted to multilinear input")
-    field = model.field
-    _check_field(f, field)
-    sums = {}
-    # Sorted by monomial, so that monomials with a common prefix are adjacent.
-    terms = sorted(f.terms.items())
-    rows = _basis_tuple_rows(model, sorted(f.variables()), [mono for mono, _ in terms])
-    for (_, c), row in zip(terms, rows):
-        field.add_into(sums, ((j, field.mul(c, x)) for j, x in enumerate(row)))
-    return not sums
+    _check_field(f, model.field)
+    return not any(
+        _poly_value(f, values, model) for values in _basis_terms(model, sorted(f.variables()))
+    )

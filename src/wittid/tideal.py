@@ -109,6 +109,14 @@ class BasisFamily:
             if self.contains_bracket(a, b)
         ]
 
+    def bracket_count(self, bound: int) -> int:
+        """``len(self.brackets(bound))`` in closed form: the m degrees in
+        range, e of them even, give e(e+1)/2 + (m-e)(m-e+1)/2 pairs."""
+        low = -bound if self.bracket_lower_bound is None else max(-bound, self.bracket_lower_bound)
+        m = max(0, bound - low + 1)
+        e = bound // 2 - (low - 1) // 2 if m else 0
+        return (e * (e + 1) + (m - e) * (m - e + 1)) // 2
+
     def bracket_member(self, a: int, b: int, field: Field) -> LiePoly:
         if not self.contains_bracket(a, b):
             raise ValueError(f"[x1^{a}, x2^{b}] is not in the family")
@@ -210,7 +218,7 @@ def identity_subspace(model: GradedModel, space: MultilinearSpace) -> SubspaceBa
     model: the linear dependencies of the basis monomials' values."""
     if model.field != space.field:
         raise ValueError("model and space fields differ")
-    return linear_dependencies(_basis_tuple_rows(model, space.variables, space.basis), space.field)
+    return linear_dependencies(_basis_tuple_rows(model, space.variables), space.field)
 
 
 def _bracket_splits(family: BasisFamily, degrees, positions) -> Iterator[tuple]:

@@ -8,7 +8,9 @@ run of components is the :class:`SweepConfig` and a list of degree
 tuples: the whole sweep when serial, one chunk per task of a process
 pool, with one span memo per run. A sweep refuses a configuration of
 more than :data:`MAX_COMPONENTS` components or :data:`MAX_VARIABLES`
-variables before any component runs. The soundness witness of an unsound
+variables before any component runs, and a certificate command of more
+than :data:`MAX_SEPARATION_CHECKS` separation checks before any member
+is listed. The soundness witness of an unsound
 component is the first consequence instance that evaluation on the basis
 tuples does not send to zero (:func:`~wittid.models.first_nonzero`);
 only that instance's coordinates are computed.
@@ -296,6 +298,13 @@ MAX_VARIABLES = 8
 #: ``dmax=3`` has 6,434; ``nmax=8, dmax=40`` would have about 7·10^10.
 MAX_COMPONENTS = 10_000
 
+#: The most separation checks (identity checks of one family member in one
+#: model) that a certificate, table, minimality sweep or contrast may make.
+#: ``minimality`` at its default bounds makes 784 (u1) or 796 (w1), and
+#: ``independence --bound 200`` 40,401, which took 0.8 s and 45 MiB on a
+#: 2-core machine.
+MAX_SEPARATION_CHECKS = 100_000
+
 
 def _check_size(nmax: int, extra_degree_tuples, where: str) -> None:
     """Refuse a sweep that reaches a component of more than
@@ -305,6 +314,16 @@ def _check_size(nmax: int, extra_degree_tuples, where: str) -> None:
         raise ValueError(
             f"{where} reaches a component of {widest} variables; "
             f"at most {MAX_VARIABLES} are supported"
+        )
+
+
+def _check_separations(checks: int, where: str) -> None:
+    """Refuse more than :data:`MAX_SEPARATION_CHECKS` separation checks,
+    counted in closed form before any member is listed."""
+    if checks > MAX_SEPARATION_CHECKS:
+        raise ValueError(
+            f"{where} makes {checks:,} separation checks; "
+            f"at most {MAX_SEPARATION_CHECKS:,} are supported"
         )
 
 
@@ -621,6 +640,7 @@ def independence_check(
     """The graded UT(3) algebra with E12 at degree r and E23 at degree s
     violates [x1^r, x2^s] while satisfying every other same-parity
     bracket with degrees bounded by ``bound``."""
+    _check_separations(_U1.bracket_count(bound), "the certificate")
     return _bracket_certificate(r, s, bound, field or Field.gf(2))[0]
 
 
@@ -633,6 +653,8 @@ def variable_independence_check(
     member = family_for("w1").single_member(d, field)
     if bound < abs(d):
         raise ValueError("bound must cover |d|")
+    # The member, every bracket and the 2·bound other single variables.
+    _check_separations(1 + _U1.bracket_count(bound) + 2 * bound, "the certificate")
     model = onedim_model(field, d)
     pairs = [_U1.bracket_member(u, v, field) for (u, v) in _U1.brackets(bound)]
     singles = [LiePoly.variable(field, Var(1, c)) for c in range(-bound, bound + 1) if c != d]
@@ -680,6 +702,7 @@ def no_finite_basis_demo(count: int, field: Optional[Field] = None) -> NoFiniteB
     """Pairwise-separation table for the first ``count`` bracket members."""
     if count < 1:
         raise ValueError("count must be positive")
+    _check_separations(count * count, "the separation table")
     field = field or Field.gf(2)
     members = leading_family_members(count)
     polys = [_U1.bracket_member(r, s, field) for (r, s) in members]
@@ -771,6 +794,15 @@ def minimality_sweep(
         raise ValueError(
             "separation bound must be at least 2 to reach the single-variable members x^c, c <= -2"
         )
+    # Each bracket member's certificate checks it, every other bracket and
+    # every single; each single's, itself, every bracket and 2·bound singles.
+    brackets = _U1.bracket_count(separation_bound)
+    single_count = max(0, separation_bound - 1) if family.has_singletons else 0
+    _check_separations(
+        family.bracket_count(member_bound) * (brackets + single_count)
+        + single_count * (1 + brackets + 2 * separation_bound),
+        "the minimality sweep",
+    )
     singles = [
         c for c in range(-separation_bound, separation_bound + 1) if family.contains_single(c)
     ]
@@ -842,6 +874,7 @@ def char_contrast(p: int, bound: int = 4) -> ContrastReport:
         raise ValueError("contrast mode needs an odd prime")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    _check_separations(_U1.bracket_count(bound), "the contrast")
     field = Field.gf(p)
     model = u1_model(field)
     rows = []

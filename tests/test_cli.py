@@ -4,7 +4,7 @@ import jsonschema
 import pytest
 
 from conftest import hand_report
-from wittid import cli, verify
+from wittid import cli, tideal, verify
 from wittid.cli import main
 from wittid.verify import REPORT_SCHEMA, summarize
 
@@ -119,6 +119,16 @@ def test_evaluate_refuses_a_bad_substitution(capsys, at, want):
     assert code == 2
     assert out == ""
     assert want in err
+
+
+def test_evaluate_refuses_a_variable_assigned_twice(capsys):
+    # Two values for x1: neither may win in silence.
+    code, out, err = run(
+        capsys, "evaluate", "--model", "ut3:0:0", "--at", "x1=E12, x1=E23, x2=E23",
+        "[x1^0, x2^0]",
+    )
+    assert code == 2 and out == ""
+    assert "variable x1 is assigned twice" in err
 
 
 def test_evaluate_substitution_allows_spaces(capsys):
@@ -299,6 +309,29 @@ def test_an_absurd_sweep_exits_two(capsys, tmp_path, monkeypatch):
     assert code == 2 and out == ""
     assert "the sweep has 70,625,252,862 components; at most 10,000 are supported" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["independence", "--r", "0", "--s", "2", "--bound", "1000000000"],
+         "the certificate makes 1,000,000,002,000,000,001 separation checks"),
+        (["independence", "--d", "-2", "--bound", "1000000000"], "the certificate makes"),
+        (["independence", "--count", "1000000000"], "the separation table makes"),
+        (["minimality", "--model", "w1", "--bound", "1000000000",
+          "--separation-bound", "1000000000"], "the minimality sweep makes"),
+        (["contrast", "--p", "3", "--bound", "1000000000"], "the contrast makes"),
+    ],
+)
+def test_absurd_separation_bounds_exit_two(capsys, monkeypatch, argv, want):
+    # About 10^18 checks each: refused before any member is listed.
+    def no_list(self, bound):
+        raise AssertionError("members were listed")
+
+    monkeypatch.setattr(tideal.BasisFamily, "brackets", no_list)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert want in err and "at most 100,000 are supported" in err
 
 
 @pytest.mark.parametrize("nmax, extras", [(9, ()), (2, [(0, 1), (2,) * 9])])

@@ -19,6 +19,7 @@ from wittid.freealg import (
     Pair,
     Var,
     _ad_rows,
+    _basis_prefixes,
     _core_rows,
     _expand_element,
     _fold,
@@ -256,6 +257,22 @@ def test_position_fold_is_keyed_by_n_alone():
         for g in getters:
             assert sorted(g(tuple(range(n)))) == list(range(n))
         assert set(signs) <= {1, -1}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_basis_prefixes_spell_the_basis(n):
+    """Each node extends an earlier prefix by one letter, the leaves spell
+    MultilinearSpace.basis in its order, and there is one node per prefix
+    of 2..n letters: sum over k of (n-1)!/(n-1-k)!."""
+    nodes, leaves = _basis_prefixes(n)
+    space = MultilinearSpace.for_degrees(range(n), GF2)
+    spelled = [(n - 1,)]
+    for parent, letter in nodes:
+        assert parent < len(spelled) and letter not in spelled[parent]
+        spelled.append(spelled[parent] + (letter,))
+    assert [tuple(space.variables[i] for i in spelled[leaf]) for leaf in leaves] == space.basis
+    assert len(set(spelled)) == len(spelled)
+    assert len(nodes) == sum(factorial(n - 1) // factorial(n - 1 - k) for k in range(1, n))
 
 
 @pytest.mark.parametrize("field", [GF2, Field.gf(3), Q], ids=str)

@@ -225,7 +225,7 @@ def test_linear_dependencies_match_oracle(field):
 
 def evaluation_rows(spec, field, degrees):
     space = MultilinearSpace.for_degrees(degrees, field)
-    return _basis_tuple_rows(parse_model(spec, field), space.variables, space.basis)
+    return _basis_tuple_rows(parse_model(spec, field), space.variables)
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,9 @@ def test_family_brackets_match_brute_force(family, bound):
     ]
     assert family.brackets(bound) == want
     assert family.brackets(-1) == []
+    assert [family.bracket_count(b) for b in range(-2, 12)] == [
+        len(family.brackets(b)) for b in range(-2, 12)
+    ]
 
 
 def test_family_for_is_the_model_and_range_map():

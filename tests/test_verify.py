@@ -697,6 +697,39 @@ def test_no_finite_basis_demo():
         no_finite_basis_demo(0)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: independence_check(-1, 3, bound=5),
+        lambda: variable_independence_check(-3, bound=4),
+        lambda: no_finite_basis_demo(6),
+        lambda: minimality_sweep("u1", member_bound=2, separation_bound=4),
+        lambda: minimality_sweep("w1", member_bound=2, separation_bound=4, nmax=1, dmax=0),
+        lambda: char_contrast(3, bound=4),
+    ],
+    ids=["pair", "single", "table", "minimality-u1", "minimality-w1", "contrast"],
+)
+def test_separation_checks_are_counted_in_closed_form(monkeypatch, run):
+    """The first count each command checks against MAX_SEPARATION_CHECKS,
+    before it lists a member, is the number of identity checks it then
+    makes (a minimality sweep's single-variable certificates count again)."""
+    counted, made = [], []
+    check, inner = verify._check_separations, verify.satisfies_multilinear
+
+    def counting_check(checks, where):
+        counted.append(checks)
+        check(checks, where)
+
+    def counting(model, f):
+        made.append(f)
+        return inner(model, f)
+
+    monkeypatch.setattr(verify, "_check_separations", counting_check)
+    monkeypatch.setattr(verify, "satisfies_multilinear", counting)
+    run()
+    assert counted[0] == len(made)
+
+
 # -- minimality -----------------------------------------------------------------
 
 
