@@ -253,6 +253,13 @@ def _cmd_verify_basis(args, field: Field) -> tuple:
 
 
 def _cmd_independence(args, field: Field) -> tuple:
+    given = [f"--{name}" for name in ("count", "d", "r", "s") if getattr(args, name) is not None]
+    # --r and --s name one certificate together; every other pair is a mix.
+    if len(given) - ("--r" in given and "--s" in given) > 1:
+        raise UsageError(
+            "independence takes --r and --s, or --d, or --count, not a mix: "
+            f"got {' '.join(given)}"
+        )
     if args.count is not None:
         demo = no_finite_basis_demo(args.count, field=field)
         lines = [

@@ -15,36 +15,32 @@ that are brackets. The words of a left-normed monomial of n letters
 depend only on its letters' positions, so they are read off
 :func:`_position_fold`, the fold of the monomial on ``0, ..., n-1``,
 computed once per n (one ``itemgetter`` per word, and the signs).
-:func:`_expand_element` is the one fold-and-collect: it folds each
-monomial of its input (a LiePoly, a tree, a variable or a left-normed
-tuple) and adds the words, times the coefficient, into one word ->
-coefficient dict.
+:func:`_expand_terms` is the one fold-and-collect: it folds each
+``(monomial or tree, coefficient)`` pair and adds the words, times the
+coefficient, into one word -> coefficient dict.
 
 A :class:`MultilinearSpace` is the component of polynomials that are
 multilinear in a fixed set of distinct variables. Its dimension is
 ``(n-1)!`` and it carries the left-normed basis whose monomials all
-start with the highest-indexed variable; :func:`_basis_prefixes` is
-that basis's prefix tree on letters, once per n, which evaluation walks
-to bracket each shared prefix once. In the associative expansion of
-such a basis monomial, the only word that starts with the leading
-variable is the monomial's own letter sequence (coefficient 1), so
-coordinates can be read off the words that start with the leading
-variable. Over GF(2) no dict is built: the folded words of the input
-are XORed into a bitmask over word ids, in which the lead words hold
-the lowest ids, so the low ``dim`` bits of that mask are the coordinates
-as a mask (:meth:`MultilinearSpace._coordinate_mask`). Every conversion
-is then certified against the full associative image: over GF(2) by
-XOR of the basis bitmasks, over other fields by recombining the basis
-expansions. Inside a space, words are tuples of small-int letters (a
-variable's position in the space) rather than of Vars, so they hash in
-C. The tables this needs (lead words, word ids, basis bitmasks or
-expansions) then depend only on the number of variables and the field:
-:func:`_letter_tables` builds them once per ``(n, field)``, read-only,
-and every space shares them; a space keeps only its own variable ->
-letter map. :func:`_core_rows` and
-:func:`_ad_rows` keep certified coordinates of brackets on letters in
-the same way, for the consequence-span recursion; over GF(2) as
-coordinate masks, which only :meth:`MultilinearSpace.coordinates` unpacks.
+start with the highest-indexed variable, in the one order of
+:func:`_basis_words`; :func:`_basis_prefixes` is that basis's prefix
+tree on letters, once per n, which evaluation walks to bracket each
+shared prefix once. Coordinates are computed on letters only: a
+variable's letter is its position in the space, and
+:meth:`MultilinearSpace.coordinates` is one pass that puts its input on
+letters and checks that it is multilinear, followed by
+:func:`_letter_coordinates`, the one certified routine. In the
+expansion of a basis monomial, the only word that starts with the lead
+letter is the monomial itself (coefficient 1), so coordinates are read
+off the lead words and then certified against the whole expansion: over
+GF(2) the words are XORed into a bitmask over word ids, whose low
+``dim`` bits are the coordinates, checked by XOR of the basis bitmasks;
+elsewhere the basis expansions are recombined. Letter words hash in C,
+and the tables (lead words, word ids, basis bitmasks or expansions)
+depend only on ``(n, field)``: :func:`_letter_tables` builds them once,
+read-only. :func:`_core_rows` and :func:`_ad_rows` keep certified
+coordinates of letter brackets, for the consequence-span recursion,
+over GF(2) as coordinate masks.
 """
 
 from __future__ import annotations
@@ -124,7 +120,7 @@ class AssocPoly(Combination):
         return self.format(sorted(self.terms, key=_word_order), lambda w: "".join(map(str, w)))
 
 
-def _fold(x, letter: Optional[dict] = None) -> tuple:
+def _fold(x) -> tuple:
     """Uncollected image of a tree or a left-normed tuple under
     ``[a, b] -> ab - ba``: parallel lists of words and signs (+1 or -1).
 
@@ -133,15 +129,14 @@ def _fold(x, letter: Optional[dict] = None) -> tuple:
     recurses. A left-normed tuple or list of n >= 2 letters is not folded
     again: its words are read off :func:`_position_fold` ``(n)``, the fold
     of the monomial on the positions ``0, ..., n-1``, by picking its
-    letters at those positions. Words are tuples of Vars, or of
-    ``letter[v]`` when a letter map is given. A word may occur more than
-    once; collecting is the caller's.
+    letters at those positions. Words are tuples of the leaves, Vars or
+    small-int letters alike. A word may occur more than once; collecting
+    is the caller's.
     """
     if isinstance(x, (tuple, list)):
         if len(x) > 1:
             getters, signs = _position_fold(len(x))
-            letters = tuple(x) if letter is None else tuple([letter[v] for v in x])
-            return [g(letters) for g in getters], list(signs)
+            return [g(x) for g in getters], list(signs)
         if not x:
             raise ValueError("empty monomial")
         x, rights = x[0], ()
@@ -153,17 +148,14 @@ def _fold(x, letter: Optional[dict] = None) -> tuple:
         rights.reverse()
     else:
         rights = ()
-    if isinstance(x, Pair):
-        words, signs = _fold(x, letter)
-    else:
-        words, signs = [(x if letter is None else letter[x],)], [1]
+    words, signs = [(x,)], [1]
     for r in rights:
         if isinstance(r, Pair):
-            rwords, rsigns = _fold(r, letter)
+            rwords, rsigns = _fold(r)
             words = [u + w for u in words for w in rwords] + [w + u for u in words for w in rwords]
             signs = [s * t for s in signs for t in rsigns]
         else:
-            w = (r if letter is None else letter[r],)
+            w = (r,)
             words = [u + w for u in words] + [w + u for u in words]
         signs += [-s for s in signs]
     return words, signs
@@ -179,6 +171,17 @@ def _position_fold(n: int) -> tuple:
     getters, no degrees and no field."""
     words, signs = _fold(mono_to_tree(tuple(range(n))))
     return tuple(itemgetter(*w) for w in words), tuple(signs)
+
+
+def _basis_words(letters: Sequence) -> list:
+    """The left-normed basis on ``letters``, given in increasing order (Vars
+    by index, or small ints): the last letter, then the others in every
+    order, by lexicographic permutation. The one encoding of the basis
+    order: :attr:`MultilinearSpace.basis`, the lead words of
+    :func:`_letter_tables` and the blocks of :func:`_core_rows` and of
+    :func:`~wittid.tideal.consequence_instances` are read off it."""
+    *rest, lead = letters
+    return [(lead,) + perm for perm in itertools.permutations(rest)]
 
 
 @lru_cache(maxsize=None)
@@ -286,29 +289,28 @@ def expand_to_associative(x, field: Optional[Field] = None) -> AssocPoly:
     equal.
     """
     if isinstance(x, LiePoly):
-        field = x.field
+        field, terms = x.field, x.terms.items()
     elif field is None:
         raise ValueError("a field is required to expand a bare tree or monomial")
-    out = AssocPoly(field)
-    out.terms = _expand_element(x, field)
-    return out
-
-
-def _expand_element(x, field: Field, letter: Optional[dict] = None) -> dict:
-    """Image of a LiePoly, a tree, a variable or a left-normed tuple or list
-    under ``[a, b] -> ab - ba``, as a word -> coefficient dict with no zero
-    coefficients. The one fold-and-collect: each monomial is folded by
-    :func:`_fold` and its words are added with one :meth:`Field.add_into`
-    of ``c * sign``, c its coefficient."""
-    if isinstance(x, LiePoly):
-        terms = x.terms.items()
     elif isinstance(x, (Var, Pair, tuple, list)):
         terms = ((x, field.one),)  # the field's one keeps its scalar type
     else:
         raise TypeError(f"cannot expand {type(x).__name__}")
+    out = AssocPoly(field)
+    out.terms = _expand_terms(terms, field)
+    return out
+
+
+def _expand_terms(terms, field: Field) -> dict:
+    """Image of the sum of ``c * x`` over the ``(x, c)`` in ``terms``, each x
+    a tree, a leaf or a left-normed tuple or list, under
+    ``[a, b] -> ab - ba``, as a word -> coefficient dict with no zero
+    coefficients. The one fold-and-collect: each x is folded by
+    :func:`_fold` and its words are added with one :meth:`Field.add_into`
+    of ``c * sign``."""
     acc = {}
-    for mono, c in terms:
-        words, signs = _fold(mono, letter)
+    for x, c in terms:
+        words, signs = _fold(x)
         field.add_into(acc, zip(words, [c * s for s in signs]))
     return acc
 
@@ -401,26 +403,19 @@ def multilinearize(
 
 @lru_cache(maxsize=None)
 def _letter_tables(n: int, field: Field) -> tuple:
-    """Coordinate tables shared by every space on n variables over ``field``.
-
-    Inside a space a variable is its letter, so basis monomial i is the
-    letter word ``lead_words[i]`` in every such space, and the tables
-    depend on ``(n, field)`` alone. Returns ``(lead_words, word_id,
-    basis_masks, basis_expansions)``: over GF(2) the word ids and the
-    basis bitmasks over them, elsewhere the basis expansions; the other
-    two are None. Over GF(2) lead word i has id i, so coordinate i is bit
-    i of a word mask. Everything is immutable, since every space shares
-    it.
-    """
-    # A basis monomial's letter sequence is also its lead word; the
-    # letters stand in for the variables of the expansion.
-    lead_words = tuple((n - 1,) + p for p in itertools.permutations(range(n - 1)))
+    """Coordinate tables on the letters ``0, ..., n-1`` over ``field``, read
+    only by :func:`_letter_coordinates`: ``(lead_words, word_id,
+    basis_masks, basis_expansions)``, lead word i being basis monomial i.
+    Over GF(2) the word ids, lead word i with id i, and the basis bitmasks
+    over them; elsewhere the basis expansions; the other two are None.
+    Immutable, since every caller shares them."""
+    lead_words = tuple(_basis_words(range(n)))
     if _is_gf2(field):
         others = (w for w in itertools.permutations(range(n)) if w[0] != n - 1)
         word_id = {w: i for i, w in enumerate(itertools.chain(lead_words, others))}
         masks = tuple(_word_mask(_fold(w)[0], word_id) for w in lead_words)
         return lead_words, MappingProxyType(word_id), masks, None
-    expansions = (_expand_element(w, field) for w in lead_words)
+    expansions = (_expand_terms(((w, field.one),), field) for w in lead_words)
     return lead_words, None, None, tuple(MappingProxyType(e) for e in expansions)
 
 
@@ -432,19 +427,52 @@ def _word_mask(words, word_id, mask: int = 0) -> int:
     return mask
 
 
+def _letter_coordinates(terms, n: int, field: Field):
+    """Certified coordinates of the sum of ``c * x`` over the ``(x, c)`` in
+    ``terms``, each x a tree or a left-normed tuple that has every letter
+    ``0, ..., n-1`` once, over the left-normed basis on those letters.
+
+    The one coordinate routine. The coordinates are the coefficients of
+    the lead words in the expansion; the recombination of the basis
+    expansions by them must give the whole expansion back, else
+    AssertionError. Over GF(2) no dict is built: the words of each x are
+    XORed into a bitmask over word ids, the coordinates are its low
+    ``dim`` bits, returned as an int mask, and the certification is the
+    XOR of the basis masks they select. Elsewhere they are a tuple.
+    """
+    lead_words, word_id, masks, expansions = _letter_tables(n, field)
+    if masks is not None:
+        mask = 0
+        # Coefficients are reduced, so over GF(2) each is 1.
+        for x, _ in terms:
+            mask = _word_mask(_fold(x)[0], word_id, mask)
+        coords = mask & ((1 << len(lead_words)) - 1)
+        if xor_selected(coords, masks) != mask:
+            raise AssertionError("certification failed: not a Lie element?")
+        return coords
+    exp = _expand_terms(terms, field)
+    zero = field.zero
+    coords = tuple([exp.get(w, zero) for w in lead_words])
+    acc = {}
+    for c, rowexp in zip(coords, expansions):
+        if not field.is_zero(c):
+            field.add_into(acc, ((w, field.mul(c, a)) for w, a in rowexp.items()))
+    if acc != exp:
+        raise AssertionError("certification failed: not a Lie element?")
+    return coords
+
+
 @lru_cache(maxsize=None)
 def _core_rows(k: int, left: tuple, field: Field) -> tuple:
     """Coordinates on k letters of ``[L, R]``, for L over the basis monomials
-    on the letters in ``left`` and, inside, R over those on the others;
-    certified once, then shared. Over GF(2) a row is a coordinate mask."""
-    space = MultilinearSpace.for_degrees((0,) * k, field)
-    coordinates = space._coordinate_mask if space._gf2 else space.coordinates
-    vs = space.variables
-    rights = MultilinearSpace((x for i, x in enumerate(vs) if i not in left), field).basis
-    rights = [mono_to_tree(m) for m in rights]
+    on the letters in ``left`` (increasing) and, inside, R over those on
+    the others; certified once, then shared. Over GF(2) a row is a
+    coordinate mask."""
+    rights = [mono_to_tree(m) for m in _basis_words([i for i in range(k) if i not in left])]
+    one = field.one
     return tuple(
-        coordinates(Pair(mono_to_tree(m), r))
-        for m in MultilinearSpace((vs[i] for i in left), field).basis
+        _letter_coordinates(((Pair(mono_to_tree(m), r), one),), k, field)
+        for m in _basis_words(left)
         for r in rights
     )
 
@@ -461,12 +489,20 @@ def _ad_rows(k: int, pos: int, field: Field) -> tuple:
     return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
 
 
+def _tree_on_letters(t, letter: dict):
+    """The tree t with each leaf v replaced by ``letter[v]``."""
+    if isinstance(t, Pair):
+        return Pair(_tree_on_letters(t.left, letter), _tree_on_letters(t.right, letter))
+    return letter[t]
+
+
 class MultilinearSpace:
     """Multilinear component on distinct graded variables, over a field.
 
     Variables are kept sorted by index; the basis consists of the
     ``(n-1)!`` left-normed monomials that start with the highest-indexed
-    variable, enumerated by lexicographic permutation of the rest.
+    variable, enumerated by lexicographic permutation of the rest. A
+    variable's letter is its position in :attr:`variables`.
     """
 
     def __init__(self, variables: Iterable[Var], field: Field):
@@ -479,14 +515,8 @@ class MultilinearSpace:
         self.field = field
         self.variables = tuple(vs)
         self.n = len(vs)
-        self._var_set = frozenset(vs)
+        self._letter = {v: i for i, v in enumerate(vs)}
         self._basis = None
-        self._letter = None            # Var -> its position in self.variables
-        # Shared per (n, field) by _letter_tables; see there.
-        self._lead_words = None
-        self._word_id = None
-        self._basis_masks = None
-        self._basis_expansions = None
         self._gf2 = _is_gf2(field)
 
     @classmethod
@@ -505,86 +535,49 @@ class MultilinearSpace:
     def basis(self) -> list:
         """The left-normed basis monomials, in lexicographic order."""
         if self._basis is None:
-            lead, rest = self.variables[-1], self.variables[:-1]
-            self._basis = [
-                (lead,) + perm for perm in itertools.permutations(rest)
-            ]
+            self._basis = _basis_words(self.variables)
         return self._basis
 
-    def _ensure_tables(self):
-        if self._letter is not None:
-            return
-        self._letter = {v: i for i, v in enumerate(self.variables)}
-        (
-            self._lead_words,
-            self._word_id,
-            self._basis_masks,
-            self._basis_expansions,
-        ) = _letter_tables(self.n, self.field)
+    def coordinates(self, x) -> tuple:
+        """Coordinates of a LiePoly, a tree, a variable or a left-normed
+        tuple or list over the left-normed basis.
 
-    def _validate_member(self, x):
-        want = self._var_set
+        One pass puts each monomial, or the tree, on the space's letters
+        and checks that it has every variable of the space once
+        (ValueError otherwise, or for a polynomial over another field);
+        :func:`_letter_coordinates` reads and certifies the coordinates.
+        """
+        f, letter, n = self.field, self._letter, self.n
         if isinstance(x, LiePoly):
-            if x.field != self.field:
+            if x.field != f:
                 raise ValueError("polynomial field does not match the space")
-            for mono in x.terms:
-                if len(mono) != self.n or set(mono) != want:
-                    raise ValueError(
-                        f"monomial {mono} is not multilinear in the space variables"
-                    )
+            items = x.terms.items()
         else:
-            leaves = tree_leaves(x) if isinstance(x, (Var, Pair)) else list(x)
-            if len(leaves) != self.n or set(leaves) != want:
+            items = ((x, f.one),)
+        terms = []
+        for mono, c in items:
+            try:
+                if isinstance(mono, (tuple, list)):
+                    leaves = on_letters = tuple([letter[v] for v in mono])
+                else:
+                    on_letters = _tree_on_letters(mono, letter)
+                    leaves = tree_leaves(on_letters)
+            except KeyError:
+                leaves = ()
+            if len(leaves) != n or len(set(leaves)) != n:
+                shown = mono if isinstance(mono, (tuple, list)) else tree_leaves(mono)
                 raise ValueError(
                     "input is not multilinear in the space variables "
-                    f"(leaves {[str(v) for v in leaves]})"
+                    f"(leaves {[str(v) for v in shown]})"
                 )
-
-    def _coordinate_mask(self, x) -> int:
-        """Coordinates over GF(2) as an int mask: the low ``dim`` bits of
-        the word mask (lead word i has id i), certified by XOR of the basis
-        masks over them."""
-        self._validate_member(x)
-        self._ensure_tables()
-        letter, word_id = self._letter, self._word_id
-        mask = 0
-        # LiePoly coefficients are reduced, so over GF(2) each is 1.
-        for mono in x.terms if isinstance(x, LiePoly) else (x,):
-            mask = _word_mask(_fold(mono, letter)[0], word_id, mask)
-        coords = mask & ((1 << self.dim) - 1)
-        if xor_selected(coords, self._basis_masks) != mask:
-            raise AssertionError("certification failed: not a Lie element?")
-        return coords
-
-    def coordinates(self, x) -> tuple:
-        """Coordinates of a multilinear element over the left-normed basis.
-
-        Read off the words that start with the leading variable, then
-        certified by checking that the recombination has the same
-        associative expansion as the input; over GF(2) see
-        :meth:`_coordinate_mask`.
-        """
-        if self._gf2:
-            return unpack_bits(self._coordinate_mask(x), self.dim)
-        self._validate_member(x)
-        self._ensure_tables()
-        f = self.field
-        exp = _expand_element(x, f, self._letter)
-        zero = f.zero
-        coords = tuple([exp.get(w, zero) for w in self._lead_words])
-        acc = {}
-        for c, rowexp in zip(coords, self._basis_expansions):
-            if not f.is_zero(c):
-                f.add_into(acc, ((w, f.mul(c, a)) for w, a in rowexp.items()))
-        if acc != exp:
-            raise AssertionError("certification failed: not a Lie element?")
-        return coords
+            terms.append((on_letters, c))
+        coords = _letter_coordinates(terms, n, f)
+        return unpack_bits(coords, self.dim) if self._gf2 else coords
 
     def poly_from_coords(self, coords: Sequence[Scalar]) -> LiePoly:
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
-        f = self.field
-        return LiePoly(f, dict(zip(self.basis, coords)))
+        return LiePoly(self.field, dict(zip(self.basis, coords)))
 
     def __repr__(self):
         vars_ = ", ".join(str(v) for v in self.variables)

@@ -53,7 +53,7 @@ from typing import Iterator, Optional
 
 from .fields import Field
 from .freealg import (
-    LiePoly, MultilinearSpace, Pair, Tree, Var, _ad_rows, _core_rows, mono_to_tree,
+    LiePoly, MultilinearSpace, Pair, Tree, Var, _ad_rows, _basis_words, _core_rows, mono_to_tree,
 )
 from .linalg import SubspaceBasis, linear_dependencies
 from .models import GradedModel, WittModel, _basis_tuple_rows
@@ -238,7 +238,6 @@ def consequence_instances(
     family: BasisFamily, space: MultilinearSpace
 ) -> Iterator[Tree]:
     """Spanning instances of the family inside the component, as trees."""
-    field = space.field
     vars_ = space.variables
     degrees = space.degrees
     n = space.n
@@ -246,10 +245,10 @@ def consequence_instances(
     block_cache = {}
 
     def block_basis(subset):
+        # the block's basis monomials, as trees
         if subset not in block_cache:
-            block_cache[subset] = MultilinearSpace(
-                (vars_[i] for i in subset), field
-            ).basis
+            words = _basis_words([vars_[i] for i in subset])
+            block_cache[subset] = [mono_to_tree(w) for w in words]
         return block_cache[subset]
 
     def wrapped(core, rest_indices):
@@ -264,17 +263,15 @@ def consequence_instances(
                     continue
                 rest = tuple(i for i in indices if i not in block)
                 for inner in block_basis(block):
-                    yield from wrapped(mono_to_tree(inner), rest)
+                    yield from wrapped(inner, rest)
 
     for size in range(2, n + 1):
         for chosen in itertools.combinations(indices, size):
             rest = tuple(i for i in indices if i not in chosen)
             for left, right in _bracket_splits(family, degrees, chosen):
                 for inner_left in block_basis(left):
-                    tree_left = mono_to_tree(inner_left)
                     for inner_right in block_basis(right):
-                        core = Pair(tree_left, mono_to_tree(inner_right))
-                        yield from wrapped(core, rest)
+                        yield from wrapped(Pair(inner_left, inner_right), rest)
 
 
 def consequence_subspace(

@@ -486,10 +486,10 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
     """
     start = time.monotonic()
     tuples = list(sweep_tuples(config.nmax, config.dmax, config.extra_degree_tuples))
-    if config.workers > 1:
-        # The report keeps the requested count; the pool gets no more
-        # processes than the machine has cores.
-        workers = min(config.workers, os.cpu_count() or 1)
+    # The report keeps the requested count; the pool gets no more processes
+    # than the machine has cores, and one process is a serial run.
+    workers = min(config.workers, os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: multiprocessing costs every serial run its import.
         from concurrent.futures import ProcessPoolExecutor
 

@@ -244,6 +244,24 @@ def test_independence_verbs(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, given",
+    [
+        (["--r", "0", "--s", "2", "--d", "-3"], "--d --r --s"),
+        (["--r", "0", "--d", "-3"], "--d --r"),
+        (["--r", "1", "--count", "2"], "--count --r"),
+        (["--s", "2", "--count", "2"], "--count --s"),
+        (["--d", "-2", "--count", "2"], "--count --d"),
+    ],
+)
+def test_independence_refuses_a_mix_of_options(capsys, argv, given):
+    # Each names two certificates; running one would drop the other silently.
+    code, out, err = run(capsys, "independence", *argv)
+    assert code == 2 and out == ""
+    want = f"independence takes --r and --s, or --d, or --count, not a mix: got {given}"
+    assert err == f"wittid: {want}\n"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["independence", "--d", "0"], "x^0 is not in the family"),
@@ -451,6 +469,9 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "is-identity", "--model", "u1", "[x1^1, y^2]")
     assert code == 2
     assert "position" in err
+    code, out, err = run(capsys, "is-identity", "x^2")
+    assert code == 2 and out == ""
+    assert err == "wittid: at position 1: expected an integer\n"
     code, _, err = run(capsys, "--field", "gf4", "is-identity", "[x1^1]")
     assert code == 2
     with pytest.raises(SystemExit) as exc:

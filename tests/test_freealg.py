@@ -21,8 +21,9 @@ from wittid.freealg import (
     _ad_rows,
     _basis_prefixes,
     _core_rows,
-    _expand_element,
+    _expand_terms,
     _fold,
+    _letter_coordinates,
     _position_fold,
     apply_ad,
     expand_to_associative,
@@ -33,7 +34,7 @@ from wittid.freealg import (
     multilinearize,
     zdegree,
 )
-from wittid.linalg import pack_bits
+from wittid.linalg import pack_bits, unpack_bits
 
 GF2 = Field.gf(2)
 Q = Field.rationals()
@@ -227,15 +228,19 @@ def test_coordinates_match_oracle_on_random_trees(field):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_left_normed_fold_equals_tree_fold(n):
     # A tuple or a list reads the per-n position table; the tree walks its
-    # spine. Same words, signs and order, with and without a letter map.
+    # spine. Same words, signs and order, on Vars and on letters, and the
+    # fold on letters is the fold on Vars with each Var put on its letter.
     rng = random.Random(f"fold/{n}")
     for _ in range(3):
         mono = [v(i, rng.randint(-3, 3)) for i in rng.sample(range(1, 20), n)]
         letter = {x: i for i, x in enumerate(sorted(mono, key=lambda x: x.index))}
-        for letters in (None, letter):
-            want = _fold(mono_to_tree(mono), letters)
-            assert _fold(tuple(mono), letters) == want
-            assert _fold(list(mono), letters) == want
+        letters = [letter[x] for x in mono]
+        for leaves in (mono, letters):
+            want = _fold(mono_to_tree(leaves))
+            assert _fold(tuple(leaves)) == want
+            assert _fold(list(leaves)) == want
+        words, signs = _fold(tuple(mono))
+        assert _fold(tuple(letters)) == ([tuple(letter[x] for x in w) for w in words], signs)
     with pytest.raises(ValueError, match="empty monomial"):
         _fold(())
 
@@ -287,114 +292,154 @@ def test_liepoly_input_agrees_with_tree_input(field):
                 for _ in range(rng.randint(1, 4))
             }
             poly = LiePoly(field, terms)
+            want = {}
+            coords = [field.zero] * space.dim
+            for mono, c in poly.terms.items():
+                tree = mono_to_tree(mono)
+                words = expand_to_associative(tree, field).terms.items()
+                field.add_into(want, ((w, field.mul(c, a)) for w, a in words))
+                coords = [
+                    field.add(x, field.mul(c, y))
+                    for x, y in zip(coords, space.coordinates(tree))
+                ]
+            assert _expand_terms(poly.terms.items(), field) == want
+            assert expand_to_associative(poly).terms == want
+            assert space.coordinates(poly) == tuple(coords)
+            # The same polynomial on letters, read by the letter routine.
             letter = {x: i for i, x in enumerate(space.variables)}
-            for letters in (None, letter):
-                want = {}
-                coords = [field.zero] * space.dim
-                for mono, c in poly.terms.items():
-                    tree = mono_to_tree(mono)
-                    words = _expand_element(tree, field, letters).items()
-                    field.add_into(want, ((w, field.mul(c, a)) for w, a in words))
-                    coords = [
-                        field.add(x, field.mul(c, y))
-                        for x, y in zip(coords, space.coordinates(tree))
-                    ]
-                assert _expand_element(poly, field, letters) == want
-                assert space.coordinates(poly) == tuple(coords)
+            on_letters = [(tuple(letter[x] for x in m), c) for m, c in poly.terms.items()]
+            got = _letter_coordinates(on_letters, n, field)
+            assert (unpack_bits(got, space.dim) if field == GF2 else got) == tuple(coords)
             for mono in poly.terms:
-                assert _expand_element(mono, field) == _expand_element(mono_to_tree(mono), field)
+                one = ((mono, field.one),)
+                assert _expand_terms(one, field) == _expand_terms(
+                    ((mono_to_tree(mono), field.one),), field
+                )
 
 
-def test_certification_is_live_on_both_paths():
-    # A corrupted basis table must make the certification fail, on the
-    # GF(2) mask path and on the generic recombination path alike. The
-    # tables are shared by every space with the same (n, field), so the
-    # corruption goes into a copy bound to this one space, and a fresh
-    # space must still certify.
-    space = MultilinearSpace.for_degrees([0, 1, 2, 3], GF2)
-    mono = space.basis[2]
-    assert space.coordinates(mono_to_tree(mono)) == (0, 0, 1, 0, 0, 0)
-    masks = list(space._basis_masks)
-    masks[2] ^= 1 << 23
-    space._basis_masks = tuple(masks)
-    with pytest.raises(AssertionError, match="certification failed"):
-        space.coordinates(mono_to_tree(mono))
-    poly = LiePoly(GF2, {mono: 1, space.basis[0]: 1})
-    with pytest.raises(AssertionError, match="certification failed"):
-        space.coordinates(poly)
-    fresh = MultilinearSpace.for_degrees([0, 1, 2, 3], GF2)
-    assert fresh.coordinates(poly) == (1, 0, 1, 0, 0, 0)
+def _corrupted_letter_tables(monkeypatch, n):
+    """Replace the letter tables on n letters by ones in which every basis
+    row has its own wrong word, so that any nonzero recombination fails
+    the certification; other sizes keep theirs."""
+    real = freealg._letter_tables
+
+    def corrupted(k, f):
+        lead_words, word_id, masks, expansions = real(k, f)
+        if k != n:
+            return lead_words, word_id, masks, expansions
+        if masks is not None:
+            masks = tuple(m ^ (1 << (len(word_id) - 1 - i)) for i, m in enumerate(masks))
+        else:
+            expansions = tuple(
+                {**e, w: f.add(e[w], f.one)} for w, e in zip(lead_words, expansions)
+            )
+        return lead_words, word_id, masks, expansions
+
+    monkeypatch.setattr(freealg, "_letter_tables", corrupted)
+
+
+def test_certification_is_live_on_both_paths(monkeypatch):
+    # Corrupted letter tables must make the certification fail, on the
+    # GF(2) mask path and on the generic recombination path alike, for a
+    # tree and for a polynomial; with the tables back, the same inputs
+    # certify.
+    for field in (GF2, Field.gf(3)):
+        space = MultilinearSpace.for_degrees([0, 1, 2, 3], field)
+        tree = mono_to_tree(space.basis[2])
+        poly = LiePoly(field, {space.basis[2]: 1, space.basis[0]: 1})
+        small = MultilinearSpace.for_degrees([0, 1, 2], field)
+        assert space.coordinates(tree) == (0, 0, 1, 0, 0, 0)
+        with monkeypatch.context() as patch:
+            _corrupted_letter_tables(patch, 4)
+            with pytest.raises(AssertionError, match="certification failed"):
+                space.coordinates(tree)
+            with pytest.raises(AssertionError, match="certification failed"):
+                space.coordinates(poly)
+            # Other sizes read their own, intact tables.
+            assert small.coordinates(small.basis[0]) == (1, 0)
+        assert space.coordinates(poly) == (1, 0, 1, 0, 0, 0)
+        assert space.coordinates(tree) == (0, 0, 1, 0, 0, 0)
     # A coefficient stored unreduced counts mod 2, as in the expansion.
-    assert fresh.coordinates(LiePoly(GF2, {mono: 3, space.basis[0]: 2})) == (0, 0, 1, 0, 0, 0)
-    assert fresh.coordinates(mono_to_tree(fresh.basis[2])) == (0, 0, 1, 0, 0, 0)
-
-    gf3 = Field.gf(3)
-    space = MultilinearSpace.for_degrees([0, 1, 2, 3], gf3)
-    mono = space.basis[2]
-    assert space.coordinates(mono_to_tree(mono)) == (0, 0, 1, 0, 0, 0)
-    expansions = list(space._basis_expansions)
-    row = dict(expansions[2])
-    word = next(iter(row))
-    row[word] = gf3.add(row[word], 1)
-    expansions[2] = row
-    space._basis_expansions = tuple(expansions)
-    with pytest.raises(AssertionError, match="certification failed"):
-        space.coordinates(mono_to_tree(mono))
-    fresh = MultilinearSpace.for_degrees([0, 1, 2, 3], gf3)
-    assert fresh.coordinates(mono_to_tree(fresh.basis[2])) == (0, 0, 1, 0, 0, 0)
+    basis = MultilinearSpace.for_degrees([0, 1, 2, 3], GF2).basis
+    poly = LiePoly(GF2, {basis[2]: 3, basis[0]: 2})
+    assert MultilinearSpace.for_degrees([0, 1, 2, 3], GF2).coordinates(poly) == (0, 0, 1, 0, 0, 0)
 
 
 @pytest.mark.parametrize("field", [GF2, Field.gf(3)])
-def test_shared_tables_are_read_only(field):
+def test_shared_tables_are_read_only(monkeypatch, field):
+    # Spaces of the same size and field, whatever their variables, read one
+    # table object, keyed by (n, field) alone; it cannot be changed.
+    reads = []
+
+    def recording(n, f):
+        reads.append((n, f, real(n, f)))
+        return reads[-1][2]
+
+    real = freealg._letter_tables
+    monkeypatch.setattr(freealg, "_letter_tables", recording)
     a = MultilinearSpace.for_degrees([0, 1, 2], field)
     b = MultilinearSpace((v(9, 5), v(4, -1), v(7, 0)), field)
     a.coordinates(mono_to_tree(a.basis[0]))
-    b.coordinates(mono_to_tree(b.basis[0]))
-    assert a._lead_words is b._lead_words
+    b.coordinates(LiePoly(field, {b.basis[1]: 1}))
+    assert [(n, f) for n, f, _ in reads] == [(3, field), (3, field)]
+    assert reads[0][2] is reads[1][2]
+    lead_words, word_id, masks, expansions = reads[0][2]
+    assert list(lead_words) == [(2, 0, 1), (2, 1, 0)]
     if field == GF2:
-        assert a._basis_masks is b._basis_masks
+        assert expansions is None
         # Coordinate i is read as bit i of a word mask.
-        assert [a._word_id[w] for w in a._lead_words] == list(range(a.dim))
+        assert [word_id[w] for w in lead_words] == list(range(a.dim))
         with pytest.raises(TypeError):
-            a._basis_masks[0] = 0
+            masks[0] = 0
         with pytest.raises(TypeError):
-            a._word_id[(0, 1, 2)] = 0
+            word_id[(0, 1, 2)] = 0
     else:
-        assert a._basis_expansions is b._basis_expansions
+        assert word_id is None and masks is None
         with pytest.raises(TypeError):
-            a._basis_expansions[0][(2, 0, 1)] = 1
+            expansions[0][(2, 0, 1)] = 1
 
 
-@pytest.mark.parametrize("field", [GF2, Field.gf(3)])
-def test_row_tables_match_oracle_and_are_shared(field):
-    # The rows on 4 letters, read in a space with other indices and
-    # degrees, against the oracle; repeated calls return the same tuples.
-    # Over GF(2) a row is the int mask of its oracle coordinates, and the
-    # ad rows are the core rows of the split with pos alone on the right.
-    space = MultilinearSpace((v(9, 5), v(2, -1), v(7, 0), v(4, 2)), field)
+@pytest.mark.parametrize("k", range(2, 6))
+@pytest.mark.parametrize("field", [GF2, Field.gf(3)], ids=str)
+def test_row_tables_match_oracle_and_are_shared(field, k):
+    # The rows of every split on k letters, read in a space with other
+    # indices and degrees, against the oracle; repeated calls return the
+    # same tuples. Over GF(2) a row is the int mask of its oracle
+    # coordinates, and the ad rows are the core rows of the split with pos
+    # alone on the right.
+    rng = random.Random(f"rows/{k}")
+    space = MultilinearSpace(
+        [v(i, rng.randint(-2, 2)) for i in rng.sample(range(1, 15), k)], field
+    )
     vs = space.variables
     row_form = pack_bits if field == GF2 else tuple
-    core = _core_rows(4, (0, 2), field)
-    assert core is _core_rows(4, (0, 2), field)
-    lefts = MultilinearSpace((vs[0], vs[2]), field).basis
-    rights = MultilinearSpace((vs[1], vs[3]), field).basis
-    assert list(core) == [
-        row_form(oracle_coordinates(space, Pair(mono_to_tree(m), mono_to_tree(r))))
-        for m in lefts
-        for r in rights
-    ]
-    ad = _ad_rows(4, 1, field)
-    assert ad is _ad_rows(4, 1, field)
-    rest = MultilinearSpace(vs[:1] + vs[2:], field).basis
-    images = [oracle_coordinates(space, b + (vs[1],)) for b in rest]
-    if field == GF2:
-        assert all(type(row) is int for row in core + ad)
-        assert ad == _core_rows(4, (0, 2, 3), field)
-        assert list(ad) == [pack_bits(c) for c in images]
-    else:
-        assert all(isinstance(row, tuple) for row in core + ad)
-        assert list(ad) == [tuple((i, x) for i, x in enumerate(c) if x) for c in images]
-    for table in (core, ad):
+    row_type = int if field == GF2 else tuple
+    tables = []
+    for size in range(1, k):
+        for left in itertools.combinations(range(k), size):
+            core = _core_rows(k, left, field)
+            assert core is _core_rows(k, left, field)
+            lefts = MultilinearSpace([vs[i] for i in left], field).basis
+            rights = MultilinearSpace([x for i, x in enumerate(vs) if i not in left], field).basis
+            assert list(core) == [
+                row_form(oracle_coordinates(space, Pair(mono_to_tree(m), mono_to_tree(r))))
+                for m in lefts
+                for r in rights
+            ]
+            tables.append(core)
+    for pos in range(k):
+        ad = _ad_rows(k, pos, field)
+        assert ad is _ad_rows(k, pos, field)
+        rest = MultilinearSpace(vs[:pos] + vs[pos + 1:], field).basis
+        images = [oracle_coordinates(space, b + (vs[pos],)) for b in rest]
+        if field == GF2:
+            assert ad == _core_rows(k, tuple(i for i in range(k) if i != pos), field)
+            assert list(ad) == [pack_bits(c) for c in images]
+        else:
+            assert list(ad) == [tuple((i, x) for i, x in enumerate(c) if x) for c in images]
+        tables.append(ad)
+    for table in tables:
+        assert all(type(row) is row_type for row in table)
         with pytest.raises(TypeError):
             table[0] = ()
 
@@ -406,30 +451,18 @@ def _clear_row_tables():
 
 @pytest.mark.parametrize("field", [GF2, Field.gf(3)])
 def test_row_tables_certify_when_built(monkeypatch, field):
-    # Every basis row of the shared letter tables gets its own wrong word,
-    # so any nonzero recombination fails the certification. The row tables
-    # are cleared before and after, so no row built here stays cached.
-    real = freealg._letter_tables
-
-    def corrupted(n, f):
-        lead_words, word_id, masks, expansions = real(n, f)
-        if masks is not None:
-            masks = tuple(m ^ (1 << i) for i, m in enumerate(masks))
-        else:
-            expansions = tuple(
-                {**e, w: f.add(e[w], f.one)} for w, e in zip(lead_words, expansions)
-            )
-        return lead_words, word_id, masks, expansions
-
+    # Row tables are built through the letter routine, so corrupted letter
+    # tables fail their certification. The row tables are cleared before
+    # and after, so no row built here stays cached.
     _clear_row_tables()
-    monkeypatch.setattr(freealg, "_letter_tables", corrupted)
     try:
-        with pytest.raises(AssertionError, match="certification failed"):
-            _core_rows(3, (0,), field)
-        with pytest.raises(AssertionError, match="certification failed"):
-            _ad_rows(3, 1, field)
+        with monkeypatch.context() as patch:
+            _corrupted_letter_tables(patch, 3)
+            with pytest.raises(AssertionError, match="certification failed"):
+                _core_rows(3, (0,), field)
+            with pytest.raises(AssertionError, match="certification failed"):
+                _ad_rows(3, 1, field)
     finally:
-        monkeypatch.undo()
         _clear_row_tables()
     assert _core_rows(3, (0,), field)
     assert _ad_rows(3, 1, field)
@@ -444,6 +477,46 @@ def test_coordinates_reject_non_members():
     other = LiePoly.monomial(GF2, (v(1, 1), v(3, 2)))
     with pytest.raises(ValueError):
         space.coordinates(other)
+    # A polynomial over another field is refused, even with its monomials
+    # in the space, and so is a coordinate vector of the wrong length.
+    gf3 = Field.gf(3)
+    with pytest.raises(ValueError, match="field does not match the space"):
+        space.coordinates(LiePoly.monomial(gf3, (v(2, 2), v(1, 1))))
+    assert MultilinearSpace(space.variables, gf3).coordinates(
+        LiePoly.monomial(gf3, (v(2, 2), v(1, 1)))
+    ) == (1,)
+    with pytest.raises(ValueError, match="expected 1 coordinates, got 2"):
+        space.poly_from_coords((1, 0))
+
+
+@pytest.mark.parametrize("field", [GF2, Field.gf(3), Q], ids=str)
+def test_negation_and_difference_match_the_oracle(field):
+    # f - f is zero, and f - g expands as f + (-g) by the orientation oracle.
+    def oracle(poly):
+        out = {}
+        for mono, c in poly.terms.items():
+            words = oracle_expand(mono, field).items()
+            field.add_into(out, ((w, field.mul(c, a)) for w, a in words))
+        return out
+
+    rng = random.Random(f"negate/{field}")
+    vs = [v(i + 1, rng.randint(-2, 2)) for i in range(4)]
+    for _ in range(10):
+        f, g = (
+            LiePoly(field, {
+                tuple(rng.sample(vs, 4)): field.from_int(rng.randint(1, 6))
+                for _ in range(rng.randint(1, 3))
+            })
+            for _ in range(2)
+        )
+        assert (f - f).is_zero() and not (f - f).terms
+        assert (-f).field == field and (f - g).field == field
+        diff = f - g
+        assert diff == f + (-g)
+        want = oracle(f)
+        field.add_into(want, ((w, field.neg(c)) for w, c in oracle(g).items()))
+        assert diff.expand().terms == want
+        assert (-g).expand().terms == {w: field.neg(c) for w, c in oracle(g).items()}
 
 
 @pytest.mark.parametrize("field", [GF2, Q])
@@ -491,7 +564,10 @@ def test_expand_element_of_scaled_polys_matches_oracle(field):
             for mono, c in terms.items():
                 words = oracle_expand(mono, field).items()
                 field.add_into(want, ((w, field.mul(c, a)) for w, a in words))
-            assert _expand_element(LiePoly(field, terms), field) == want
+            poly = LiePoly(field, terms)
+            assert _expand_terms(poly.terms.items(), field) == want
+            assert expand_to_associative(poly).terms == want
+
 
 @pytest.mark.parametrize("field", [GF2, Field.gf(3), Q])
 def test_basis_expansions_full_rank(field):

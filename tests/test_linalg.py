@@ -115,6 +115,11 @@ def test_linear_dependencies_kernel(field):
             assert all(field.is_zero(x) for x in combo)
 
 
+def test_linear_dependencies_refuse_vectors_of_different_lengths():
+    with pytest.raises(ValueError, match="vectors must share a length"):
+        linear_dependencies([(1, 0), (1, 0, 1)], GF2)
+
+
 def test_dependencies_of_independent_vectors_trivial():
     kernel = linear_dependencies([(1, 0), (0, 1)], GF2)
     assert kernel.dim == 0

@@ -271,6 +271,8 @@ def test_identity_subspace_examples():
         GF2, (v(3, 1), v(2, 4), v(1, 2))
     )
     assert ident.contains_vector(space.coordinates(expected))
+    with pytest.raises(ValueError, match="model and space fields differ"):
+        identity_subspace(u1_model(Field.gf(3)), space)
 
 
 def test_identity_subspace_w1_empty_component_is_full():

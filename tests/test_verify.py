@@ -540,12 +540,27 @@ def test_pool_is_clamped_to_the_cores(monkeypatch):
     # verify imports the pool class when a sweep asks for workers, so the
     # class is replaced where that import reads it.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
     report = verify_basis_theorem(SweepConfig(model="u1", nmax=2, dmax=1, workers=10_000))
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
-    verify_basis_theorem(SweepConfig(model="u1", nmax=1, dmax=0, workers=2))
     monkeypatch.undo()
-    assert requested == [min(10_000, os.cpu_count() or 1), 1]
+    assert requested == [3]
     assert report.config["workers"] == 10_000
+    assert report.spaces == verify_basis_theorem(SweepConfig(model="u1", nmax=2, dmax=1)).spaces
+
+
+@pytest.mark.parametrize("cores", [1, None])
+def test_one_core_runs_serially(monkeypatch, cores):
+    # A pool of one process would cost its start-up and run nothing in
+    # parallel, so a sweep on one core, or on an unknown count, builds none.
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError(f"a pool of {max_workers} was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
+    report = verify_basis_theorem(SweepConfig(model="u1", nmax=2, dmax=1, workers=2))
+    monkeypatch.undo()
+    assert report.config["workers"] == 2
     assert report.spaces == verify_basis_theorem(SweepConfig(model="u1", nmax=2, dmax=1)).spaces
 
 
