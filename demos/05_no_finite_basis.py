@@ -26,31 +26,31 @@ from wittid import (
 print("Separation certificates (bound 6):")
 for r, s in [(0, 2), (2, 2), (0, 0), (-1, 1)]:
     result = independence_check(r, s, bound=6)
-    merged = " (merged grading)" if result.collision_merged else ""
+    merged = " (merged grading)" if result["collision_merged"] else ""
     print(
         f"  [x1^{r}, x2^{s}]: violated by ut3:{r}:{s}{merged}, "
-        f"{result.checked_pairs} other members all satisfied: {result.ok}"
+        f"{result['checked_pairs']} other members all satisfied: {result['ok']}"
     )
 for d in (-2, -5):
     result = variable_independence_check(d, bound=6)
     print(
         f"  x1^{d}: violated by onedim:{d}, brackets and other singles "
-        f"satisfied: {result.ok}"
+        f"satisfied: {result['ok']}"
     )
 
 print("\nSeparation table for the first 10 members:")
 demo = no_finite_basis_demo(10)
-for row in demo.rows:
+for row in demo["rows"]:
     print(
         f"  {row['member']:16} model {row['model']:10} "
         f"fails own: {row['fails_member']}, satisfies rest: {row['satisfies_rest']}"
     )
-print(f"table valid: {demo.ok} -> no finite subset of the family suffices")
+print(f"table valid: {demo['ok']} -> no finite subset of the family suffices")
 
 print("\nPolynomial-case probe components under both bracket ranges:")
 report = minimality_sweep("w1", member_bound=2, separation_bound=6, nmax=2, dmax=2)
 for variant in ("wide", "tight"):
-    for probe in report.probes[variant]:
+    for probe in report["probes"][variant]:
         witness = probe.get("witness")
         extra = f", witness {witness!r}" if witness else ""
         print(

@@ -51,10 +51,6 @@ from .tideal import (
     w1_family,
 )
 from .verify import (
-    ContrastReport,
-    IndependenceResult,
-    MinimalityReport,
-    NoFiniteBasisReport,
     SweepConfig,
     VerificationReport,
     char_contrast,

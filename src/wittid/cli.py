@@ -265,25 +265,25 @@ def _cmd_independence(args, field: Field) -> tuple:
         lines = [
             f"{row['member']}: model {row['model']} "
             f"{'separates' if row['fails_member'] and row['satisfies_rest'] else 'FAILS'}"
-            for row in demo.rows
+            for row in demo["rows"]
         ]
-        return (0 if demo.ok else 1), lines, demo.to_json_dict()
+        return (0 if demo["ok"] else 1), lines, demo
     if args.d is not None:
         result = variable_independence_check(args.d, bound=args.bound, field=field)
         lines = [
-            f"x1^{args.d}: fails in onedim:{args.d} = {result.fails_member}, "
-            f"other members satisfied = {not result.violations}"
+            f"x1^{args.d}: fails in onedim:{args.d} = {result['fails_member']}, "
+            f"other members satisfied = {not result['violations']}"
         ]
-        return (0 if result.ok else 1), lines, result.to_json_dict()
+        return (0 if result["ok"] else 1), lines, result
     if args.r is None or args.s is None:
         raise UsageError("independence needs --r and --s, or --d, or --count")
     result = independence_check(args.r, args.s, bound=args.bound, field=field)
     lines = [
-        f"[x1^{args.r}, x2^{args.s}]: fails in ut3:{args.r}:{args.s} = {result.fails_member}, "
-        f"other members satisfied = {not result.violations} "
-        f"({result.checked_pairs} checked)"
+        f"[x1^{args.r}, x2^{args.s}]: fails in ut3:{args.r}:{args.s} = {result['fails_member']}, "
+        f"other members satisfied = {not result['violations']} "
+        f"({result['checked_pairs']} checked)"
     ]
-    return (0 if result.ok else 1), lines, result.to_json_dict()
+    return (0 if result["ok"] else 1), lines, result
 
 
 def _cmd_minimality(args, field: Field) -> tuple:
@@ -295,10 +295,10 @@ def _cmd_minimality(args, field: Field) -> tuple:
         dmax=args.dmax,
         field_spec=args.field,
     )
-    lines = [f"model {args.model}: {len(report.member_rows)} bracket members checked"]
-    for row in report.member_rows:
+    lines = [f"model {args.model}: {len(report['member_rows'])} bracket members checked"]
+    for row in report["member_rows"]:
         lines.append(f"  {row['member']}: {'ok' if row['ok'] else 'NOT SEPARATED'}")
-    for variant, entries in report.probes.items():
+    for variant, entries in report["probes"].items():
         for entry in entries:
             if entry is None:
                 continue
@@ -306,15 +306,15 @@ def _cmd_minimality(args, field: Field) -> tuple:
                 f"  probe {variant} degrees={entry['degrees']}: "
                 f"identity dim {entry['dimIdentity']}, consequence dim {entry['dimConsequence']}"
             )
-    return (0 if report.ok else 1), lines, report.to_json_dict()
+    return (0 if report["ok"] else 1), lines, report
 
 
 def _cmd_contrast(args, field: Field) -> tuple:
     report = char_contrast(args.p, bound=args.bound)
     lines = [f"over gf{args.p}:"]
-    for row in report.rows:
+    for row in report["rows"]:
         lines.append(f"  {row['member']}: {'holds' if row['holds'] else 'fails'}")
-    return 0, lines, report.to_json_dict()
+    return 0, lines, report
 
 
 def _cmd_report(args, field: Field) -> tuple:

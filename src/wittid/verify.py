@@ -18,8 +18,9 @@ Also provides separation certificates: graded algebras that violate one
 family member while satisfying all the others, which is what rules out
 any finite generating set. One private check evaluates every separation
 (does the model violate the member, and which of the other listed members
-does it violate), and :class:`IndependenceResult` carries bracket and
-single-variable certificates alike.
+does it violate). Each certificate, table, minimality sweep and contrast
+is its JSON object, built once in output key order with its ``ok``
+verdict where it has one.
 
 Reports serialize to JSON with a stable field layout; identical
 configurations produce byte-identical reports once the wall-clock
@@ -74,6 +75,8 @@ REPORT_SCHEMA = {
                 "field": {"type": "string"},
                 "nmax": {"type": "integer", "minimum": 1},
                 "dmax": {"type": "integer", "minimum": 0},
+                "workers": {"type": "integer", "minimum": 1},
+                "seed": {"type": ["integer", "null"]},
                 "range": {"type": ["string", "null"]},
                 "space_budget_s": {"type": ["number", "null"], "minimum": 0},
                 "extra_degree_tuples": {
@@ -576,42 +579,6 @@ def _separation(model, member: LiePoly, *others) -> tuple:
     return (not satisfies_multilinear(model, member), *map(violated, others))
 
 
-@dataclass
-class IndependenceResult:
-    """Certificate that one family member, a bracket or a single variable,
-    is not a consequence of the other listed members: ``model`` violates
-    the member and, when ``ok``, none of the others."""
-
-    member: str
-    model: str
-    bound: int
-    fails_member: bool
-    checked_pairs: int
-    violations: list
-    checked_singles: Optional[int] = None   # single-variable members only
-    collision_merged: Optional[bool] = None  # UT(3) models only
-
-    @property
-    def ok(self) -> bool:
-        return self.fails_member and not self.violations
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "member": self.member,
-            "model": self.model,
-            "bound": self.bound,
-            "fails_member": self.fails_member,
-            "checked_pairs": self.checked_pairs,
-        }
-        if self.checked_singles is not None:
-            out["checked_singles"] = self.checked_singles
-        out["violations"] = self.violations
-        if self.collision_merged is not None:
-            out["collision_merged"] = self.collision_merged
-        out["ok"] = self.ok
-        return out
-
-
 def _bracket_certificate(r: int, s: int, bound: int, field: Field, singles=()) -> tuple:
     """:func:`independence_check`'s certificate, and the text forms of the
     polynomials in ``singles`` that its UT(3) model violates."""
@@ -622,31 +589,29 @@ def _bracket_certificate(r: int, s: int, bound: int, field: Field, singles=()) -
     model = ut3_model(field, r, s)
     others = [_U1.bracket_member(u, v, field) for (u, v) in _U1.brackets(bound) if (u, v) != (r, s)]
     fails, bad, single_bad = _separation(model, _U1.bracket_member(r, s, field), others, singles)
-    result = IndependenceResult(
-        member=f"[x1^{r}, x2^{s}]",
-        model=model.name,
-        bound=bound,
-        fails_member=fails,
-        checked_pairs=len(others),
-        violations=bad,
-        collision_merged=model.collision_merged,
-    )
-    return result, single_bad
+    certificate = {
+        "member": f"[x1^{r}, x2^{s}]",
+        "model": model.name,
+        "bound": bound,
+        "fails_member": fails,
+        "checked_pairs": len(others),
+        "violations": bad,
+        "collision_merged": model.collision_merged,
+        "ok": fails and not bad,
+    }
+    return certificate, single_bad
 
 
-def independence_check(
-    r: int, s: int, bound: int = 6, field: Optional[Field] = None
-) -> IndependenceResult:
+def independence_check(r: int, s: int, bound: int = 6, field: Optional[Field] = None) -> dict:
     """The graded UT(3) algebra with E12 at degree r and E23 at degree s
     violates [x1^r, x2^s] while satisfying every other same-parity
-    bracket with degrees bounded by ``bound``."""
+    bracket with degrees bounded by ``bound``. The certificate is its JSON
+    object, ``ok`` when the model violates the member and none of the others."""
     _check_separations(_U1.bracket_count(bound), "the certificate")
     return _bracket_certificate(r, s, bound, field or Field.gf(2))[0]
 
 
-def variable_independence_check(
-    d: int, bound: int = 6, field: Optional[Field] = None
-) -> IndependenceResult:
+def variable_independence_check(d: int, bound: int = 6, field: Optional[Field] = None) -> dict:
     """The one-dimensional algebra concentrated in degree d violates x^d
     while satisfying every bracket member and every other x^c."""
     field = field or Field.gf(2)
@@ -659,36 +624,16 @@ def variable_independence_check(
     pairs = [_U1.bracket_member(u, v, field) for (u, v) in _U1.brackets(bound)]
     singles = [LiePoly.variable(field, Var(1, c)) for c in range(-bound, bound + 1) if c != d]
     fails, bad = _separation(model, member, pairs + singles)
-    return IndependenceResult(
-        member=f"x1^{d}",
-        model=model.name,
-        bound=bound,
-        fails_member=fails,
-        checked_pairs=len(pairs),
-        violations=bad,
-        checked_singles=len(singles),
-    )
-
-
-@dataclass
-class NoFiniteBasisReport:
-    """Separation certificates for the leading family members: each row's
-    model violates exactly its own member among the listed ones, so no
-    finite subset of the family generates the rest."""
-
-    members: list
-    rows: list
-
-    @property
-    def ok(self) -> bool:
-        return all(row["fails_member"] and row["satisfies_rest"] for row in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "members": [f"[x1^{r}, x2^{s}]" for (r, s) in self.members],
-            "rows": self.rows,
-            "ok": self.ok,
-        }
+    return {
+        "member": f"x1^{d}",
+        "model": model.name,
+        "bound": bound,
+        "fails_member": fails,
+        "checked_pairs": len(pairs),
+        "checked_singles": len(singles),
+        "violations": bad,
+        "ok": fails and not bad,
+    }
 
 
 def leading_family_members(count: int) -> list:
@@ -698,8 +643,10 @@ def leading_family_members(count: int) -> list:
     return sorted(_U1.brackets(count), key=lambda m: (abs(m[0]) + abs(m[1]), m))[:count]
 
 
-def no_finite_basis_demo(count: int, field: Optional[Field] = None) -> NoFiniteBasisReport:
-    """Pairwise-separation table for the first ``count`` bracket members."""
+def no_finite_basis_demo(count: int, field: Optional[Field] = None) -> dict:
+    """Pairwise-separation table for the first ``count`` bracket members:
+    ``ok`` when each row's model violates exactly its own member among the
+    listed ones, so no finite subset of the family generates the rest."""
     if count < 1:
         raise ValueError("count must be positive")
     _check_separations(count * count, "the separation table")
@@ -720,51 +667,14 @@ def no_finite_basis_demo(count: int, field: Optional[Field] = None) -> NoFiniteB
                 "violations": bad,
             }
         )
-    return NoFiniteBasisReport(members=members, rows=rows)
+    return {
+        "members": [row["member"] for row in rows],
+        "rows": rows,
+        "ok": all(row["fails_member"] and row["satisfies_rest"] for row in rows),
+    }
 
 
 # -- minimality ----------------------------------------------------------------
-
-
-@dataclass
-class MinimalityReport:
-    """Per-member separation rows plus, for the polynomial case, the
-    basis sweeps under both bracket ranges with the probe components
-    (-1, 1) and (-1, 3) always included."""
-
-    model: str
-    member_rows: list
-    single_rows: list
-    sweeps: dict
-    probes: dict
-
-    @property
-    def ok(self) -> bool:
-        rows_ok = all(row["ok"] for row in self.member_rows) and all(
-            row["ok"] for row in self.single_rows
-        )
-        sweeps_ok = True
-        for variant, report in self.sweeps.items():
-            sound_everywhere = all(
-                e.get("sound") is not False for e in report.spaces
-            )
-            sweeps_ok = sweeps_ok and sound_everywhere
-            if variant == "wide":
-                sweeps_ok = sweeps_ok and report.passed
-        return rows_ok and sweeps_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "member_rows": self.member_rows,
-            "single_rows": self.single_rows,
-            "sweeps": {
-                variant: report.to_json_dict(with_timings=False)
-                for variant, report in self.sweeps.items()
-            },
-            "probes": self.probes,
-            "ok": self.ok,
-        }
 
 
 PROBE_TUPLES = ((-1, 1), (-1, 3))
@@ -777,14 +687,17 @@ def minimality_sweep(
     nmax: int = 3,
     dmax: int = 2,
     field_spec: str = "gf2",
-) -> MinimalityReport:
+) -> dict:
     """Removal evidence for every family member in range.
 
     Bracket members get UT(3) separation certificates; single-variable
     members get one-dimensional separations. For the polynomial case the
     sweep runs under both bracket ranges and records the probe
     components, where the tight range may span a proper subspace of the
-    identities; those dimensions are reported, not asserted.
+    identities; those dimensions are reported, not asserted. ``ok`` needs
+    every row ok, no unsound entry in either sweep, and a passing wide
+    sweep. The sweep options are refused, for either model, before any
+    certificate is made.
     """
     if member_bound < 0:
         raise ValueError("member bound must be nonnegative")
@@ -794,6 +707,18 @@ def minimality_sweep(
         raise ValueError(
             "separation bound must be at least 2 to reach the single-variable members x^c, c <= -2"
         )
+    # Built, and so checked, for either model; only w1 runs them.
+    configs = [
+        SweepConfig(
+            model="w1",
+            family_range=variant,
+            nmax=nmax,
+            dmax=dmax,
+            field=field_spec,
+            extra_degree_tuples=PROBE_TUPLES,
+        )
+        for variant in ("wide", "tight")
+    ]
     # Each bracket member's certificate checks it, every other bracket and
     # every single; each single's, itself, every bracket and 2·bound singles.
     brackets = _U1.bracket_count(separation_bound)
@@ -808,68 +733,41 @@ def minimality_sweep(
     ]
     single_polys = [family.single_member(c, field) for c in singles]
     member_rows = []
-    sweeps = {}
-    probes = {}
-
     for (r, s) in family.brackets(member_bound):
-        result, single_bad = _bracket_certificate(r, s, separation_bound, field, single_polys)
-        row = result.to_json_dict()
+        row, single_bad = _bracket_certificate(r, s, separation_bound, field, single_polys)
         if family.has_singletons:
-            row["single_violations"] = single_bad
             row["ok"] = row["ok"] and not single_bad
+            row["single_violations"] = single_bad
         member_rows.append(row)
-
-    single_rows = [
-        variable_independence_check(c, bound=separation_bound, field=field).to_json_dict()
-        for c in singles
-    ]
+    single_rows = [variable_independence_check(c, separation_bound, field) for c in singles]
+    reports = {}
     if family.has_singletons:
-        for variant in ("wide", "tight"):
-            config = SweepConfig(
-                model="w1",
-                family_range=variant,
-                nmax=nmax,
-                dmax=dmax,
-                field=field_spec,
-                extra_degree_tuples=PROBE_TUPLES,
-            )
-            report = verify_basis_theorem(config)
-            sweeps[variant] = report
-            probes[variant] = [
-                report.entry_for(degrees) for degrees in PROBE_TUPLES
-            ]
-
-    return MinimalityReport(
-        model=model_name,
-        member_rows=member_rows,
-        single_rows=single_rows,
-        sweeps=sweeps,
-        probes=probes,
-    )
+        reports = {config.family_range: verify_basis_theorem(config) for config in configs}
+    sound = all(e.get("sound") is not False for report in reports.values() for e in report.spaces)
+    return {
+        "model": model_name,
+        "member_rows": member_rows,
+        "single_rows": single_rows,
+        "sweeps": {
+            variant: report.to_json_dict(with_timings=False) for variant, report in reports.items()
+        },
+        "probes": {
+            variant: [report.entry_for(degrees) for degrees in PROBE_TUPLES]
+            for variant, report in reports.items()
+        },
+        "ok": all(row["ok"] for row in member_rows + single_rows)
+        and sound
+        and ("wide" not in reports or reports["wide"].passed),
+    }
 
 
 # -- characteristic contrast ---------------------------------------------------
 
 
-@dataclass
-class ContrastReport:
+def char_contrast(p: int, bound: int = 4) -> dict:
     """Which equal-parity brackets remain identities of the Laurent model
     over GF(p), p odd. Empirical: the verdicts are measured, not asserted;
     they demonstrate that the family is characteristic-dependent."""
-
-    p: int
-    bound: int
-    rows: list
-
-    @property
-    def any_failed(self) -> bool:
-        return any(not row["holds"] for row in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "bound": self.bound, "rows": self.rows}
-
-
-def char_contrast(p: int, bound: int = 4) -> ContrastReport:
     if p == 2 or p < 2:
         raise ValueError("contrast mode needs an odd prime")
     if bound < 0:
@@ -881,4 +779,4 @@ def char_contrast(p: int, bound: int = 4) -> ContrastReport:
     for (a, b) in _U1.brackets(bound):
         holds = satisfies_multilinear(model, _U1.bracket_member(a, b, field))
         rows.append({"a": a, "b": b, "member": f"[x1^{a}, x2^{b}]", "holds": holds})
-    return ContrastReport(p=p, bound=bound, rows=rows)
+    return {"p": p, "bound": bound, "rows": rows}

@@ -119,15 +119,15 @@ def test_criterion_5_independence_and_no_finite_basis():
             if (r - s) % 2 != 0:
                 continue
             result = independence_check(r, s, bound=6)
-            assert result.ok, (r, s, result.violations)
+            assert result["ok"], (r, s, result["violations"])
             pairs += 1
     singles = 0
     for d in range(-6, -1):
         result = variable_independence_check(d, bound=6)
-        assert result.ok, (d, result.violations)
+        assert result["ok"], (d, result["violations"])
         singles += 1
     demo = no_finite_basis_demo(15)
-    assert demo.ok and len(demo.rows) == 15
+    assert demo["ok"] and len(demo["rows"]) == 15
     report(
         5,
         f"{pairs} bracket separations, {singles} single-variable separations, "
@@ -232,14 +232,14 @@ def test_criterion_9_minimality_probe_components():
     )
     details = []
     for variant in ("wide", "tight"):
-        probes = result.probes[variant]
+        probes = result["probes"][variant]
         assert [p["degrees"] for p in probes] == [[-1, 1], [-1, 3]]
         for probe in probes:
             assert probe["dimIdentity"] is not None
             assert probe["dimConsequence"] is not None
             if not probe["complete"]:
                 assert "witness" in probe
-                assert revalidate_entry(probe, result.sweeps[variant].config)
+                assert revalidate_entry(probe, result["sweeps"][variant]["config"])
             details.append(
                 f"{variant}{tuple(probe['degrees'])}: "
                 f"id {probe['dimIdentity']}/cons {probe['dimConsequence']}"

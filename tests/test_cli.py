@@ -419,6 +419,26 @@ def test_minimality_verb(capsys):
     assert "probes" in obj and set(obj["probes"]) == {"wide", "tight"}
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [(["minimality", "--model", "u1", "--nmax", "99", "--dmax", "-5"],
+      "need nmax >= 1 and dmax >= 0"),
+     (["minimality", "--model", "w1", "--nmax", "9"], "reaches a component of 9 variables"),
+     (["minimality", "--model", "u1", "--nmax", "4", "--dmax", "40"],
+      "components; at most 10,000 are supported")],
+    ids=["u1", "w1", "u1-components"],
+)
+def test_minimality_refuses_sweep_options_first(capsys, monkeypatch, argv, want):
+    # Refused before the first separation check, for either model.
+    def no_check(model, f):
+        raise AssertionError("a separation check was made")
+
+    monkeypatch.setattr(verify, "satisfies_multilinear", no_check)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert want in err
+
+
 def test_contrast_verb(capsys):
     code, out, _ = run(capsys, "contrast", "--p", "3", "--bound", "3")
     assert code == 0
@@ -527,13 +547,15 @@ def test_report_with_missing_key_exits_two(capsys, tmp_path, path):
 
 # Each case sets its keys of the first entry, or of the config, to the
 # value; the first key is the one refused. A sweep refuses the same
-# nmax and dmax ("need nmax >= 1 and dmax >= 0") and the same empty
-# extra tuple ("an extra degree tuple needs at least one degree").
+# nmax and dmax ("need nmax >= 1 and dmax >= 0"), the same workers
+# ("need workers >= 1") and the same empty extra tuple ("an extra degree
+# tuple needs at least one degree").
 @pytest.mark.parametrize(
     "keys",
     [("n", "orbit", "dimP"), ("orbit",), ("dimP",),
      ("config.nmax", 0), ("config.nmax", -5), ("config.dmax", -3),
-     ("config.extra_degree_tuples", [[1], []])],
+     ("config.extra_degree_tuples", [[1], []]), ("config.workers", -4),
+     ("config.workers", 0)],
 )
 def test_report_below_a_schema_minimum_exits_two(capsys, tmp_path, keys):
     out_path, data = _saved_report(capsys, tmp_path)
@@ -741,7 +763,9 @@ def test_report_refuses_entries_that_miss_the_sweep(capsys, tmp_path, edit, want
      (("config", "dmax"), "1", "integer"),
      (("config", "extra_degree_tuples"), [[1, "2"]], "integer"),
      (("config", "range"), ["wide"], "string or null"),
-     (("config", "family"), 3, "string")],
+     (("config", "family"), 3, "string"),
+     (("config", "workers"), "x", "integer"),
+     (("config", "seed"), [1, 2], "integer or null")],
 )
 def test_report_with_wrong_scalar_type_exits_two(capsys, tmp_path, path, value, want):
     # config.range is read only for w1, so it is tested on a w1 report

@@ -651,9 +651,9 @@ def test_committed_n6_reports_revalidate(name):
 def test_independence_examples():
     for (r, s) in [(0, 2), (2, 2), (0, 0)]:
         result = independence_check(r, s, bound=6)
-        assert result.ok, (r, s, result.violations)
-    assert independence_check(0, 2).collision_merged
-    assert not independence_check(2, 2).collision_merged
+        assert result["ok"], (r, s, result["violations"])
+    assert independence_check(0, 2)["collision_merged"]
+    assert not independence_check(2, 2)["collision_merged"]
 
 
 def test_independence_validation():
@@ -671,23 +671,37 @@ def test_independence_validation():
         variable_independence_check(-3, bound=2)
 
 
-def test_certificates_share_one_result_class():
-    pair = independence_check(1, 3)
-    single = variable_independence_check(-3)
-    assert type(pair) is type(single) is verify.IndependenceResult
-    assert list(pair.to_json_dict()) == [
+def test_certificates_keep_their_json_key_order():
+    # Each certificate is its JSON object, built once in output key order:
+    # a pair, a single, a table row, a minimality row and a contrast row.
+    assert list(independence_check(1, 3)) == [
         "member", "model", "bound", "fails_member", "checked_pairs", "violations",
         "collision_merged", "ok",
     ]
-    assert list(single.to_json_dict()) == [
+    assert list(variable_independence_check(-3)) == [
         "member", "model", "bound", "fails_member", "checked_pairs", "checked_singles",
         "violations", "ok",
     ]
+    table = no_finite_basis_demo(2)
+    assert list(table) == ["members", "rows", "ok"]
+    assert list(table["rows"][0]) == [
+        "member", "model", "collision_merged", "fails_member", "satisfies_rest", "violations",
+    ]
+    minimality = minimality_sweep("w1", member_bound=0, separation_bound=2, nmax=1, dmax=0)
+    assert list(minimality) == ["model", "member_rows", "single_rows", "sweeps", "probes", "ok"]
+    assert list(minimality["member_rows"][0]) == [
+        "member", "model", "bound", "fails_member", "checked_pairs", "violations",
+        "collision_merged", "ok", "single_violations",
+    ]
+    assert list(minimality["sweeps"]["wide"]) == ["config", "spaces", "summary", "timings"]
+    contrast = char_contrast(3, bound=1)
+    assert list(contrast) == ["p", "bound", "rows"]
+    assert list(contrast["rows"][0]) == ["a", "b", "member", "holds"]
 
 
 def test_variable_independence_examples():
-    assert variable_independence_check(-2, bound=6).ok
-    assert variable_independence_check(-5, bound=6).ok
+    assert variable_independence_check(-2, bound=6)["ok"]
+    assert variable_independence_check(-5, bound=6)["ok"]
     # the separating algebra for degree -2 satisfies the bracket at (0, 0)
     model = onedim_model(GF2, -2)
     f = LiePoly.monomial(GF2, (Var(1, 0), Var(2, 0)))
@@ -703,10 +717,11 @@ def test_leading_family_members_order():
 
 def test_no_finite_basis_demo():
     demo = no_finite_basis_demo(1)
-    assert demo.ok and len(demo.rows) == 1
+    assert demo["ok"] and len(demo["rows"]) == 1
     demo = no_finite_basis_demo(10)
-    assert demo.ok and len(demo.rows) == 10
-    for row in demo.rows:
+    assert demo["ok"] and len(demo["rows"]) == 10
+    assert demo["members"] == [row["member"] for row in demo["rows"]]
+    for row in demo["rows"]:
         assert row["fails_member"] and row["satisfies_rest"]
     with pytest.raises(ValueError):
         no_finite_basis_demo(0)
@@ -750,32 +765,32 @@ def test_separation_checks_are_counted_in_closed_form(monkeypatch, run):
 
 def test_minimality_u1():
     report = minimality_sweep("u1", member_bound=2, separation_bound=4)
-    assert report.ok
-    assert report.member_rows
-    assert all(row["ok"] for row in report.member_rows)
-    assert not report.sweeps
+    assert report["ok"]
+    assert report["member_rows"]
+    assert all(row["ok"] for row in report["member_rows"])
+    assert not report["sweeps"]
 
 
 def test_minimality_w1_probes():
     report = minimality_sweep(
         "w1", member_bound=2, separation_bound=4, nmax=2, dmax=1
     )
-    assert set(report.sweeps) == {"wide", "tight"}
+    assert set(report["sweeps"]) == {"wide", "tight"}
     for variant in ("wide", "tight"):
-        probes = report.probes[variant]
+        probes = report["probes"][variant]
         assert [p["degrees"] for p in probes] == [list(t) for t in PROBE_TUPLES]
-    wide_probe = report.probes["wide"][0]
+    wide_probe = report["probes"]["wide"][0]
     assert wide_probe["sound"] and wide_probe["complete"]
-    tight_probe = report.probes["tight"][0]
+    tight_probe = report["probes"]["tight"][0]
     assert tight_probe["dimIdentity"] == 1
     # the tight family result at (-1, 1) is reported with a witness when
     # the spans differ; the witness must revalidate either way
     if not tight_probe["complete"]:
         assert "witness" in tight_probe
-        assert revalidate_entry(tight_probe, report.sweeps["tight"].config)
+        assert revalidate_entry(tight_probe, report["sweeps"]["tight"]["config"])
     # the wide-only member [x1^-1, x2^-1] has no full separation:
     # its algebra violates a single-variable member
-    row = next(r for r in report.member_rows if r["member"] == "[x1^-1, x2^-1]")
+    row = next(r for r in report["member_rows"] if r["member"] == "[x1^-1, x2^-1]")
     assert row["single_violations"] == ["x1^-2"]
     assert not row["ok"]
 
@@ -794,16 +809,45 @@ def test_minimality_refuses_bounds_below_the_single_members(separation_bound):
         minimality_sweep("w1", member_bound=0, separation_bound=separation_bound, nmax=1, dmax=0)
 
 
+def _sweep_of(*entries):
+    """A report of hand-written entries at the probe degrees, as
+    verify_basis_theorem would return it."""
+    spaces = [dict(entry, degrees=list(degrees)) for entry, degrees in zip(entries, PROBE_TUPLES)]
+    return VerificationReport(config={}, spaces=spaces, summary=summarize(spaces))
+
+
+PASSED = {"sound": True, "complete": True}
+UNSOUND = {"sound": False, "complete": True}
+INCOMPLETE = {"sound": True, "complete": False}
+
+
+@pytest.mark.parametrize(
+    "wide, tight, ok",
+    [(PASSED, PASSED, True), (PASSED, UNSOUND, False), (UNSOUND, PASSED, False),
+     (INCOMPLETE, PASSED, False), (PASSED, INCOMPLETE, True)],
+    ids=["both-pass", "tight-unsound", "wide-unsound", "wide-fails", "tight-incomplete"],
+)
+def test_minimality_ok_reads_both_sweeps(monkeypatch, wide, tight, ok):
+    """Every row of this minimality sweep is ok, so ``ok`` is the sweep
+    half: no unsound entry in either sweep, and a passing wide sweep; a
+    sound but incomplete tight sweep is the expected outcome."""
+    sweeps = {"wide": _sweep_of(wide, PASSED), "tight": _sweep_of(PASSED, tight)}
+    monkeypatch.setattr(verify, "verify_basis_theorem", lambda config: sweeps[config.family_range])
+    report = minimality_sweep("w1", member_bound=0, separation_bound=2, nmax=1, dmax=0)
+    assert all(row["ok"] for row in report["member_rows"] + report["single_rows"])
+    assert report["probes"]["tight"][1]["degrees"] == [-1, 3]
+    assert report["ok"] is ok
+
+
 # -- characteristic contrast -------------------------------------------------------
 
 
 def test_char_contrast_gf3():
     report = char_contrast(3, bound=3)
-    verdicts = {(row["a"], row["b"]): row["holds"] for row in report.rows}
+    verdicts = {(row["a"], row["b"]): row["holds"] for row in report["rows"]}
     assert verdicts[(1, 3)] is False
     assert verdicts[(1, 1)] is True
     assert verdicts[(0, 0)] is True
-    assert report.any_failed
     with pytest.raises(ValueError):
         char_contrast(2)
     with pytest.raises(ValueError):
