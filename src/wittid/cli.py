@@ -11,13 +11,14 @@ Verbs::
     contrast      which members survive over GF(p), p odd
     report        summarize (and optionally revalidate) a saved report
 
-Exit codes: 0 pass/true, 1 fail/false, 2 usage error.
+Exit codes: 0 pass/true, 1 fail/false, 2 usage error, 141 when the
+reader of standard output closes it early (as a shell reports SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from .fields import Field
@@ -49,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Shared flags, accepted before and after the verb; after it wins, as
     # the verb's parser sets only the flags it is given.
     for flag, default, options in (
-        ("--field", "gf2", {"help": "gf2|gf<p>|rational (default gf2)"}),
+        # None: not given, so gf2 (contrast takes its field from --p).
+        ("--field", None, {"help": "gf2|gf<p>|rational (default gf2)"}),
         ("--format", "text", {"choices": ("text", "json")}),
         ("--out", None, {"help": "write the JSON report to this path"}),
         ("--seed", None, {"type": int, "help": "seed recorded in reports"}),
@@ -108,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, text_lines, json_obj) -> None:
+    import json
+
     if args.format == "json":
         print(json.dumps(json_obj, indent=2))
     else:
@@ -232,7 +236,7 @@ def _cmd_verify_basis(args, field: Field) -> tuple:
         family_range=args.range,
         nmax=args.nmax,
         dmax=args.dmax,
-        field=args.field,
+        field=str(field),
         workers=args.workers,
         space_budget_s=args.budget,
         seed=args.seed,
@@ -240,7 +244,7 @@ def _cmd_verify_basis(args, field: Field) -> tuple:
     report = verify_basis_theorem(config)
     s = report.summary
     lines = [
-        f"model {args.model} over {args.field}: {len(report.spaces)} components",
+        f"model {args.model} over {field}: {len(report.spaces)} components",
         f"passed {s['passed']}, failed {s['failed']}, skipped {s['skipped']}",
     ]
     for entry in report.spaces:
@@ -293,7 +297,7 @@ def _cmd_minimality(args, field: Field) -> tuple:
         separation_bound=args.separation_bound,
         nmax=args.nmax,
         dmax=args.dmax,
-        field_spec=args.field,
+        field_spec=str(field),
     )
     lines = [f"model {args.model}: {len(report['member_rows'])} bracket members checked"]
     for row in report["member_rows"]:
@@ -310,6 +314,8 @@ def _cmd_minimality(args, field: Field) -> tuple:
 
 
 def _cmd_contrast(args, field: Field) -> tuple:
+    if args.field is not None and str(field) != f"gf{args.p}":
+        raise UsageError(f"contrast runs over gf{args.p} (--p {args.p}), not over {field} (--field)")
     report = char_contrast(args.p, bound=args.bound)
     lines = [f"over gf{args.p}:"]
     for row in report["rows"]:
@@ -349,14 +355,24 @@ COMMANDS = {
 }
 
 
+#: Exit code when standard output is closed by its reader: 128 + SIGPIPE.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        field = Field.from_spec(args.field)
+        field = Field.from_spec(args.field or "gf2")
         code, lines, obj = COMMANDS[args.verb](args, field)
         _emit(args, lines, obj)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
+    except BrokenPipeError:
+        # The Python docs' recipe: point stdout at devnull so that the
+        # flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (UsageError, PolynomialSyntaxError, ValueError, OSError) as exc:
         print(f"wittid: {exc}", file=sys.stderr)
         return 2

@@ -16,10 +16,24 @@ its sum, scaling, comparison and text form.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
+
+#: Moduli are below 2^31, so the trial division of :func:`_is_prime` stops
+#: below sqrt(2^31) < 46,341.
+MAX_MODULUS = 2**31
+
+
+def _rational(n: int, d: int = 1):
+    """The Fraction ``n/d``; :mod:`fractions` is imported on first use, so
+    GF(p) work never loads it."""
+    from fractions import Fraction
+
+    return Fraction(n, d)
 
 
 def _is_prime(n: int) -> bool:
@@ -42,6 +56,8 @@ class Field:
 
     def __init__(self, kind: str, p: int | None = None):
         if kind == "prime":
+            if p is not None and p >= MAX_MODULUS:
+                raise ValueError(f"field modulus must be below 2^31 = {MAX_MODULUS:,}, got {p}")
             if p is None or not _is_prime(p):
                 raise ValueError(f"field modulus must be prime, got {p!r}")
         elif kind == "rational":
@@ -80,15 +96,15 @@ class Field:
 
     @property
     def zero(self) -> Scalar:
-        return 0 if self.kind == "prime" else Fraction(0)
+        return 0 if self.kind == "prime" else _rational(0)
 
     @property
     def one(self) -> Scalar:
-        return 1 if self.kind == "prime" else Fraction(1)
+        return 1 if self.kind == "prime" else _rational(1)
 
     def from_int(self, n: int) -> Scalar:
         """Reduce an integer into the field."""
-        return n % self.p if self.kind == "prime" else Fraction(n)
+        return n % self.p if self.kind == "prime" else _rational(n)
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return (a + b) % self.p if self.kind == "prime" else a + b

@@ -46,8 +46,7 @@ over GF(2) as coordinate masks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, total_ordering
 from math import factorial
 from operator import itemgetter
 from types import MappingProxyType
@@ -57,18 +56,65 @@ from .fields import Combination, Field, Scalar
 from .linalg import _is_gf2, unpack_bits, xor_selected
 
 
-@dataclass(frozen=True, order=True)
-class Var:
-    """Graded variable ``x<index>^<degree>``."""
+class _Frozen:
+    """Base of the immutable value types. A subclass names its fields in
+    ``_fields`` and sets each once in ``__init__`` with
+    ``object.__setattr__``; equality, hash, repr and pickling go by the
+    field values, and assignment raises AttributeError."""
 
-    index: int
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"variable index must be positive, got {self.index}")
-        # The dataclass hash would rebuild this tuple on every dict lookup.
-        object.__setattr__(self, "_hash", hash((self.index, self.degree)))
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+@total_ordering
+class Var(_Frozen):
+    """Graded variable ``x<index>^<degree>``, ordered by ``(index, degree)``."""
+
+    __slots__ = ("index", "degree", "_hash")
+    _fields = ("index", "degree")
+
+    def __init__(self, index: int, degree: int):
+        if index < 1:
+            raise ValueError(f"variable index must be positive, got {index}")
+        setattr_ = object.__setattr__
+        setattr_(self, "index", index)
+        setattr_(self, "degree", degree)
+        # Stored once: a hash of the fields would rebuild this tuple on
+        # every dict lookup.
+        setattr_(self, "_hash", hash((index, degree)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.index == other.index and self.degree == other.degree
+
+    def __lt__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return (self.index, self.degree) < (other.index, other.degree)
 
     def __hash__(self):
         return self._hash
@@ -77,12 +123,14 @@ class Var:
         return f"x{self.index}^{self.degree}"
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(_Frozen):
     """Bracket node ``[left, right]`` of a tree-shaped Lie element."""
 
-    left: "Tree"
-    right: "Tree"
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: "Tree", right: "Tree"):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 Tree = Union[Var, Pair]

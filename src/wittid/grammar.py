@@ -15,9 +15,7 @@ meaningful over the rationals.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .fields import Field
+from .fields import Field, _rational
 from .freealg import LiePoly, Var
 
 
@@ -101,7 +99,7 @@ class _Parser:
                     self.error("fractional coefficients need the rational field")
                 if den == 0:
                     self.error("zero denominator")
-                coeff = Fraction(num, den)
+                coeff = _rational(num, den)
             else:
                 coeff = self.field.from_int(num)
             self.expect("*")

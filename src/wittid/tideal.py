@@ -46,14 +46,14 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from functools import reduce
 from math import factorial
 from typing import Iterator, Optional
 
 from .fields import Field
 from .freealg import (
-    LiePoly, MultilinearSpace, Pair, Tree, Var, _ad_rows, _basis_words, _core_rows, mono_to_tree,
+    LiePoly, MultilinearSpace, Pair, Tree, Var, _ad_rows, _basis_words, _core_rows, _Frozen,
+    mono_to_tree,
 )
 from .linalg import SubspaceBasis, linear_dependencies
 from .models import GradedModel, WittModel, _basis_tuple_rows
@@ -63,8 +63,7 @@ class BudgetExceeded(RuntimeError):
     """Raised when a consequence span computation runs past its deadline."""
 
 
-@dataclass(frozen=True)
-class BasisFamily:
+class BasisFamily(_Frozen):
     """A generating family of graded identities; :func:`family_for` builds
     the family of a model and range.
 
@@ -73,16 +72,17 @@ class BasisFamily:
     (-1 or 0), together with the single variables x^c, c <= -2.
     """
 
-    kind: str
-    bracket_lower_bound: Optional[int] = None
+    __slots__ = _fields = ("kind", "bracket_lower_bound")
 
-    def __post_init__(self):
-        if self.kind not in ("u1", "w1"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "w1" and self.bracket_lower_bound not in (-1, 0):
+    def __init__(self, kind: str, bracket_lower_bound: Optional[int] = None):
+        if kind not in ("u1", "w1"):
+            raise ValueError(f"unknown family kind {kind!r}")
+        if kind == "w1" and bracket_lower_bound not in (-1, 0):
             raise ValueError("w1 family needs a bracket lower bound of -1 or 0")
-        if self.kind == "u1" and self.bracket_lower_bound is not None:
+        if kind == "u1" and bracket_lower_bound is not None:
             raise ValueError("u1 family takes no lower bound")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "bracket_lower_bound", bracket_lower_bound)
 
     @property
     def has_singletons(self) -> bool:

@@ -33,10 +33,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import os
 import time
-from dataclasses import dataclass, field as dataclass_field
 from math import comb, factorial, inf
 from typing import Optional, Sequence
 
@@ -121,21 +119,32 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass
 class SweepConfig:
-    """Configuration of a basis-verification sweep."""
+    """Configuration of a basis-verification sweep. ``model`` is "u1" or
+    "w1"; ``family_range`` is the w1 bracket range, "wide" (>= -1) or
+    "tight" (>= 0)."""
 
-    model: str = "u1"                 # "u1" or "w1"
-    family_range: str = "wide"        # w1 bracket range: "wide" (>= -1) or "tight" (>= 0)
-    nmax: int = 4
-    dmax: int = 3
-    field: str = "gf2"
-    workers: int = 1
-    space_budget_s: Optional[float] = None
-    extra_degree_tuples: tuple = ()
-    seed: Optional[int] = None
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        model: str = "u1",
+        family_range: str = "wide",
+        nmax: int = 4,
+        dmax: int = 3,
+        field: str = "gf2",
+        workers: int = 1,
+        space_budget_s: Optional[float] = None,
+        extra_degree_tuples: tuple = (),
+        seed: Optional[int] = None,
+    ):
+        self.model = model
+        self.family_range = family_range
+        self.nmax = nmax
+        self.dmax = dmax
+        self.field = field
+        self.workers = workers
+        self.space_budget_s = space_budget_s
+        self.extra_degree_tuples = tuple(tuple(t) for t in extra_degree_tuples)
+        self.seed = seed
         if self.nmax < 1 or self.dmax < 0:
             raise ValueError("need nmax >= 1 and dmax >= 0")
         self.family()  # refuses a model without a family and an unknown range
@@ -143,7 +152,6 @@ class SweepConfig:
         if self.workers < 1:
             raise ValueError("need workers >= 1")
         _check_budget(self.space_budget_s, "the per-space budget")
-        self.extra_degree_tuples = tuple(tuple(t) for t in self.extra_degree_tuples)
         if () in self.extra_degree_tuples:
             raise ValueError("an extra degree tuple needs at least one degree")
         _check_size(self.nmax, self.extra_degree_tuples, "the sweep")
@@ -171,15 +179,15 @@ class SweepConfig:
         }
 
 
-@dataclass
 class VerificationReport:
     """Outcome of a sweep: one entry per canonical degree tuple. A loaded
     one is checked by :meth:`audit`; ``passed`` reads only the summary."""
 
-    config: dict
-    spaces: list
-    summary: dict
-    timings: dict = dataclass_field(default_factory=dict)
+    def __init__(self, config: dict, spaces: list, summary: dict, timings: Optional[dict] = None):
+        self.config = config
+        self.spaces = spaces
+        self.summary = summary
+        self.timings = {} if timings is None else timings
 
     @property
     def passed(self) -> bool:
@@ -252,12 +260,16 @@ class VerificationReport:
         return out
 
     def to_json(self, with_timings: bool = True) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(with_timings), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
         """Load a report; a malformed one, or one whose model and range
         name no family or whose field is none, raises ValueError."""
+        import json
+
         data = json.loads(text)
         _check_shape(data, REPORT_SCHEMA, "report")
         config = data["config"]

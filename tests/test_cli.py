@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -443,6 +447,57 @@ def test_contrast_verb(capsys):
     code, out, _ = run(capsys, "contrast", "--p", "3", "--bound", "3")
     assert code == 0
     assert "fails" in out and "holds" in out
+
+
+@pytest.mark.parametrize("given", [[], ["--field", "gf3"]])
+def test_contrast_accepts_its_own_field(capsys, given):
+    code, out, err = run(capsys, *given, "contrast", "--p", "3", "--bound", "1")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "over gf3:"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--field", "gf5", "contrast", "--p", "3", "--bound", "1"],
+        ["--field", "gf2", "contrast", "--p", "3", "--bound", "1"],
+        ["contrast", "--p", "3", "--bound", "1", "--field", "rational"],
+    ],
+)
+def test_contrast_refuses_another_field(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    named = argv[argv.index("--field") + 1]
+    assert "gf3" in err and named in err
+
+
+def _wittid(*argv) -> tuple:
+    """The command line and environment that run wittid in a fresh
+    interpreter on this checkout's source."""
+    src = Path(cli.__file__).resolve().parent.parent
+    return [sys.executable, "-m", "wittid.cli", *argv], {**os.environ, "PYTHONPATH": str(src)}
+
+
+def test_huge_modulus_is_refused_at_once():
+    # 2^61 - 1 is prime; trial division up to its square root would run
+    # for minutes.
+    command, env = _wittid("--field", f"gf{2**61 - 1}", "is-identity", "[x1^1, x2^3]")
+    proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "2^31" in proc.stderr
+
+
+def test_closed_stdout_is_not_a_usage_error():
+    # The reader closes the pipe before wittid writes: no message, and an
+    # exit code that is not the one of malformed input.
+    command, env = _wittid("--field", "gf3", "verify-basis", "--nmax", "3", "--dmax", "1")
+    proc = subprocess.Popen(
+        command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert err == ""
 
 
 def test_shared_flags_accepted_after_the_verb(capsys, tmp_path):

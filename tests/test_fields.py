@@ -46,6 +46,15 @@ def test_bad_specs_rejected():
         Field("rational", 5)
 
 
+def test_modulus_bound():
+    # The largest prime below the bound is accepted; at the bound a prime
+    # like 2^61 - 1 is refused before any trial division.
+    assert Field.gf(2**31 - 1).p == 2**31 - 1
+    for p in (2**31, 2**61 - 1):
+        with pytest.raises(ValueError, match=r"2\^31"):
+            Field.gf(p)
+
+
 def test_from_spec():
     assert Field.from_spec("gf2") == GF2
     assert Field.from_spec("gf17").p == 17

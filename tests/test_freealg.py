@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import pickle
 import random
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_coordinates, oracle_expand, random_multilinear_tree, random_shape
-from wittid import freealg
+from wittid import freealg, tideal
 from wittid.fields import Field
 from wittid.freealg import (
     AssocPoly,
@@ -67,8 +66,22 @@ def test_variables_behave_as_index_degree_pairs():
             assert twin == x and hash(twin) == hash(x) and repr(twin) == repr(x)
     assert sorted(reversed(vs)) == vs
     assert len({*vs, *(Var(i, d) for i, d in pairs)}) == len(vs)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         vs[0].index = 4
+    # Trees and families are values too: immutable, compared and hashed by
+    # their fields, and kept by a pickle or copy round trip.
+    family = tideal.BasisFamily("w1", -1)
+    for x, same, other, field in (
+        (Pair(v(1, 0), v(2, 1)), Pair(v(1, 0), v(2, 1)), Pair(v(2, 1), v(1, 0)), "left"),
+        (family, tideal.family_for("w1", "wide"), tideal.BasisFamily("w1", 0), "kind"),
+    ):
+        assert x == same and hash(x) == hash(same) and x != other
+        assert len({x, same, other}) == 2
+        for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert twin == x and hash(twin) == hash(x) and repr(twin) == repr(x)
+        with pytest.raises(AttributeError):
+            setattr(x, field, other)
+    assert repr(family) == "BasisFamily(kind='w1', bracket_lower_bound=-1)"
 
 
 def test_expand_single_bracket_char2():

@@ -221,15 +221,32 @@ def test_space_entry_at_720_columns(model, family_range, degrees, dims, complete
         assert not revalidate_entry({**entry, "witness": ""}, config.to_dict())
 
 
-def test_import_loads_no_process_pool():
-    # Only a sweep with workers > 1 needs multiprocessing.
+def _modules_added_by_import() -> set:
+    """The modules that ``import wittid, wittid.cli`` adds to those a bare
+    interpreter has loaded."""
     src = Path(verify.__file__).resolve().parent.parent
-    probe = "import sys, wittid.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    probe = (
+        "import sys; before = set(sys.modules); import wittid, wittid.cli; "
+        "print('\\n'.join(set(sys.modules) - before))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
-    assert out.strip() == "[]"
+    return set(out.split())
+
+
+def test_import_loads_no_process_pool():
+    # Only a sweep with workers > 1 needs multiprocessing.
+    assert not {"multiprocessing", "concurrent.futures"} & _modules_added_by_import()
+
+
+def test_import_loads_no_dataclasses_fractions_or_json():
+    # Start-up cost: json is imported where a report is read or written,
+    # fractions where a rational scalar is made.
+    added = _modules_added_by_import()
+    assert "wittid.cli" in added
+    assert not {"dataclasses", "inspect", "fractions", "json"} & added
 
 
 def test_summarize_counts_entries():
