@@ -20,6 +20,14 @@ over GF(2) each also takes a mask that fits in ``ncols`` bits, such as
 the certified coordinate masks of :mod:`wittid.freealg`. Everything else
 works on the packed rows; only ``rows``, ``reduce`` and ``row_outside``
 give scalar tuples.
+
+:func:`linear_dependencies` returns a :class:`Kernel`: the common kernel
+of r functionals, kept as their r reduced rows and never written out
+(for the identities of a u1 or w1 component, r <= 1). Its reduced rows
+are made one at a time when they are read, and a
+:class:`SubspaceBasis` reads them, as they are made, through its own
+residue routine; the kernel's own containments are r dot products per
+row.
 """
 
 from __future__ import annotations
@@ -27,7 +35,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import compress, islice
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .fields import Field, Scalar
 
@@ -79,11 +88,49 @@ def _subtract(vec: list, c: Scalar, row: list, start: int, p: int) -> None:
         vec[start:] = [a - c * b for a, b in tail]
 
 
-class SubspaceBasis:
+class _Subspace:
+    """What a stored subspace of F^ncols and a :class:`Kernel` share: the
+    field, the packed row form, and the reading of vectors into it."""
+
+    __slots__ = ("field", "ncols", "_gf2", "_p")
+
+    def _read(self, vec: Sequence[Scalar] | int):
+        """A vector as a packed row of the caller's own: over GF(2) a mask,
+        taken as it is if it comes as one that fits in ``ncols`` bits;
+        elsewhere a list."""
+        if self._gf2 and isinstance(vec, int):
+            if vec < 0 or vec.bit_length() > self.ncols:
+                raise ValueError(f"mask does not fit in {self.ncols} columns")
+            return vec
+        if len(vec) != self.ncols:
+            raise ValueError(f"expected length {self.ncols}, got {len(vec)}")
+        return pack_bits(vec) if self._gf2 else list(vec)
+
+    def _unpack(self, row) -> tuple:
+        return unpack_bits(row, self.ncols) if self._gf2 else tuple(row)
+
+    def _check_ambient(self, other: "_Subspace"):
+        if not isinstance(other, _Subspace):
+            raise TypeError("expected a SubspaceBasis or a Kernel")
+        if other.field != self.field or other.ncols != self.ncols:
+            raise ValueError("subspaces live in different ambient spaces")
+
+    # Each subclass gives its rows packed in two ways: ``_packed()``, any
+    # rows that span it, and ``_rref()``, its reduced row echelon rows.
+
+    def rows(self) -> list:
+        """The reduced row-echelon rows, as scalar tuples."""
+        return list(map(self._unpack, self._rref()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, ncols={self.ncols}, field={self.field})"
+
+
+class SubspaceBasis(_Subspace):
     """Semi-echelon basis of a subspace of F^ncols, put in reduced row
     echelon form when that form is read."""
 
-    __slots__ = ("field", "ncols", "_gf2", "_p", "_rows", "_pivots", "_pivot_mask", "_reduced")
+    __slots__ = ("_rows", "_pivots", "_pivot_mask", "_reduced")
 
     def __init__(self, field: Field, ncols: int):
         if ncols < 0:
@@ -186,20 +233,12 @@ class SubspaceBasis:
             rows[i] = residue(rows[i], i + 1)
         self._reduced = True
 
-    def _read(self, vec: Sequence[Scalar] | int):
-        """A vector as a packed row of the caller's own: over GF(2) a mask,
-        taken as it is if it comes as one that fits in ``ncols`` bits;
-        elsewhere a list."""
-        if self._gf2 and isinstance(vec, int):
-            if vec < 0 or vec.bit_length() > self.ncols:
-                raise ValueError(f"mask does not fit in {self.ncols} columns")
-            return vec
-        if len(vec) != self.ncols:
-            raise ValueError(f"expected length {self.ncols}, got {len(vec)}")
-        return pack_bits(vec) if self._gf2 else list(vec)
+    def _packed(self) -> list:
+        return self._rows
 
-    def _unpack(self, row) -> tuple:
-        return unpack_bits(row, self.ncols) if self._gf2 else tuple(row)
+    def _rref(self) -> list:
+        self._reduce_rows()
+        return self._rows
 
     # -- public interface ---------------------------------------------------
 
@@ -258,30 +297,18 @@ class SubspaceBasis:
     def contains_vector(self, vec: Sequence[Scalar] | int) -> bool:
         return self._first_outside((self._read(vec),)) is None
 
-    def contains_subspace(self, other: "SubspaceBasis") -> bool:
+    def contains_subspace(self, other: _Subspace) -> bool:
+        """Whether the span contains ``other``, a subspace or a kernel."""
         self._check_ambient(other)
-        return self._first_outside(other._rows) is None
+        return self._first_outside(other._packed()) is None
 
-    def row_outside(self, other: "SubspaceBasis") -> tuple | None:
+    def row_outside(self, other: _Subspace) -> tuple | None:
         """The first reduced row of ``other`` that the span misses, as a
         scalar tuple; None when the span contains ``other``. Only that row
         is unpacked."""
         self._check_ambient(other)
-        other._reduce_rows()
-        row = self._first_outside(other._rows)
-        return None if row is None else other._unpack(row)
-
-    def rows(self) -> list:
-        """The reduced row-echelon rows, as scalar tuples; the stored rows
-        are put in that form first."""
-        self._reduce_rows()
-        return list(map(self._unpack, self._rows))
-
-    def _check_ambient(self, other: "SubspaceBasis"):
-        if not isinstance(other, SubspaceBasis):
-            raise TypeError("expected a SubspaceBasis")
-        if other.field != self.field or other.ncols != self.ncols:
-            raise ValueError("subspaces live in different ambient spaces")
+        row = self._first_outside(other._rref())
+        return None if row is None else self._unpack(row)
 
     def __eq__(self, other) -> bool:
         """Equality of subspaces: the same pivot columns, which every
@@ -295,19 +322,101 @@ class SubspaceBasis:
         other._reduce_rows()
         return self._rows == other._rows
 
-    def __repr__(self):
-        return f"SubspaceBasis(dim={self.dim}, ncols={self.ncols}, field={self.field})"
+
+class Kernel(_Subspace):
+    """The common kernel of some functionals on F^ncols, kept as their
+    reduced echelon rows, not as the kernel's rows.
+
+    The stored row of pivot p is 1 at p, its last nonzero column, and zero
+    at every other pivot. The reduced kernel rows are made one at a time,
+    in pivot order, when they are read: the row of free column f is
+    ``e_f - sum_p row_p[f] * e_p``. A vector lies in the kernel when its
+    dot product with every stored row is zero."""
+
+    __slots__ = ("_rows", "_pivots")
+
+    def __init__(self, echelon: SubspaceBasis):
+        """The kernel of the rows of ``echelon`` read in reverse: its
+        column q is column ncols-1-q here."""
+        self.field, self.ncols, self._gf2, self._p = (
+            echelon.field, echelon.ncols, echelon._gf2, echelon._p
+        )
+        m = self.ncols
+        rows = reversed(echelon._rref())
+        self._pivots = [m - 1 - q for q in reversed(echelon._pivots)]
+        if self._gf2:
+            self._rows = [int(format(row, f"0{m}b")[::-1], 2) for row in rows]
+        else:
+            self._rows = [row[::-1] for row in rows]
+
+    @property
+    def dim(self) -> int:
+        return self.ncols - len(self._rows)
+
+    def is_zero(self) -> bool:
+        return len(self._rows) == self.ncols
+
+    def is_full(self) -> bool:
+        return not self._rows
+
+    def _rref(self) -> Iterator:
+        """The reduced kernel rows, packed, in pivot order."""
+        m, pivots, p = self.ncols, self._pivots, self._p
+        free = sorted(set(range(m)).difference(pivots))
+        if self._gf2:
+            pairs = list(zip(pivots, self._rows))
+            for f in free:
+                vec = 1 << f
+                for q, row in pairs:
+                    vec |= (row >> f & 1) << q
+                yield vec
+            return
+        # The stored rows negated, so that column f of each is its entry.
+        pairs = [(q, [-c % p if p else -c for c in row]) for q, row in zip(pivots, self._rows)]
+        zero, one = self.field.zero, self.field.one
+        for f in free:
+            vec = [zero] * m
+            vec[f] = one
+            for q, row in pairs:
+                vec[q] = row[f]
+            yield vec
+
+    _packed = _rref
+
+    def _inside(self, rows: Sequence) -> bool:
+        """Whether some packed rows all have a zero dot product with every
+        stored row, so lie in the kernel."""
+        if self._gf2:
+            return not any((row & r).bit_count() & 1 for r in self._rows for row in rows)
+        p = self._p
+        dots = (sum(map(mul, row, r)) for r in self._rows for row in rows)
+        return not (any(d % p for d in dots) if p else any(dots))
+
+    def contains_vector(self, vec: Sequence[Scalar] | int) -> bool:
+        return self._inside((self._read(vec),))
+
+    def contains_subspace(self, other: _Subspace) -> bool:
+        """Whether the kernel contains ``other``: r dot products per row
+        of ``other``, for the r stored rows."""
+        self._check_ambient(other)
+        return self._inside(list(other._packed()))
+
+    def __eq__(self, other) -> bool:
+        """Equality of subspaces: the same dimension, and containment."""
+        if not isinstance(other, _Subspace):
+            return NotImplemented
+        self._check_ambient(other)
+        return other.dim == self.dim and self.contains_subspace(other)
 
 
-def linear_dependencies(
-    vectors: Sequence[Sequence[Scalar]], field: Field
-) -> SubspaceBasis:
+def linear_dependencies(vectors: Sequence[Sequence[Scalar]], field: Field) -> Kernel:
     """Kernel {c : sum_i c_i * vectors[i] = 0} as a subspace of F^len(vectors).
 
     One elimination, of the transposed system with its columns reversed,
     whose rows are then put in reduced form: the row of pivot p is zero at
     every other pivot and at every free column above p, so the kernel row
     ``e_f - sum_p row_p[f] * e_p`` of free column f is already reduced.
+    The kernel keeps only those r <= len(vectors[0]) rows.
     """
     m = len(vectors)
     if len({len(v) for v in vectors}) > 1:
@@ -316,21 +425,4 @@ def linear_dependencies(
     echelon = SubspaceBasis(field, m)
     for column in zip(*vectors):
         echelon.insert(column[::-1])
-    echelon._reduce_rows()
-    pivot_rows = [(m - 1 - q, row) for q, row in zip(echelon._pivots, echelon._rows)]
-    kernel = SubspaceBasis(field, m)
-    kernel._pivots = sorted(set(range(m)).difference(p for p, _ in pivot_rows))
-    for free in kernel._pivots:
-        q = m - 1 - free
-        if kernel._gf2:
-            vec = 1 << free
-            for pivot, row in pivot_rows:
-                vec |= ((row >> q) & 1) << pivot
-            kernel._pivot_mask |= 1 << free
-        else:
-            vec = [field.zero] * m
-            vec[free] = field.one
-            for pivot, row in pivot_rows:
-                vec[pivot] = field.neg(row[q])
-        kernel._rows.append(vec)
-    return kernel
+    return Kernel(echelon)

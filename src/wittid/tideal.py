@@ -10,7 +10,8 @@ family, and :meth:`BasisFamily.brackets` the one list of its bracket
 members within a degree bound. The two subspaces are:
 
 * the identity subspace: the kernel of the evaluation map into the model,
-  on the basis-tuple values of the loop in :mod:`wittid.models`;
+  on the basis-tuple values of the loop in :mod:`wittid.models`, kept as
+  a :class:`~wittid.linalg.Kernel` (for u1 and w1, of one functional);
 * the consequence subspace: the span of all multilinear substitution
   instances of family members inside the component.
 
@@ -55,7 +56,7 @@ from .freealg import (
     LiePoly, MultilinearSpace, Pair, Tree, Var, _ad_rows, _basis_words, _core_rows, _Frozen,
     mono_to_tree,
 )
-from .linalg import SubspaceBasis, linear_dependencies
+from .linalg import Kernel, SubspaceBasis, linear_dependencies
 from .models import GradedModel, WittModel, _basis_tuple_rows
 
 
@@ -213,9 +214,10 @@ def monomial_normal_form(mono: tuple) -> Optional[tuple]:
     return (head, *rest)
 
 
-def identity_subspace(model: GradedModel, space: MultilinearSpace) -> SubspaceBasis:
+def identity_subspace(model: GradedModel, space: MultilinearSpace) -> Kernel:
     """Kernel of the evaluation map of the multilinear component into the
-    model: the linear dependencies of the basis monomials' values."""
+    model: the linear dependencies of the basis monomials' values, which
+    keeps only the echelon rows of those values."""
     if model.field != space.field:
         raise ValueError("model and space fields differ")
     return linear_dependencies(_basis_tuple_rows(model, space.variables), space.field)
@@ -391,12 +393,14 @@ class SpanMemo:
         return acc
 
 
-def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:
-    """Exact containment inner <= outer, by row reduction."""
+def subspace_contains(outer: SubspaceBasis | Kernel, inner: SubspaceBasis | Kernel) -> bool:
+    """Exact containment inner <= outer: by row reduction in a span, by
+    dot products in a kernel."""
     return outer.contains_subspace(inner)
 
 
-def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    """Exact equality of subspaces: their reduced row echelon forms, into
-    which both are put in place, coincide."""
+def subspace_equal(a: SubspaceBasis | Kernel, b: SubspaceBasis | Kernel) -> bool:
+    """Exact equality of subspaces: of two spans, their reduced row echelon
+    forms, into which both are put in place, coincide; with a kernel, the
+    dimensions agree and the kernel contains the other."""
     return a == b

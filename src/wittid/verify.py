@@ -468,8 +468,10 @@ def _entry(model, degrees, budget_s, memo: SpanMemo) -> dict:
     entry["dimConsequence"] = cons.dim
     sound = subspace_contains(ident, cons)
     # A sound span lies inside the identities, so it is all of them
-    # exactly when the dimensions agree.
-    complete = cons.dim == ident.dim if sound else subspace_contains(cons, ident)
+    # exactly when the dimensions agree. The identities of a u1 or w1
+    # component have codimension at most 1, so an unsound span, which
+    # sticks out of them, contains them only if it is everything.
+    complete = cons.dim == ident.dim if sound else cons.is_full()
     entry["sound"] = sound
     entry["complete"] = complete
     if not sound:
@@ -554,6 +556,8 @@ def revalidate_entry(entry: dict, config: dict, memo: Optional[SpanMemo] = None)
     cons = consequence_subspace(family, space, memo=memo)
     sound = subspace_contains(ident, cons)
     # Both containments, not the sweep's dimension test: an independent check.
+    # The identities are checked in the span row by row, as their kernel
+    # makes its rows.
     complete = subspace_contains(cons, ident)
     stored = (entry["dimIdentity"], entry["dimConsequence"], entry["sound"], entry["complete"])
     if stored != (ident.dim, cons.dim, sound, complete):

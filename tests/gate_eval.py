@@ -62,10 +62,11 @@ def component_mismatch(model, degrees) -> bool:
 def functional_mismatch(model, degrees) -> bool:
     """For a model whose components are one-dimensional (u1, w1): whether
     the identity subspace differs from the kernel of the functional that
-    the oracle rows give. It does not when its stored rows have distinct
+    the oracle rows give. It does not when its reduced rows have distinct
     first nonzero columns (so they are independent), each is orthogonal to
     the functional, and there are dimP minus the functional's rank of them.
-    The rows are read packed, as stored, so no n = 8 row is unpacked."""
+    The rows are read packed, one at a time as the subspace gives them, so
+    no n = 8 row is unpacked and no n = 8 kernel is held whole."""
     field = model.field
     space = MultilinearSpace.for_degrees(degrees, field)
     columns = list(zip(*oracle_rows(model, space.variables, space.basis)))
@@ -73,18 +74,19 @@ def functional_mismatch(model, degrees) -> bool:
     functional = columns[0] if columns else ()
     support = [j for j, c in enumerate(functional) if c]
     ident = identity_subspace(model, space)
-    rows = ident._rows
-    if len(rows) != space.dim - len(columns):
-        return True
-    if ident._gf2:
-        mask = sum(1 << j for j in support)
-        pivots = {(row & -row).bit_length() - 1 for row in rows}
-        dots = ((row & mask).bit_count() for row in rows)
-    else:
-        pivots = {next(j for j, c in enumerate(row) if c) for row in rows}
-        dots = (sum(row[j] * functional[j] for j in support) for row in rows)
     p = field.characteristic
-    return len(pivots) < len(rows) or any(d % p if p else d for d in dots)
+    mask = sum(1 << j for j in support)
+    pivots, count, dots = set(), 0, 0
+    for row in ident._rref():
+        count += 1
+        if ident._gf2:
+            pivots.add((row & -row).bit_length() - 1)
+            dot = (row & mask).bit_count()
+        else:
+            pivots.add(next(j for j, c in enumerate(row) if c))
+            dot = sum(row[j] * functional[j] for j in support)
+        dots += bool(dot % p if p else dot)
+    return count != space.dim - len(columns) or len(pivots) < count or dots > 0
 
 
 def components():

@@ -739,6 +739,21 @@ def test_report_revalidate_refuses_forged_dims(capsys, tmp_path):
     assert f"INVALID witnesses at [{entry['degrees']}]" in out
 
 
+def test_report_revalidate_refuses_forged_completeness_over_gf3(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    run(capsys, "--field", "gf3", "--out", str(out_path), "verify-basis", "--model", "u1",
+        "--nmax", "2", "--dmax", "2")
+    data = json.loads(out_path.read_text())
+    entry = next(e for e in data["spaces"] if e["sound"] and not e["complete"])
+    entry["complete"] = True
+    del entry["witness"]
+    data["summary"] = summarize(data["spaces"])
+    out_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", str(out_path), "--revalidate")
+    assert code == 1
+    assert f"INVALID witnesses at [{entry['degrees']}]" in out
+
+
 @pytest.mark.parametrize("key, value", [("n", 9), ("dimP", 5), ("orbit", 3)])
 def test_report_revalidate_refuses_forged_shape(capsys, tmp_path, key, value):
     out_path, data = _saved_report(capsys, tmp_path)

@@ -433,11 +433,13 @@ def test_reads_interleaved_with_inserts_match_oracle(field):
                 m = len(inserted)
                 kernel = linear_dependencies(inserted, field)
                 assert kernel.rows() == oracle_rref(oracle_kernel(inserted, field), m, field)
-                # a canonical kernel that takes more inserts
+                # a span of the canonical kernel rows that takes more inserts
+                span_of = SubspaceBasis.from_vectors(field, m, kernel.rows())
                 extra = [random_vector(rng, field, m, 0.5) for _ in range(rng.randint(1, 3))]
                 for vec in extra:
-                    kernel.insert(vec)
-                assert kernel.rows() == oracle_rref(oracle_kernel(inserted, field) + extra, m, field)
+                    span_of.insert(vec)
+                want = oracle_rref(oracle_kernel(inserted, field) + extra, m, field)
+                assert span_of.rows() == want
             elif read == "reduce":
                 probe = draw(rng, field, ncols, inserted)
                 residue = oracle_residue(rref, probe, field)
@@ -518,3 +520,107 @@ def test_row_outside_is_the_first_reduced_row_missed(field):
     assert 10 <= sum(outcomes) <= 50, sum(outcomes)
     with pytest.raises(ValueError, match="different ambient"):
         span.row_outside(SubspaceBasis.zero(field, ncols + 1))
+
+
+# -- the kernel form against a span of the oracle's kernel rows -----------------
+
+
+def random_evaluation_rows(rng, field, width):
+    """m rows of ``width`` columns, some of them combinations of others,
+    so that the rank of the columns varies from 0 to ``width``."""
+    m = rng.choice([rng.randint(1, 8), rng.randint(20, 40)])
+    base = [random_vector(rng, field, width, rng.choice([0.3, 0.8])) for _ in range(3)]
+    return [
+        combination(rng, field, base, width) if rng.random() < 0.5
+        else random_vector(rng, field, width, rng.choice([0.0, 0.4]))
+        for _ in range(m)
+    ]
+
+
+def kernel_cases():
+    rng = random.Random(26)
+    for field in (GF2, GF3, QQ):
+        for width in (0, 1, 1, 2, 4):
+            for _ in range(3):
+                yield field, random_evaluation_rows(rng, field, width)
+    yield QQ, evaluation_rows("ut3:0:0", QQ, (0, 0, 0))
+    yield GF2, evaluation_rows("u1", GF2, (1, 2, 2, 2, 2, 2, 2))
+    yield GF3, evaluation_rows("u1", GF3, (-1, 0, 1, 2, 3, 4))
+
+
+def test_kernel_form_matches_oracle_span():
+    rng = random.Random(27)
+    seen = set()
+    for field, rows in kernel_cases():
+        m = len(rows)
+        kernel = linear_dependencies(rows, field)
+        oracle = SubspaceBasis.from_vectors(field, m, oracle_kernel(rows, field))
+        seen.add(("codim", min(m - oracle.dim, 2)))
+        assert (kernel.ncols, kernel.field, kernel.dim) == (m, field, oracle.dim)
+        assert (kernel.is_full(), kernel.is_zero()) == (oracle.is_full(), oracle.is_zero())
+        assert kernel.rows() == oracle.rows()
+        assert kernel == oracle and oracle == kernel and not kernel != oracle
+        assert kernel == linear_dependencies(rows, field)
+        kernel_rows = oracle.rows()
+        # Spans inside the kernel, about it and across it; probes in it and not.
+        spans = [
+            SubspaceBasis.zero(field, m),
+            SubspaceBasis.full(field, m),
+            oracle,
+            SubspaceBasis.from_vectors(field, m, rng.sample(kernel_rows, len(kernel_rows) // 2)),
+            SubspaceBasis.from_vectors(
+                field, m, kernel_rows[:-1] + [random_vector(rng, field, m, 0.3)]
+            ),
+            SubspaceBasis.from_vectors(field, m, [random_vector(rng, field, m, 0.3)]),
+        ]
+        if kernel_rows:
+            spans.append(
+                SubspaceBasis.from_vectors(field, m, [combination(rng, field, kernel_rows[:4], m)])
+            )
+        for span in spans:
+            assert kernel.contains_subspace(span) == oracle.contains_subspace(span)
+            assert span.contains_subspace(kernel) == span.contains_subspace(oracle)
+            assert span.row_outside(kernel) == span.row_outside(oracle)
+            assert (kernel == span) == (oracle == span) == (span == kernel)
+            assert (kernel != span) == (oracle != span)
+            seen.add(("inside", kernel.contains_subspace(span)))
+            seen.add(("about", span.contains_subspace(kernel)))
+        for _ in range(6):
+            probe = (
+                combination(rng, field, rng.sample(kernel_rows, min(3, len(kernel_rows))), m)
+                if rng.random() < 0.5 else random_vector(rng, field, m, 0.3)
+            )
+            assert kernel.contains_vector(probe) == oracle.contains_vector(probe)
+            if field == GF2:
+                assert kernel.contains_vector(pack_bits(probe)) == oracle.contains_vector(probe)
+            seen.add(("vector", kernel.contains_vector(probe)))
+    assert seen == {(k, v) for k in ("inside", "about", "vector") for v in (True, False)} | {
+        ("codim", 0), ("codim", 1), ("codim", 2)
+    }
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_kernel_forms_compare_by_subspace(field):
+    rng = random.Random(28)
+    outcomes = set()
+    for _ in range(30):
+        width = rng.randint(0, 3)
+        rows = random_evaluation_rows(rng, field, width)
+        m = len(rows)
+        other = [combination(rng, field, rows[:2], width) if rng.random() < 0.3 else row
+                 for row in rows]
+        a, b = linear_dependencies(rows, field), linear_dependencies(other, field)
+        want = SubspaceBasis.from_vectors(field, m, oracle_kernel(rows, field)) == (
+            SubspaceBasis.from_vectors(field, m, oracle_kernel(other, field))
+        )
+        assert (a == b) == (b == a) == want and (a != b) == (not want)
+        assert a.contains_subspace(b) == all(map(a.contains_vector, b.rows()))
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    kernel = linear_dependencies([[field.one]], field)
+    with pytest.raises(ValueError, match="different ambient"):
+        kernel.contains_subspace(SubspaceBasis.zero(field, 2))
+    with pytest.raises(ValueError, match="different ambient"):
+        SubspaceBasis.zero(field, 2).row_outside(kernel)
+    with pytest.raises(TypeError):
+        kernel.contains_subspace([[field.one]])

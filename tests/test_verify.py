@@ -15,6 +15,7 @@ from wittid import cli, verify
 from wittid.fields import Field
 from wittid.freealg import LiePoly, MultilinearSpace, Var
 from wittid.grammar import format_polynomial, parse_polynomial
+from wittid.linalg import Kernel
 from wittid.models import onedim_model, parse_model, satisfies_multilinear
 from wittid.tideal import (
     consequence_instances, consequence_subspace, identity_subspace, subspace_contains,
@@ -413,6 +414,49 @@ def test_completeness_from_dimensions_is_containment(model, family_range, field)
         assert (True, False) in flags
     if field == "gf3":
         assert any(sound is False for sound, _ in flags)
+
+
+@pytest.mark.parametrize("complete", [True, False])
+def test_revalidation_reads_every_kernel_row(monkeypatch, complete):
+    # On revalidation, ker <= cons is checked on each lazily made kernel
+    # row, not from the dimensions: a kernel whose rows are forged, with
+    # its dimension kept, flips the verdict of a sound GF(3) entry.
+    field = Field.gf(3)
+    report = verify_basis_theorem(SweepConfig(model="u1", nmax=3, dmax=2, field="gf3"))
+    entry = next(
+        e for e in report.spaces
+        if e["sound"] and e["complete"] is complete and e["dimIdentity"]
+        # a complete entry whose span misses some vector
+        and (e["dimIdentity"] < e["dimP"] or not complete)
+    )
+    space = MultilinearSpace.for_degrees(entry["degrees"], field)
+    cons = consequence_subspace(report.span_memo().family, space)
+    packed, read = Kernel._packed, []
+
+    def spy(self):
+        for row in packed(self):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(Kernel, "_packed", spy)
+    assert revalidate_entry(entry, report.config)
+    inside = [cons.contains_vector(row) for row in read]
+    # every row when complete; up to the first the span misses when not
+    want = [True] * entry["dimIdentity"] if complete else [True] * (len(read) - 1) + [False]
+    assert inside == want
+
+    units = [[int(i == j) for i in range(space.dim)] for j in range(space.dim)]
+    outside = next(u for u in units if not cons.contains_vector(u))
+
+    def forged(self):
+        rows = list(packed(self))
+        if complete:
+            yield from rows + [outside]
+        else:
+            yield from (row for row in rows if cons.contains_vector(row))
+
+    monkeypatch.setattr(Kernel, "_packed", forged)
+    assert not revalidate_entry(entry, report.config)
 
 
 def test_revalidation_shares_one_memo():
