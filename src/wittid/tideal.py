@@ -400,7 +400,7 @@ def subspace_contains(outer: SubspaceBasis | Kernel, inner: SubspaceBasis | Kern
 
 
 def subspace_equal(a: SubspaceBasis | Kernel, b: SubspaceBasis | Kernel) -> bool:
-    """Exact equality of subspaces: of two spans, their reduced row echelon
-    forms, into which both are put in place, coincide; with a kernel, the
-    dimensions agree and the kernel contains the other."""
+    """Exact equality of subspaces: the dimensions agree and one contains
+    the other, checked by the kernel side when there is a kernel. Neither
+    subspace is changed."""
     return a == b

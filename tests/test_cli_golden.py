@@ -5,9 +5,11 @@ exit codes.
 ``data/cli_golden.json`` was recorded before the verifier's duplicated
 machinery was collapsed into single implementations, and the refactor
 had to leave it unchanged. JSON output is compared after dropping every
-``timings`` object, the only wall-clock part of a report. Regenerate the
-file (``python tests/test_cli_golden.py``) only for an intended change
-of output, never to make a refactor pass.
+``timings`` object, the only wall-clock part of a report. Running this
+file as a script prints the recorded cases to stdout and writes nothing;
+regenerate the golden file (``python tests/test_cli_golden.py >
+tests/data/cli_golden.json``) only for an intended change of output,
+never to make a refactor pass.
 """
 
 import contextlib
@@ -137,10 +139,10 @@ def test_cli_output_matches_golden(key, observed, golden):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         data = record(write_reports(Path(tmp)))
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(data)} cases to {DATA}")
+    sys.stdout.write(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(data)} cases", file=sys.stderr)

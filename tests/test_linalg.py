@@ -6,7 +6,8 @@ import pytest
 from conftest import _row_reduce, oracle_kernel, oracle_rref, oracle_span_rows
 from wittid.fields import Field
 from wittid.freealg import MultilinearSpace
-from wittid.models import _basis_tuple_rows, parse_model
+from wittid.models import _basis_tuple_rows, parse_model, u1_model
+from wittid.tideal import SpanMemo, family_for, identity_subspace, subspace_equal
 from wittid.linalg import SubspaceBasis, linear_dependencies, pack_bits, unpack_bits
 
 GF2 = Field.gf(2)
@@ -354,7 +355,7 @@ def test_bits_round_trip_and_unpacked_rows_match_oracle(width):
         assert span.reduce(vec) == tuple(residual)
 
 
-# -- semi-echelon storage, made canonical on demand -----------------------------
+# -- semi-echelon storage, reduced rows made when read ---------------------------
 
 QQ = Field.rationals()
 
@@ -466,7 +467,7 @@ def test_images_of_semi_echelon_rows_span_the_image(field):
         packed, apply = random_sparse_map(rng, field, source_cols, ncols)
         vectors = [random_vector(rng, field, source_cols, 0.4) for _ in range(rng.randint(0, 8))]
         span = SubspaceBasis.from_vectors(field, source_cols, vectors)
-        # images of the stored rows first, while they are semi-echelon
+        # images of the stored rows, which are semi-echelon
         semi = span.images(packed, ncols)
         if field == GF2:
             semi = [unpack_bits(mask, ncols) for mask in semi]
@@ -474,14 +475,61 @@ def test_images_of_semi_echelon_rows_span_the_image(field):
         canonical = [apply(row) for row in oracle_rref(vectors, source_cols, field)]
         assert oracle_rref(semi, ncols, field) == oracle_rref(canonical, ncols, field)
         differs.add([list(v) for v in semi] != [list(v) for v in canonical])
-        # once the rows are read, images are those of the canonical rows
+        # reading the reduced rows leaves the stored rows, so their images
         span.rows()
         after = span.images(packed, ncols)
         if field == GF2:
             after = [unpack_bits(mask, ncols) for mask in after]
-        assert [list(v) for v in after] == [list(v) for v in canonical]
-    # some images came from rows that were not yet reduced
+        assert after == semi
+    # some stored rows were not the reduced ones
     assert differs == {True, False}
+
+
+def stored(span, packed):
+    """A copy of a span's stored rows, and their images under a map."""
+    rows = [row if isinstance(row, int) else list(row) for row in span._packed()]
+    return rows, span.images(packed, span.ncols)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_reads_never_change_a_span(field):
+    rng = random.Random(29)
+    semi = 0
+    for _ in range(20):
+        ncols = rng.randint(2, 10)
+        vectors = [random_vector(rng, field, ncols, 0.5) for _ in range(rng.randint(1, 6))]
+        span = SubspaceBasis.from_vectors(field, ncols, vectors)
+        other = SubspaceBasis.from_vectors(
+            field, ncols, vectors[1:] + [random_vector(rng, field, ncols, 0.5)]
+        )
+        kernel = linear_dependencies([random_vector(rng, field, 2, 0.5) for _ in range(ncols)], field)
+        packed, _ = random_sparse_map(rng, field, ncols, ncols)
+        before, other_before = stored(span, packed), stored(other, packed)
+        semi += span.rows() != list(map(span._unpack, before[0]))
+        reads = [
+            span.row_outside(other), other.row_outside(span), span.row_outside(kernel),
+            span == other, other == span, span != other, span == kernel, kernel == span,
+            span.contains_subspace(other), other.contains_subspace(span),
+            span.contains_subspace(kernel), kernel.contains_subspace(span),
+            span.contains_vector(vectors[0]),
+        ]
+        assert reads[-1]
+        assert stored(span, packed) == before and stored(other, packed) == other_before
+    # some spans stored rows that were not their reduced ones
+    assert semi
+
+    # a span that a SpanMemo shares, compared through subspace_equal
+    degrees = (0, 0, 0, 1)
+    space = MultilinearSpace.for_degrees(degrees, field)
+    memo = SpanMemo(family_for("u1"), field)
+    span = memo.span(degrees)
+    packed, _ = random_sparse_map(rng, field, span.ncols, span.ncols)
+    before = stored(span, packed)
+    assert span.rows() != list(map(span._unpack, before[0]))
+    ident = identity_subspace(u1_model(field), space)
+    assert subspace_equal(span, ident) and subspace_equal(ident, span)
+    assert subspace_equal(span, SubspaceBasis.from_vectors(field, span.ncols, span.rows()))
+    assert memo.span(degrees) is span and stored(span, packed) == before
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
@@ -548,6 +596,27 @@ def kernel_cases():
     yield GF3, evaluation_rows("u1", GF3, (-1, 0, 1, 2, 3, 4))
 
 
+# What check_relations saw: the same dimension but not equal, equal, or
+# not the same dimension.
+SAME, EQUAL, DIFFERENT_DIM = ("dim", "same"), ("dim", "equal"), ("dim", "differs")
+
+
+def check_relations(a, ra, b, rb, field):
+    """``==``, ``!=``, both containments and both ``row_outside`` of two
+    subspaces, in either form, against ``ra`` and ``rb``, the oracle's
+    reduced rows of each; returns which of SAME, EQUAL, DIFFERENT_DIM the
+    pair is."""
+    for outer, inner, x, y in ((ra, rb, a, b), (rb, ra, b, a)):
+        want = next((row for row in inner if any(oracle_residue(outer, row, field))), None)
+        assert x.row_outside(y) == want
+        assert x.contains_subspace(y) == (want is None)
+    equal = ra == rb
+    assert (a == b) == (b == a) == equal and (a != b) == (b != a) == (not equal)
+    if equal:
+        return EQUAL
+    return SAME if len(ra) == len(rb) else DIFFERENT_DIM
+
+
 def test_kernel_form_matches_oracle_span():
     rng = random.Random(27)
     seen = set()
@@ -555,29 +624,30 @@ def test_kernel_form_matches_oracle_span():
         m = len(rows)
         kernel = linear_dependencies(rows, field)
         oracle = SubspaceBasis.from_vectors(field, m, oracle_kernel(rows, field))
+        kernel_rows = oracle.rows()
+        narrow = m <= (40 if field.kind == "prime" else 12)
         seen.add(("codim", min(m - oracle.dim, 2)))
         assert (kernel.ncols, kernel.field, kernel.dim) == (m, field, oracle.dim)
         assert (kernel.is_full(), kernel.is_zero()) == (oracle.is_full(), oracle.is_zero())
-        assert kernel.rows() == oracle.rows()
+        assert kernel.rows() == kernel_rows
         assert kernel == oracle and oracle == kernel and not kernel != oracle
         assert kernel == linear_dependencies(rows, field)
-        kernel_rows = oracle.rows()
-        # Spans inside the kernel, about it and across it; probes in it and not.
-        spans = [
-            SubspaceBasis.zero(field, m),
-            SubspaceBasis.full(field, m),
-            oracle,
-            SubspaceBasis.from_vectors(field, m, rng.sample(kernel_rows, len(kernel_rows) // 2)),
-            SubspaceBasis.from_vectors(
-                field, m, kernel_rows[:-1] + [random_vector(rng, field, m, 0.3)]
-            ),
-            SubspaceBasis.from_vectors(field, m, [random_vector(rng, field, m, 0.3)]),
+        if narrow:
+            assert kernel_rows == oracle_rref(oracle_kernel(rows, field), m, field)
+        # Spans inside the kernel, about it and across it, each with the
+        # vectors it was made from; probes in it and not.
+        units = [[field.one if i == j else field.zero for i in range(m)] for j in range(m)]
+        spanned = [
+            rng.sample(kernel_rows, len(kernel_rows) // 2),
+            kernel_rows[:-1] + [random_vector(rng, field, m, 0.3)],
+            [random_vector(rng, field, m, 0.3)],
         ]
         if kernel_rows:
-            spans.append(
-                SubspaceBasis.from_vectors(field, m, [combination(rng, field, kernel_rows[:4], m)])
-            )
-        for span in spans:
+            spanned.append([combination(rng, field, kernel_rows[:4], m)])
+        spans = [(SubspaceBasis.zero(field, m), []), (SubspaceBasis.full(field, m), units),
+                 (oracle, kernel_rows)]
+        spans += [(SubspaceBasis.from_vectors(field, m, v), v) for v in spanned]
+        for span, vectors in spans:
             assert kernel.contains_subspace(span) == oracle.contains_subspace(span)
             assert span.contains_subspace(kernel) == span.contains_subspace(oracle)
             assert span.row_outside(kernel) == span.row_outside(oracle)
@@ -585,6 +655,16 @@ def test_kernel_form_matches_oracle_span():
             assert (kernel != span) == (oracle != span)
             seen.add(("inside", kernel.contains_subspace(span)))
             seen.add(("about", span.contains_subspace(kernel)))
+            # kernel/span, span/kernel and span/span pairs against the
+            # oracle, whose dense elimination is too slow for wide cases
+            if narrow:
+                span_rows = oracle_rref(vectors, m, field)
+                seen.add(check_relations(kernel, kernel_rows, span, span_rows, field))
+                seen.add(check_relations(span, span_rows, kernel, kernel_rows, field))
+                seen.add(check_relations(oracle, kernel_rows, span, span_rows, field))
+        if narrow:
+            again = linear_dependencies(rows, field)
+            assert check_relations(kernel, kernel_rows, again, kernel_rows, field) == EQUAL
         for _ in range(6):
             probe = (
                 combination(rng, field, rng.sample(kernel_rows, min(3, len(kernel_rows))), m)
@@ -595,7 +675,7 @@ def test_kernel_form_matches_oracle_span():
                 assert kernel.contains_vector(pack_bits(probe)) == oracle.contains_vector(probe)
             seen.add(("vector", kernel.contains_vector(probe)))
     assert seen == {(k, v) for k in ("inside", "about", "vector") for v in (True, False)} | {
-        ("codim", 0), ("codim", 1), ("codim", 2)
+        ("codim", 0), ("codim", 1), ("codim", 2), SAME, EQUAL, DIFFERENT_DIM
     }
 
 
@@ -610,13 +690,15 @@ def test_kernel_forms_compare_by_subspace(field):
         other = [combination(rng, field, rows[:2], width) if rng.random() < 0.3 else row
                  for row in rows]
         a, b = linear_dependencies(rows, field), linear_dependencies(other, field)
-        want = SubspaceBasis.from_vectors(field, m, oracle_kernel(rows, field)) == (
-            SubspaceBasis.from_vectors(field, m, oracle_kernel(other, field))
-        )
-        assert (a == b) == (b == a) == want and (a != b) == (not want)
+        ra = oracle_rref(oracle_kernel(rows, field), m, field)
+        rb = oracle_rref(oracle_kernel(other, field), m, field)
+        span_a, span_b = (SubspaceBasis.from_vectors(field, m, r) for r in (ra, rb))
         assert a.contains_subspace(b) == all(map(a.contains_vector, b.rows()))
-        outcomes.add(want)
-    assert outcomes == {True, False}
+        # kernel/kernel, kernel/span, span/kernel and span/span pairs
+        for x, y in ((a, b), (a, span_b), (span_a, b), (span_a, span_b)):
+            outcomes.add(check_relations(x, ra, y, rb, field))
+    # equal-dimension pairs that are not equal, and equal pairs
+    assert {SAME, EQUAL} <= outcomes
     kernel = linear_dependencies([[field.one]], field)
     with pytest.raises(ValueError, match="different ambient"):
         kernel.contains_subspace(SubspaceBasis.zero(field, 2))
