@@ -333,9 +333,11 @@ def consequence_subspace(
 class SpanMemo:
     """Consequence spans of one family over one field, by degree tuple,
     shared by the :func:`consequence_subspace` calls of one run of
-    components (a sweep, a pool chunk of one, or the revalidation of one
-    report) and dropped with it. There is no memo across runs: each run
-    starts cold.
+    components (a sweep, or the revalidation of one report) and dropped
+    with it. There is no memo across runs: each run starts cold. A
+    parallel sweep still has one memo: each worker process gets a copy
+    (inherited under fork, pickled otherwise), and what a worker adds to
+    its copy dies with it.
 
     Memory bound: no span of ``largest`` variables or more is kept, since
     the run's largest components are nobody's sub-components; ``largest``

@@ -4,9 +4,11 @@ Runs exhaustive desk-scale sweeps over multilinear components, comparing
 the identity subspace of a model with the consequence subspace of a
 generating family (soundness: consequences are identities; completeness:
 identities are consequences), and produces machine-readable reports. A
-run of components is the :class:`SweepConfig` and a list of degree
-tuples: the whole sweep when serial, one chunk per task of a process
-pool, with one span memo per run. A sweep refuses a configuration of
+run of components is the :class:`SweepConfig`, a list of degree tuples
+and a span memo. A sweep has one memo: a serial sweep is one run, and a
+parallel one runs the components narrower than nmax in the parent, then
+the rest in contiguous shares, one per process, each child on a copy of
+the memo and the parent on the last share. A sweep refuses a configuration of
 more than :data:`MAX_COMPONENTS` components or :data:`MAX_VARIABLES`
 variables before any component runs, and a certificate command of more
 than :data:`MAX_SEPARATION_CHECKS` separation checks before any member
@@ -31,7 +33,6 @@ optionally, a recomputation of every entry.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import time
@@ -434,13 +435,17 @@ def summarize(entries) -> dict:
     }
 
 
-def _space_entries(config: SweepConfig, tuples: Sequence[tuple]) -> list:
+def _space_entries(
+    config: SweepConfig, tuples: Sequence[tuple], memo: Optional[SpanMemo] = None
+) -> list:
     """The entries of a run of the sweep's degree tuples, in order. The
     field, model and family are resolved once, and one
-    :class:`~wittid.tideal.SpanMemo` serves every component of the run."""
+    :class:`~wittid.tideal.SpanMemo` serves every component of the run:
+    ``memo``, or a new one as wide as the widest tuple."""
     field = Field.from_spec(config.field)
     model = parse_model(config.model, field)
-    memo = SpanMemo(config.family(), field, largest=max(map(len, tuples)))
+    if memo is None:
+        memo = SpanMemo(config.family(), field, largest=max(map(len, tuples)))
     return [_entry(model, degrees, config.space_budget_s, memo) for degrees in tuples]
 
 
@@ -486,11 +491,6 @@ def _entry(model, degrees, budget_s, memo: SpanMemo) -> dict:
     return entry
 
 
-#: Components per task of a sweep's process pool. Each task is one run of
-#: :func:`_space_entries`, so the components of a chunk share their spans.
-POOL_CHUNK = 64
-
-
 def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
     """Check consequence = identity on every component in range.
 
@@ -498,28 +498,91 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
     bounded by dmax is swept once; failures carry an explicit witness
     polynomial. Components whose consequence span computation exceeds the
     per-space budget are flagged as skipped rather than aborting the
-    sweep. A serial sweep is one run of :func:`_space_entries`; a pool
-    runs it on contiguous chunks of :data:`POOL_CHUNK` components.
+    sweep. The sweep has one span memo. The report keeps the requested
+    ``workers``; the sweep uses at most as many processes as the machine
+    reports cores. A serial sweep is one run of :func:`_space_entries`; a
+    parallel one is :func:`_parallel_entries`, whose entries are the same.
     """
     start = time.monotonic()
     tuples = list(sweep_tuples(config.nmax, config.dmax, config.extra_degree_tuples))
-    # The report keeps the requested count; the pool gets no more processes
+    memo = SpanMemo(config.family(), Field.from_spec(config.field), largest=max(map(len, tuples)))
+    # The report keeps the requested count; the sweep gets no more processes
     # than the machine has cores, and one process is a serial run.
     workers = min(config.workers, os.cpu_count() or 1)
     if workers > 1:
-        # Imported here: multiprocessing costs every serial run its import.
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [tuples[i:i + POOL_CHUNK] for i in range(0, len(tuples), POOL_CHUNK)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            run = functools.partial(_space_entries, config)
-            entries = [e for chunk in pool.map(run, chunks) for e in chunk]
+        entries = _parallel_entries(config, tuples, memo, workers)
     else:
-        entries = _space_entries(config, tuples)
+        entries = _space_entries(config, tuples, memo)
     timings = {"total_s": round(time.monotonic() - start, 3)}
     return VerificationReport(
         config=config.to_dict(), spaces=entries, summary=summarize(entries), timings=timings
     )
+
+
+def _parallel_entries(config: SweepConfig, tuples: list, memo: SpanMemo, workers: int) -> list:
+    """:func:`_space_entries` of the whole sweep on up to ``workers``
+    processes. The parent first fills ``memo`` with the canonical
+    components narrower than nmax, a prefix of the sweep whose spans are
+    the sub-spans of the rest. The rest is cut into at most ``workers``
+    contiguous shares of equal count. Each share but the last runs in a
+    child process with a copy of the memo (inherited under fork, pickled
+    otherwise), while the parent runs the last one, which holds the
+    extras, the widest components. One share starts no process. A
+    child's exception is raised again in the parent, and a child that
+    exits without sending raises RuntimeError. Children still running
+    when the sweep fails are terminated, and every child is joined."""
+    narrow = sweep_size(config.nmax - 1, config.dmax)
+    entries = _space_entries(config, tuples[:narrow], memo)
+    rest = tuples[narrow:]
+    count = min(workers, len(rest))
+    if count == 1:
+        return entries + _space_entries(config, rest, memo)
+    cuts = [len(rest) * i // count for i in range(count + 1)]
+    shares = [rest[a:b] for a, b in zip(cuts, cuts[1:])]
+    # Imported here: multiprocessing costs every serial run its import.
+    import multiprocessing
+
+    context = multiprocessing.get_context()
+    children = []
+    finished = False
+    try:
+        for share in shares[:-1]:
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_send_entries, args=(config, share, memo, send))
+            child.start()
+            send.close()
+            children.append((child, receive))
+        own = _space_entries(config, shares[-1], memo)
+        for child, receive in children:
+            try:
+                result = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"a sweep worker exited with code {child.exitcode} before sending its entries"
+                ) from None
+            if isinstance(result, BaseException):
+                raise result
+            entries.extend(result)
+        finished = True
+    finally:
+        for child, receive in children:
+            if not finished:
+                child.terminate()
+            child.join()
+            receive.close()
+    return entries + own
+
+
+def _send_entries(config: SweepConfig, share: list, memo: SpanMemo, send) -> None:
+    """A child's run of :func:`_parallel_entries`: send the share's
+    entries, or the exception that computing them raised."""
+    try:
+        result = _space_entries(config, share, memo)
+    except Exception as exc:
+        result = exc
+    send.send(result)
+    send.close()
 
 
 def revalidate_entry(entry: dict, config: dict, memo: Optional[SpanMemo] = None) -> bool:

@@ -55,3 +55,40 @@ def test_summary_keeps_the_gain_rule():
     out = bench_pairs.summarize(pairs_of("wall_s", [1.0] * 10, [0.5] * 10), [WALL])["wall_s"]
     assert out["gain_shown"] and out["change_wins"] == 10
     assert out["bound"] == 0.25 and out["within_bound"] and not out["unresolved"]
+
+
+def test_cpus_pin_every_run_and_are_recorded(monkeypatch, tmp_path, capsys):
+    runs, pinned = [], []
+
+    def fake_run(checkout, workload, seed, seconds, cpus=None):
+        runs.append(cpus)
+        metrics = ("wall_s", "setup_s", "peak_rss_mb")
+        return {"correct": True, "metrics": {name: {"value": 1.0} for name in metrics}}
+
+    monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda into: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *argv: "")
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+
+    def pin(pid, cpus):
+        pinned.append((pid, cpus))
+
+    monkeypatch.setattr(bench_pairs.os, "sched_setaffinity", pin, raising=False)
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", "HEAD", "--workload", "sweep-w1", "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv + ["--cpus", "1,0,1"]) == 0
+    capsys.readouterr()
+    assert runs == [[0, 1]] * 4
+    assert bench_pairs.json.loads(out.read_text())["cpus"] == [0, 1]
+    # The pin is made in the child, before it runs the benchmark.
+    bench_pairs.pinned_to([0, 1])()
+    assert pinned == [(0, [0, 1])]
+    assert bench_pairs.pinned_to(None) is None
+    assert bench_pairs.main(argv) == 0
+    assert runs[4:] == [None] * 4 and bench_pairs.json.loads(out.read_text())["cpus"] is None
+
+
+@pytest.mark.parametrize("text", ["", "a", "0,-1", "0,,1"])
+def test_cpus_refuse_what_is_not_a_cpu_list(text):
+    with pytest.raises(bench_pairs.argparse.ArgumentTypeError):
+        bench_pairs.parse_cpus(text)

@@ -1,10 +1,12 @@
-import concurrent.futures
 import itertools
 import json
+import multiprocessing
 import os
+import pickle
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -336,15 +338,133 @@ def test_report_schema_and_roundtrip():
     assert again.passed == report.passed
 
 
-def test_parallel_workers_match_sequential():
-    # Several pool chunks, and an extra tuple past nmax whose sub-spans no
-    # chunk has swept.
-    sweep = dict(model="u1", nmax=4, dmax=3, extra_degree_tuples=[(2, 1, 2, 2, 2)])
+_REAL_GET_CONTEXT = multiprocessing.get_context
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+class CountingContext:
+    """A multiprocessing context that counts the processes made through it
+    and makes them with ``real``."""
+
+    def __init__(self, real):
+        self.real, self.started = real, 0
+
+    def Pipe(self, duplex=True):
+        return self.real.Pipe(duplex)
+
+    def Process(self, *args, **kwargs):
+        self.started += 1
+        return self.real.Process(*args, **kwargs)
+
+
+def _use_context(monkeypatch, context, cores=3):
+    """Parallel sweeps from now on start their processes through
+    ``context``, on a machine that reports ``cores`` cores."""
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
+
+
+@pytest.mark.parametrize("sweep, workers, children", [
+    # Canonical n = 4 components in two or three shares, and an extra
+    # tuple wider than nmax whose sub-spans of 4 variables no share keeps.
+    (dict(model="u1", nmax=4, dmax=3, extra_degree_tuples=[(2, 1, 2, 2, 2)]), 2, 1),
+    (dict(model="u1", nmax=4, dmax=3, extra_degree_tuples=[(2, 1, 2, 2, 2)]), 3, 2),
+    # Two widest tuples, (0, 0) and the extra (1, 1), for three workers.
+    (dict(model="u1", nmax=2, dmax=0, extra_degree_tuples=[(1, 1)]), 3, 1),
+    # Extras narrower than nmax outside the canonical range, in the
+    # parent's share after the canonical n = 3 components.
+    (dict(model="w1", nmax=3, dmax=1, extra_degree_tuples=[(3, 2), (-2,)]), 2, 1),
+    # Every component with an instance skipped.
+    (dict(model="u1", nmax=3, dmax=2, space_budget_s=0.0), 3, 2),
+])
+def test_parallel_workers_match_sequential(monkeypatch, sweep, workers, children):
     sequential = verify_basis_theorem(SweepConfig(**sweep))
+    context = CountingContext(_REAL_GET_CONTEXT())
+    _use_context(monkeypatch, context)
+    parallel = verify_basis_theorem(SweepConfig(**sweep, workers=workers))
+    assert context.started == children
+    assert (parallel.spaces, parallel.summary) == (sequential.spaces, sequential.summary)
+    assert multiprocessing.active_children() == []
+    if "space_budget_s" in sweep:
+        assert 0 < sequential.summary["skipped"] < len(sequential.spaces)
+
+
+def test_a_memo_pickles_to_the_same_spans():
+    memo = verify.SpanMemo(verify.family_for("w1", "tight"), GF2, largest=5)
+    for degrees in sweep_tuples(4, 2):
+        memo.span(degrees)
+    again = pickle.loads(pickle.dumps(memo))
+    assert (again.family, again.field, again.largest) == (memo.family, memo.field, 5)
+    assert again.spans.keys() == memo.spans.keys()
+    assert all(again.spans[d].rows() == span.rows() for d, span in memo.spans.items())
+
+
+def test_spawned_workers_give_the_serial_report(monkeypatch):
+    # Spawn, the default start method on macOS and on Linux from Python
+    # 3.14, pickles the memo for the child instead of inheriting it.
+    sweep = dict(model="w1", nmax=3, dmax=2, extra_degree_tuples=[(0, 1, 2, 2)])
+    sequential = verify_basis_theorem(SweepConfig(**sweep))
+    context = CountingContext(_REAL_GET_CONTEXT("spawn"))
+    _use_context(monkeypatch, context, cores=2)
     parallel = verify_basis_theorem(SweepConfig(**sweep, workers=2))
-    assert len(sequential.spaces) > 2 * verify.POOL_CHUNK
-    assert sequential.spaces[-1]["degrees"] == [1, 2, 2, 2, 2]
-    assert sequential.spaces == parallel.spaces
+    assert context.started == 1
+    assert (parallel.spaces, parallel.summary) == (sequential.spaces, sequential.summary)
+    assert multiprocessing.active_children() == []
+
+
+def _failing_sweep(monkeypatch, child=None, parent=None):
+    """A parallel u1 ``nmax=3, dmax=1`` sweep on two forked processes whose
+    ``_entry`` calls ``child()`` on the first component of the child's
+    share and ``parent()`` on the first of the parent's."""
+    rest = list(sweep_tuples(3, 1))[verify.sweep_size(2, 1):]
+    failures = {rest[0]: child, rest[len(rest) // 2]: parent}
+    entry = verify._entry
+
+    def failing(model, degrees, *args):
+        failure = failures.get(tuple(degrees))
+        if failure is not None:
+            failure()
+        return entry(model, degrees, *args)
+
+    # Under fork the child inherits the patched function.
+    monkeypatch.setattr(verify, "_entry", failing)
+    _use_context(monkeypatch, _REAL_GET_CONTEXT("fork"), cores=2)
+    return lambda: verify_basis_theorem(SweepConfig(model="u1", nmax=3, dmax=1, workers=2))
+
+
+def _raise(exc):
+    def failure():
+        raise exc
+    return failure
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+def test_a_failing_worker_raises_its_exception(monkeypatch):
+    sweep = _failing_sweep(monkeypatch, child=_raise(ValueError("no span here")))
+    with pytest.raises(ValueError, match="^no span here$"):
+        sweep()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+def test_a_dying_worker_raises_runtime_error(monkeypatch):
+    sweep = _failing_sweep(monkeypatch, child=lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3 "):
+        sweep()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+@pytest.mark.parametrize("exc", [ValueError("parent share"), KeyboardInterrupt()])
+def test_a_failing_parent_share_terminates_the_workers(monkeypatch, exc):
+    # The child sleeps on its first component and the parent's share fails
+    # at once, so only terminating the child ends the sweep early.
+    sweep = _failing_sweep(monkeypatch, child=lambda: time.sleep(60), parent=_raise(exc))
+    start = time.monotonic()
+    with pytest.raises(type(exc)):
+        sweep()
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
 
 
 def _recorded_memos(monkeypatch) -> tuple:
@@ -583,46 +703,31 @@ def test_audit_builds_one_span_memo(monkeypatch):
 
 
 def test_pool_is_clamped_to_the_cores(monkeypatch):
-    requested = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    # verify imports the pool class when a sweep asks for workers, so the
-    # class is replaced where that import reads it.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+    # Three cores: the parent and two children each run one share.
+    context = CountingContext(_REAL_GET_CONTEXT())
+    _use_context(monkeypatch, context, cores=3)
     report = verify_basis_theorem(SweepConfig(model="u1", nmax=2, dmax=1, workers=10_000))
     monkeypatch.undo()
-    assert requested == [3]
+    assert context.started == 2
     assert report.config["workers"] == 10_000
     assert report.spaces == verify_basis_theorem(SweepConfig(model="u1", nmax=2, dmax=1)).spaces
 
 
-@pytest.mark.parametrize("cores", [1, None])
-def test_one_core_runs_serially(monkeypatch, cores):
-    # A pool of one process would cost its start-up and run nothing in
-    # parallel, so a sweep on one core, or on an unknown count, builds none.
-    class NoPool:
-        def __init__(self, max_workers):
-            raise AssertionError(f"a pool of {max_workers} was built")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
-    report = verify_basis_theorem(SweepConfig(model="u1", nmax=2, dmax=1, workers=2))
+@pytest.mark.parametrize("cores, sweep", [
+    (1, dict(nmax=2, dmax=1)), (None, dict(nmax=2, dmax=1)),
+    # One component of nmax variables: a single share, run by the parent.
+    (2, dict(nmax=2, dmax=0)),
+])
+def test_one_core_runs_serially(monkeypatch, cores, sweep):
+    # A second process costs its start-up; on one core, on an unknown
+    # count, or with one share it would run nothing in parallel.
+    context = CountingContext(_REAL_GET_CONTEXT())
+    _use_context(monkeypatch, context, cores=cores)
+    report = verify_basis_theorem(SweepConfig(model="u1", **sweep, workers=2))
     monkeypatch.undo()
+    assert context.started == 0
     assert report.config["workers"] == 2
-    assert report.spaces == verify_basis_theorem(SweepConfig(model="u1", nmax=2, dmax=1)).spaces
+    assert report.spaces == verify_basis_theorem(SweepConfig(model="u1", **sweep)).spaces
 
 
 def test_budget_flags_skipped_spaces():

@@ -3,7 +3,7 @@
 Usage, from the root of a checkout::
 
     python3 tools/bench_pairs.py --parent REV --workload NAME [--pairs 10]
-        [--seed N] [--out bench/BENCH_x.json]
+        [--seed N] [--cpus 0[,1...]] [--out bench/BENCH_x.json]
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, and the working tree's files that git does not ignore are
@@ -12,6 +12,9 @@ copied beside it, so neither side starts with bytecode caches.
 once on the working tree per pair, one run at a time, with
 ``PYTHONDONTWRITEBYTECODE=1``; the side that runs first alternates from
 pair to pair. Each run's last stdout line is its JSON result line.
+With ``--cpus``, every run is pinned to the listed CPUs with
+``os.sched_setaffinity`` before it starts (this acts on the tool's own
+child processes only), so a one-core regime is reproducible.
 
 The output JSON holds every result line, and per end-to-end metric of
 ``BENCHMARK.json`` each side's median and quartiles and the number of
@@ -76,12 +79,32 @@ def copy_working_tree(into: Path) -> None:
             shutil.copy2(source, target)
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def parse_cpus(text: str) -> list:
+    """``"0,1"`` -> ``[0, 1]``: distinct CPU numbers, sorted."""
+    try:
+        cpus = sorted({int(part) for part in text.split(",")})
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of CPU numbers: {text!r}") from None
+    if cpus[0] < 0:
+        raise argparse.ArgumentTypeError(f"a CPU number is negative: {text!r}")
+    return cpus
+
+
+def pinned_to(cpus):
+    """The ``preexec_fn`` that pins a child process to ``cpus``; None
+    when ``cpus`` is None."""
+    if cpus is None:
+        return None
+    return lambda: os.sched_setaffinity(0, cpus)
+
+
+def run_side(checkout: Path, workload: str, seed: int, seconds: float, cpus=None) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=checkout, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        preexec_fn=pinned_to(cpus),
     )
     lines = proc.stdout.strip().splitlines()
     try:
@@ -137,6 +160,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--cpus", type=parse_cpus, default=None, help="pin every run to these CPUs, e.g. 0 or 0,1"
+    )
     parser.add_argument("--out", type=Path, default=None, help="write the JSON here too")
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -153,7 +179,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = run_side(sides[side], args.workload, args.seed, seconds)
+                pair[side] = run_side(sides[side], args.workload, args.seed, seconds, args.cpus)
             print(
                 f"pair {i + 1}/{args.pairs}: "
                 + ", ".join(
@@ -168,6 +194,7 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "seed": args.seed,
         "seconds": seconds,
+        "cpus": args.cpus,
         "parent": commit,
         "change": {
             "working_tree_of": git("rev-parse", "HEAD"),
