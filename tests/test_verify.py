@@ -364,20 +364,9 @@ def _use_context(monkeypatch, context, cores=3):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
 
 
-@pytest.mark.parametrize("sweep, workers, children", [
-    # Canonical n = 4 components in two or three shares, and an extra
-    # tuple wider than nmax whose sub-spans of 4 variables no share keeps.
-    (dict(model="u1", nmax=4, dmax=3, extra_degree_tuples=[(2, 1, 2, 2, 2)]), 2, 1),
-    (dict(model="u1", nmax=4, dmax=3, extra_degree_tuples=[(2, 1, 2, 2, 2)]), 3, 2),
-    # Two widest tuples, (0, 0) and the extra (1, 1), for three workers.
-    (dict(model="u1", nmax=2, dmax=0, extra_degree_tuples=[(1, 1)]), 3, 1),
-    # Extras narrower than nmax outside the canonical range, in the
-    # parent's share after the canonical n = 3 components.
-    (dict(model="w1", nmax=3, dmax=1, extra_degree_tuples=[(3, 2), (-2,)]), 2, 1),
-    # Every component with an instance skipped.
-    (dict(model="u1", nmax=3, dmax=2, space_budget_s=0.0), 3, 2),
-])
-def test_parallel_workers_match_sequential(monkeypatch, sweep, workers, children):
+def _parallel_matches_sequential(monkeypatch, sweep, workers, children):
+    """The sweep on ``workers`` processes, ``children`` of them started,
+    reports the serial sweep's spaces and summary and leaves no process."""
     sequential = verify_basis_theorem(SweepConfig(**sweep))
     context = CountingContext(_REAL_GET_CONTEXT())
     _use_context(monkeypatch, context)
@@ -385,8 +374,32 @@ def test_parallel_workers_match_sequential(monkeypatch, sweep, workers, children
     assert context.started == children
     assert (parallel.spaces, parallel.summary) == (sequential.spaces, sequential.summary)
     assert multiprocessing.active_children() == []
-    if "space_budget_s" in sweep:
-        assert 0 < sequential.summary["skipped"] < len(sequential.spaces)
+    return sequential
+
+
+def test_parallel_workers_match_sequential(monkeypatch):
+    # Canonical n = 4 components in two or three shares, and an extra
+    # tuple wider than nmax whose sub-spans of 4 variables no share keeps.
+    sweep = dict(model="u1", nmax=4, dmax=3, extra_degree_tuples=[(2, 1, 2, 2, 2)])
+    for workers in (2, 3):
+        _parallel_matches_sequential(monkeypatch, sweep, workers, workers - 1)
+
+
+@pytest.mark.parametrize("sweep, workers, children", [
+    # Two widest tuples, (0, 0) and the extra (1, 1), for three workers.
+    (dict(model="u1", nmax=2, dmax=0, extra_degree_tuples=[(1, 1)]), 3, 1),
+    # Extras narrower than nmax outside the canonical range, in the
+    # parent's share after the canonical n = 3 components.
+    (dict(model="w1", nmax=3, dmax=1, extra_degree_tuples=[(3, 2), (-2,)]), 2, 1),
+])
+def test_parallel_share_shapes_match_sequential(monkeypatch, sweep, workers, children):
+    _parallel_matches_sequential(monkeypatch, sweep, workers, children)
+
+
+def test_parallel_skipped_components_match_sequential(monkeypatch):
+    sweep = dict(model="u1", nmax=3, dmax=2, space_budget_s=0.0)
+    sequential = _parallel_matches_sequential(monkeypatch, sweep, 3, 2)
+    assert 0 < sequential.summary["skipped"] < len(sequential.spaces)
 
 
 def test_a_memo_pickles_to_the_same_spans():
@@ -714,9 +727,10 @@ def test_pool_is_clamped_to_the_cores(monkeypatch):
 
 
 @pytest.mark.parametrize("cores, sweep", [
-    (1, dict(nmax=2, dmax=1)), (None, dict(nmax=2, dmax=1)),
+    pytest.param(1, dict(nmax=2, dmax=1), id="1"),
+    pytest.param(None, dict(nmax=2, dmax=1), id="None"),
     # One component of nmax variables: a single share, run by the parent.
-    (2, dict(nmax=2, dmax=0)),
+    pytest.param(2, dict(nmax=2, dmax=0), id="one-share"),
 ])
 def test_one_core_runs_serially(monkeypatch, cores, sweep):
     # A second process costs its start-up; on one core, on an unknown
