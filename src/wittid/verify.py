@@ -6,10 +6,10 @@ generating family (soundness: consequences are identities; completeness:
 identities are consequences), and produces machine-readable reports. A
 run of components is the :class:`SweepConfig`, a list of degree tuples
 and a span memo. A sweep has one memo: a serial sweep is one run, and a
-parallel one runs the components narrower than nmax in the parent, then
-the rest in contiguous shares, one per process, each child on a copy of
-the memo and the parent on the last share. A sweep refuses a configuration of
-more than :data:`MAX_COMPONENTS` components or :data:`MAX_VARIABLES`
+parallel one runs the canonical components narrower than nmax in the
+parent, then the rest in contiguous shares, one per process, each child
+on a copy of the memo and the parent on the last share. A sweep refuses
+a configuration of more than :data:`MAX_COMPONENTS` components or :data:`MAX_VARIABLES`
 variables before any component runs, and a certificate command of more
 than :data:`MAX_SEPARATION_CHECKS` separation checks before any member
 is listed. The soundness witness of an unsound
@@ -435,17 +435,11 @@ def summarize(entries) -> dict:
     }
 
 
-def _space_entries(
-    config: SweepConfig, tuples: Sequence[tuple], memo: Optional[SpanMemo] = None
-) -> list:
+def _space_entries(config: SweepConfig, tuples: Sequence[tuple], memo: SpanMemo) -> list:
     """The entries of a run of the sweep's degree tuples, in order. The
-    field, model and family are resolved once, and one
-    :class:`~wittid.tideal.SpanMemo` serves every component of the run:
-    ``memo``, or a new one as wide as the widest tuple."""
-    field = Field.from_spec(config.field)
-    model = parse_model(config.model, field)
-    if memo is None:
-        memo = SpanMemo(config.family(), field, largest=max(map(len, tuples)))
+    model is resolved once over the memo's field, and the sweep's
+    :class:`~wittid.tideal.SpanMemo` serves every component of the run."""
+    model = parse_model(config.model, memo.field)
     return [_entry(model, degrees, config.space_budget_s, memo) for degrees in tuples]
 
 
@@ -499,16 +493,16 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
     polynomial. Components whose consequence span computation exceeds the
     per-space budget are flagged as skipped rather than aborting the
     sweep. The sweep has one span memo. The report keeps the requested
-    ``workers``; the sweep uses at most as many processes as the machine
-    reports cores. A serial sweep is one run of :func:`_space_entries`; a
+    ``workers``; the sweep uses at most as many processes as there are
+    CPUs the process may run on. A serial sweep is one run of :func:`_space_entries`; a
     parallel one is :func:`_parallel_entries`, whose entries are the same.
     """
     start = time.monotonic()
     tuples = list(sweep_tuples(config.nmax, config.dmax, config.extra_degree_tuples))
     memo = SpanMemo(config.family(), Field.from_spec(config.field), largest=max(map(len, tuples)))
     # The report keeps the requested count; the sweep gets no more processes
-    # than the machine has cores, and one process is a serial run.
-    workers = min(config.workers, os.cpu_count() or 1)
+    # than it has CPUs to run on, and one process is a serial run.
+    workers = min(config.workers, _usable_cpus())
     if workers > 1:
         entries = _parallel_entries(config, tuples, memo, workers)
     else:
@@ -519,27 +513,37 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
     )
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set where
+    the platform has one, else the machine's core count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _parallel_entries(config: SweepConfig, tuples: list, memo: SpanMemo, workers: int) -> list:
     """:func:`_space_entries` of the whole sweep on up to ``workers``
     processes. The parent first fills ``memo`` with the canonical
-    components narrower than nmax, a prefix of the sweep whose spans are
-    the sub-spans of the rest. The rest is cut into at most ``workers``
-    contiguous shares of equal count. Each share but the last runs in a
-    child process with a copy of the memo (inherited under fork, pickled
-    otherwise), while the parent runs the last one, which holds the
-    extras, the widest components. One share starts no process. A
-    child's exception is raised again in the parent, and a child that
-    exits without sending raises RuntimeError. Children still running
-    when the sweep fails are terminated, and every child is joined."""
+    components narrower than nmax, a prefix of the sweep that holds the
+    sub-spans of the canonical nmax components. The rest, those nmax
+    components and then the extras, is cut into at most ``workers``
+    contiguous shares of equal count, so an extra lands in whichever
+    share the cut puts it. A sub-span that is not in the prefix (of an
+    extra outside the canonical range or wider than nmax) is computed
+    in the share that needs it. Each share but the last runs in a child
+    process with a copy of the memo (inherited under fork, pickled
+    otherwise), while the parent runs the last one; one share starts no
+    process. A child's exception is raised again in the parent, and a
+    child that exits without sending raises RuntimeError. Children still
+    running when the sweep fails are terminated, and every child is
+    joined."""
     narrow = sweep_size(config.nmax - 1, config.dmax)
     entries = _space_entries(config, tuples[:narrow], memo)
     rest = tuples[narrow:]
     count = min(workers, len(rest))
-    if count == 1:
-        return entries + _space_entries(config, rest, memo)
     cuts = [len(rest) * i // count for i in range(count + 1)]
     shares = [rest[a:b] for a, b in zip(cuts, cuts[1:])]
-    # Imported here: multiprocessing costs every serial run its import.
+    # Imported here: a serial sweep never needs multiprocessing.
     import multiprocessing
 
     context = multiprocessing.get_context()

@@ -202,6 +202,13 @@ def test_size_cap_keeps_eight_variables():
     assert VerificationReport.from_json(hand_report(8, [(0,) * 8])).config["nmax"] == 8
 
 
+def _entries(config, tuples):
+    """The sweep's entries of ``tuples``, on a memo of their own."""
+    field = Field.from_spec(config.field)
+    memo = verify.SpanMemo(config.family(), field, largest=max(map(len, tuples)))
+    return verify._space_entries(config, tuples, memo)
+
+
 @pytest.mark.parametrize(
     "model, family_range, degrees, dims, complete",
     [("u1", "wide", (1, 2, 2, 2, 2, 2, 2), (719, 719), True),
@@ -214,7 +221,7 @@ def test_space_entry_at_720_columns(model, family_range, degrees, dims, complete
     config = SweepConfig(
         model=model, family_range=family_range, nmax=1, dmax=0, extra_degree_tuples=[degrees]
     )
-    (entry,) = verify._space_entries(config, [degrees])
+    (entry,) = _entries(config, [degrees])
     assert entry["dimP"] == 720
     assert (entry["dimIdentity"], entry["dimConsequence"]) == dims
     assert (entry["sound"], entry["complete"]) == (True, complete)
@@ -359,9 +366,16 @@ class CountingContext:
 
 def _use_context(monkeypatch, context, cores=3):
     """Parallel sweeps from now on start their processes through
-    ``context``, on a machine that reports ``cores`` cores."""
+    ``context``, in a process that may run on ``cores`` CPUs; None is a
+    platform with no affinity set on a machine that reports no count."""
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
+    if cores is None:
+        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(
+            verify.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False
+        )
 
 
 def _parallel_matches_sequential(monkeypatch, sweep, workers, children):
@@ -519,7 +533,7 @@ def test_one_memo_per_run_within_its_bound(monkeypatch, model, family_range, fie
     assert {len(d) for d in memo.spans} == {1, 2, 3, 4}
     assert len(computed) == len(set(computed))
     assert set(computed) - set(memo.spans) == {(1, 2, 2, 2, 2)}
-    fresh = [verify._space_entries(config, [tuple(e["degrees"])])[0] for e in entries]
+    fresh = [_entries(config, [tuple(e["degrees"])])[0] for e in entries]
     assert entries == fresh
 
 
@@ -536,7 +550,7 @@ def test_completeness_from_dimensions_is_containment(model, family_range, field)
     sample = rng.sample(tuples, 60) + [(-1, 0, 1, 1), (-1, 1), (-1, 3), (1, 2, 2, 2)]
     flags = set()
     for degrees in sample:
-        (entry,) = verify._space_entries(config, [degrees])
+        (entry,) = _entries(config, [degrees])
         space = MultilinearSpace.for_degrees(degrees, k)
         ident = identity_subspace(parse_model(model, k), space)
         cons = consequence_subspace(family, space)
