@@ -5,14 +5,15 @@ the identity subspace of a model with the consequence subspace of a
 generating family (soundness: consequences are identities; completeness:
 identities are consequences), and produces machine-readable reports. A
 run of components is the :class:`SweepConfig`, a list of degree tuples
-and a span memo. A sweep has one memo: a serial sweep is one run, and a
-parallel one runs the canonical components narrower than nmax in the
-parent, then the rest in contiguous shares, one per process, each child
-on a copy of the memo and the parent on the last share. A sweep refuses
-a configuration of more than :data:`MAX_COMPONENTS` components or :data:`MAX_VARIABLES`
-variables before any component runs, and a certificate command of more
-than :data:`MAX_SEPARATION_CHECKS` separation checks before any member
-is listed. The soundness witness of an unsound
+and a span memo. Every sweep has one memo and one driver: the parent
+runs the canonical components narrower than nmax, then the rest in
+contiguous shares, one per process it may use, each child on a copy of
+the memo and the parent on the last share; a serial sweep is the
+one-share run. A sweep, new or saved, refuses a configuration of more
+than :data:`MAX_COMPONENTS` components or :data:`MAX_VARIABLES` variables
+before any component runs, and a certificate command of more than
+:data:`MAX_SEPARATION_CHECKS` separation checks before any member is
+listed. The soundness witness of an unsound
 component is the first consequence instance that evaluation on the basis
 tuples does not send to zero (:func:`~wittid.models.first_nonzero`);
 only that instance's coordinates are computed.
@@ -155,12 +156,7 @@ class SweepConfig:
         _check_budget(self.space_budget_s, "the per-space budget")
         if () in self.extra_degree_tuples:
             raise ValueError("an extra degree tuple needs at least one degree")
-        _check_size(self.nmax, self.extra_degree_tuples, "the sweep")
-        count = sweep_size(self.nmax, self.dmax, self.extra_degree_tuples)
-        if count > MAX_COMPONENTS:
-            raise ValueError(
-                f"the sweep has {count:,} components; at most {MAX_COMPONENTS:,} are supported"
-            )
+        _check_size(self.nmax, self.dmax, self.extra_degree_tuples, "the sweep")
 
     def family(self) -> BasisFamily:
         return family_for(self.model, self.family_range)
@@ -275,7 +271,7 @@ class VerificationReport:
         _check_shape(data, REPORT_SCHEMA, "report")
         config = data["config"]
         _check_budget(config.get("space_budget_s"), "report.config.space_budget_s")
-        _check_size(config["nmax"], config["extra_degree_tuples"], "report.config")
+        _check_size(config["nmax"], config["dmax"], config["extra_degree_tuples"], "report.config")
         report = cls(
             config=config,
             spaces=data["spaces"],
@@ -322,14 +318,20 @@ MAX_COMPONENTS = 10_000
 MAX_SEPARATION_CHECKS = 100_000
 
 
-def _check_size(nmax: int, extra_degree_tuples, where: str) -> None:
+def _check_size(nmax: int, dmax: int, extra_degree_tuples, where: str) -> None:
     """Refuse a sweep that reaches a component of more than
-    :data:`MAX_VARIABLES` variables, through ``nmax`` or an extra tuple."""
+    :data:`MAX_VARIABLES` variables, through ``nmax`` or an extra tuple,
+    or that has more than :data:`MAX_COMPONENTS` components."""
     widest = max([nmax, *map(len, extra_degree_tuples)])
     if widest > MAX_VARIABLES:
         raise ValueError(
             f"{where} reaches a component of {widest} variables; "
             f"at most {MAX_VARIABLES} are supported"
+        )
+    count = sweep_size(nmax, dmax, extra_degree_tuples)
+    if count > MAX_COMPONENTS:
+        raise ValueError(
+            f"{where} has {count:,} components; at most {MAX_COMPONENTS:,} are supported"
         )
 
 
@@ -492,21 +494,14 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
     bounded by dmax is swept once; failures carry an explicit witness
     polynomial. Components whose consequence span computation exceeds the
     per-space budget are flagged as skipped rather than aborting the
-    sweep. The sweep has one span memo. The report keeps the requested
-    ``workers``; the sweep uses at most as many processes as there are
-    CPUs the process may run on. A serial sweep is one run of :func:`_space_entries`; a
-    parallel one is :func:`_parallel_entries`, whose entries are the same.
+    sweep. The sweep has one span memo and runs through :func:`_sweep_entries`,
+    whose entries do not depend on how many processes share the work. The
+    report keeps the requested ``workers``.
     """
     start = time.monotonic()
     tuples = list(sweep_tuples(config.nmax, config.dmax, config.extra_degree_tuples))
     memo = SpanMemo(config.family(), Field.from_spec(config.field), largest=max(map(len, tuples)))
-    # The report keeps the requested count; the sweep gets no more processes
-    # than it has CPUs to run on, and one process is a serial run.
-    workers = min(config.workers, _usable_cpus())
-    if workers > 1:
-        entries = _parallel_entries(config, tuples, memo, workers)
-    else:
-        entries = _space_entries(config, tuples, memo)
+    entries = _sweep_entries(config, tuples, memo)
     timings = {"total_s": round(time.monotonic() - start, 3)}
     return VerificationReport(
         config=config.to_dict(), spaces=entries, summary=summarize(entries), timings=timings
@@ -521,36 +516,37 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _parallel_entries(config: SweepConfig, tuples: list, memo: SpanMemo, workers: int) -> list:
-    """:func:`_space_entries` of the whole sweep on up to ``workers``
-    processes. The parent first fills ``memo`` with the canonical
+def _sweep_entries(config: SweepConfig, tuples: list, memo: SpanMemo) -> list:
+    """:func:`_space_entries` of the whole sweep, on at most
+    ``config.workers`` processes and no more than the CPUs this process
+    may use. The parent first fills ``memo`` with the canonical
     components narrower than nmax, a prefix of the sweep that holds the
     sub-spans of the canonical nmax components. The rest, those nmax
-    components and then the extras, is cut into at most ``workers``
-    contiguous shares of equal count, so an extra lands in whichever
-    share the cut puts it. A sub-span that is not in the prefix (of an
-    extra outside the canonical range or wider than nmax) is computed
-    in the share that needs it. Each share but the last runs in a child
-    process with a copy of the memo (inherited under fork, pickled
-    otherwise), while the parent runs the last one; one share starts no
-    process. A child's exception is raised again in the parent, and a
-    child that exits without sending raises RuntimeError. Children still
-    running when the sweep fails are terminated, and every child is
-    joined."""
+    components and then the extras, is cut into that many contiguous
+    shares of equal count, so an extra lands in whichever share the cut
+    puts it. A sub-span that is not in the prefix (of an extra outside
+    the canonical range or wider than nmax) is computed in the share that
+    needs it. Each share but the last runs in a child process with a copy
+    of the memo (inherited under fork, pickled otherwise), while the
+    parent runs the last one. One share, a serial sweep, starts no
+    process and imports no multiprocessing. A child's exception is raised
+    again in the parent, and a child that exits without sending raises
+    RuntimeError. Children still running when the sweep fails are
+    terminated, and every child is joined."""
     narrow = sweep_size(config.nmax - 1, config.dmax)
     entries = _space_entries(config, tuples[:narrow], memo)
     rest = tuples[narrow:]
-    count = min(workers, len(rest))
+    count = min(config.workers, _usable_cpus(), len(rest))
     cuts = [len(rest) * i // count for i in range(count + 1)]
     shares = [rest[a:b] for a, b in zip(cuts, cuts[1:])]
-    # Imported here: a serial sweep never needs multiprocessing.
-    import multiprocessing
-
-    context = multiprocessing.get_context()
     children = []
     finished = False
     try:
         for share in shares[:-1]:
+            # Imported for the first child: a serial sweep never needs it.
+            import multiprocessing
+
+            context = multiprocessing.get_context()
             receive, send = context.Pipe(duplex=False)
             child = context.Process(target=_send_entries, args=(config, share, memo, send))
             child.start()
@@ -579,7 +575,7 @@ def _parallel_entries(config: SweepConfig, tuples: list, memo: SpanMemo, workers
 
 
 def _send_entries(config: SweepConfig, share: list, memo: SpanMemo, send) -> None:
-    """A child's run of :func:`_parallel_entries`: send the share's
+    """A child's run of :func:`_sweep_entries`: send the share's
     entries, or the exception that computing them raised."""
     try:
         result = _space_entries(config, share, memo)
@@ -664,9 +660,8 @@ def _separation(model, member: LiePoly, *others) -> tuple:
 
 def _bracket_certificate(r: int, s: int, bound: int, field: Field, singles=()) -> tuple:
     """:func:`independence_check`'s certificate, and the text forms of the
-    polynomials in ``singles`` that its UT(3) model violates."""
-    if r > s or not _U1.contains_bracket(r, s):
-        raise ValueError("need r <= s of the same parity")
+    polynomials in ``singles`` that its UT(3) model violates. The model
+    refuses ``r > s`` and mixed parity, before any member is listed."""
     if bound < max(abs(r), abs(s)):
         raise ValueError("bound must cover |r| and |s|")
     model = ut3_model(field, r, s)

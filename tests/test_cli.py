@@ -281,6 +281,8 @@ def test_independence_refuses_a_mix_of_options(capsys, argv, given):
         (["verify-basis", "--model", "u1", "--nmax", "2", "--dmax", "1", "--budget", "-1"], "budget"),
         (["verify-basis", "--model", "u1", "--nmax", "2", "--dmax", "1", "--budget", "nan"], "budget"),
         (["verify-basis", "--model", "u1", "--nmax", "2", "--dmax", "1", "--budget", "inf"], "budget"),
+        (["independence", "--r", "2", "--s", "0"], "need r <= s, got (2, 0)"),
+        (["independence", "--r", "0", "--s", "1"], "need r and s of the same parity, got (0, 1)"),
     ],
 )
 def test_vacuous_or_empty_ranges_exit_two(capsys, argv, message):
@@ -363,6 +365,23 @@ def test_report_past_the_size_cap_exits_two(capsys, tmp_path, nmax, extras):
     code, out, err = run(capsys, "report", str(path), "--revalidate")
     assert code == 2 and out == ""
     assert "report.config reaches a component of 9 variables; at most 8" in err
+
+
+def test_report_past_the_component_cap_exits_two(capsys, tmp_path, monkeypatch):
+    # 10,001 components: refused where the report is loaded, so no entry is
+    # revalidated and no coverage line is printed.
+    monkeypatch.setattr(verify, "revalidate_entry", _no_span)
+    data = json.loads(hand_report(1, [(100 + i,) for i in range(10_000)]))
+    data["spaces"].append({
+        "n": 1, "degrees": [0], "orbit": 1, "dimP": 1,
+        "dimIdentity": 0, "dimConsequence": 0, "sound": True, "complete": True,
+    })
+    data["summary"]["passed"] = 1
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "report", str(path), "--revalidate")
+    assert code == 2 and out == ""
+    assert "report.config has 10,001 components; at most 10,000 are supported" in err
 
 
 def _no_span(*args, **kwargs):

@@ -116,6 +116,21 @@ def test_config_refuses_too_many_components(monkeypatch):
         assert SweepConfig(nmax=nmax, dmax=dmax, extra_degree_tuples=extras).dmax == dmax
 
 
+def test_component_cap_holds_where_a_report_is_loaded(monkeypatch):
+    # A saved config is counted as a new one is, before any tuple is listed:
+    # u1 nmax=1, dmax=0 has one canonical component, and each extra adds one.
+    monkeypatch.setattr(verify, "sweep_tuples", _no_span)
+    extras = [(100 + i,) for i in range(10_000)]
+    want = "has 10,001 components; at most 10,000 are supported$"
+    with pytest.raises(ValueError, match=f"^report.config {want}"):
+        VerificationReport.from_json(hand_report(1, extras))
+    with pytest.raises(ValueError, match=f"^the sweep {want}"):
+        SweepConfig(nmax=1, dmax=0, extra_degree_tuples=extras)
+    # Both accept the cap itself.
+    assert VerificationReport.from_json(hand_report(1, extras[:-1])).config["dmax"] == 0
+    assert SweepConfig(nmax=1, dmax=0, extra_degree_tuples=extras[:-1]).dmax == 0
+
+
 @pytest.mark.parametrize(
     "budget, want",
     [("x", "not of type number or null"), (True, "not of type number or null"),
@@ -247,8 +262,41 @@ def _modules_added_by_import() -> set:
 
 
 def test_import_loads_no_process_pool():
-    # Only a sweep with workers > 1 needs multiprocessing.
+    # Only a sweep that starts a child process needs multiprocessing.
     assert not {"multiprocessing", "concurrent.futures"} & _modules_added_by_import()
+
+
+_SERIAL_SWEEP = """
+import os, sys
+from wittid.verify import SweepConfig, verify_basis_theorem
+workers = int(sys.argv[1])
+if workers > 1:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+verify_basis_theorem(SweepConfig(model="u1", nmax=3, dmax=1, workers=workers))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    child = True
+except ChildProcessError:
+    child = False
+print("multiprocessing" in sys.modules, child)
+"""
+
+
+@pytest.mark.parametrize("workers", [
+    pytest.param(1, id="serial"),
+    pytest.param(2, id="pinned", marks=pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")),
+])
+def test_a_serial_sweep_starts_nothing(workers):
+    # In a fresh interpreter, pinned to one of its CPUs for two workers: the
+    # sweep is one share, so it imports no multiprocessing and leaves no child.
+    src = Path(verify.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", _SERIAL_SWEEP, str(workers)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.split() == ["False", "False"]
 
 
 def test_import_loads_no_dataclasses_fractions_or_json():

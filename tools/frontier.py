@@ -11,9 +11,10 @@ with ``PYTHONDONTWRITEBYTECODE=1``. The child's own output goes to
 stderr. The last stdout line is one JSON object: the child's argv, its
 exit code, its wall seconds, and its peak resident set size in MiB, read
 from ``getrusage(RUSAGE_CHILDREN)`` once it has exited. A sweep is serial
-by default; ``--workers`` is refused (exit 2), since the peak of a pool's
-workers is not the peak of one process. Otherwise the script exits 0
-once the record is printed, whatever the child's exit code.
+by default; ``--workers`` is refused (exit 2), since a parallel sweep
+starts child processes of its own, whose peaks are not the peak of one
+process. Otherwise the script exits 0 once the record is printed,
+whatever the child's exit code.
 """
 
 from __future__ import annotations
