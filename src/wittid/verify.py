@@ -4,19 +4,20 @@ Runs exhaustive desk-scale sweeps over multilinear components, comparing
 the identity subspace of a model with the consequence subspace of a
 generating family (soundness: consequences are identities; completeness:
 identities are consequences), and produces machine-readable reports. A
-run of components is the :class:`SweepConfig`, a list of degree tuples
-and a span memo. Every sweep has one memo and one driver: the parent
-runs the canonical components narrower than nmax, then the rest in
-contiguous shares, one per process it may use, each child on a copy of
-the memo and the parent on the last share; a serial sweep is the
-one-share run. A sweep, new or saved, refuses a configuration of more
-than :data:`MAX_COMPONENTS` components or :data:`MAX_VARIABLES` variables
-before any component runs, and a certificate command of more than
-:data:`MAX_SEPARATION_CHECKS` separation checks before any member is
-listed. The soundness witness of an unsound
-component is the first consequence instance that evaluation on the basis
-tuples does not send to zero (:func:`~wittid.models.first_nonzero`);
-only that instance's coordinates are computed.
+sweep's configuration, :class:`SweepConfig`, is the JSON object its
+report records, and one check refuses a bad one, new or saved, before
+any component runs: its shape, budget, family, field, and more than
+:data:`MAX_COMPONENTS` components or :data:`MAX_VARIABLES` variables. A
+certificate command of more than :data:`MAX_SEPARATION_CHECKS`
+separation checks is refused before any member is listed. Every sweep
+has one span memo and one driver: the parent runs the canonical
+components narrower than nmax, then the rest in contiguous shares, one
+per process it may use, each child on a copy of the memo and the parent
+on the last share; a serial sweep is the one-share run. The soundness
+witness of an unsound component is the first consequence instance that
+evaluation on the basis tuples does not send to zero
+(:func:`~wittid.models.first_nonzero`); only that instance's
+coordinates are computed.
 Also provides separation certificates: graded algebras that violate one
 family member while satisfying all the others, which is what rules out
 any finite generating set. One private check evaluates every separation
@@ -121,10 +122,12 @@ REPORT_SCHEMA = {
 }
 
 
-class SweepConfig:
-    """Configuration of a basis-verification sweep. ``model`` is "u1" or
-    "w1"; ``family_range`` is the w1 bracket range, "wide" (>= -1) or
-    "tight" (>= 0)."""
+class SweepConfig(dict):
+    """Configuration of a basis-verification sweep: the JSON object its
+    report records as ``config``, checked by :func:`_check_config` as a
+    saved one is. ``model`` is "u1" or "w1"; ``family_range`` is the w1
+    bracket range, "wide" (>= -1) or "tight" (>= 0), recorded as
+    ``range`` (null for u1)."""
 
     def __init__(
         self,
@@ -138,42 +141,39 @@ class SweepConfig:
         extra_degree_tuples: tuple = (),
         seed: Optional[int] = None,
     ):
-        self.model = model
-        self.family_range = family_range
-        self.nmax = nmax
-        self.dmax = dmax
-        self.field = field
-        self.workers = workers
-        self.space_budget_s = space_budget_s
-        self.extra_degree_tuples = tuple(tuple(t) for t in extra_degree_tuples)
-        self.seed = seed
-        if self.nmax < 1 or self.dmax < 0:
-            raise ValueError("need nmax >= 1 and dmax >= 0")
-        self.family()  # refuses a model without a family and an unknown range
-        Field.from_spec(self.field)  # refuses an unknown field before any component runs
-        if self.workers < 1:
-            raise ValueError("need workers >= 1")
-        _check_budget(self.space_budget_s, "the per-space budget")
-        if () in self.extra_degree_tuples:
-            raise ValueError("an extra degree tuple needs at least one degree")
-        _check_size(self.nmax, self.dmax, self.extra_degree_tuples, "the sweep")
+        super().__init__(
+            model=model,
+            # refuses a model without a family, and an unknown range for u1 too
+            family=family_for(model, family_range).describe(),
+            range=family_range if model == "w1" else None,
+            field=field,
+            nmax=nmax,
+            dmax=dmax,
+            workers=workers,
+            space_budget_s=space_budget_s,
+            extra_degree_tuples=[list(t) for t in extra_degree_tuples],
+            seed=seed,
+        )
+        _check_config(self, "the sweep")
 
     def family(self) -> BasisFamily:
-        return family_for(self.model, self.family_range)
+        return _family(self)
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "family": self.family().describe(),
-            "range": self.family_range if self.model == "w1" else None,
-            "field": self.field,
-            "nmax": self.nmax,
-            "dmax": self.dmax,
-            "workers": self.workers,
-            "space_budget_s": self.space_budget_s,
-            "extra_degree_tuples": [list(t) for t in self.extra_degree_tuples],
-            "seed": self.seed,
-        }
+
+def _family(config: dict) -> BasisFamily:
+    """The family of a configuration's model and range, or ValueError."""
+    return family_for(config["model"], config.get("range"))
+
+
+def _check_config(config: dict, where: str) -> None:
+    """The one check of a configuration, new ("the sweep") or saved
+    ("report.config"): its REPORT_SCHEMA shape, budget, size, family and
+    field. A sweep it accepts writes a report whose config it accepts."""
+    _check_shape(config, REPORT_SCHEMA["properties"]["config"], where)
+    _check_budget(config.get("space_budget_s"), f"{where}.space_budget_s")
+    _check_size(config["nmax"], config["dmax"], config["extra_degree_tuples"], where)
+    _family(config)
+    Field.from_spec(config["field"])
 
 
 class VerificationReport:
@@ -197,17 +197,12 @@ class VerificationReport:
                 return entry
         return None
 
-    def family(self) -> BasisFamily:
-        """The family of the configured model and range (ValueError when
-        they name none)."""
-        return family_for(self.config["model"], self.config.get("range"))
-
     def span_memo(self) -> SpanMemo:
         """One span memo for recomputing this report's entries in order
         with :func:`revalidate_entry`: the configured family and field,
         with no span kept as wide as the widest entry."""
         return SpanMemo(
-            self.family(),
+            _family(self.config),
             Field.from_spec(self.config["field"]),
             largest=max((len(e["degrees"]) for e in self.spaces), default=None),
         )
@@ -218,7 +213,7 @@ class VerificationReport:
         None, or with ``revalidate`` the degrees of the entries that
         :func:`revalidate_entry` refuses, all through one :meth:`span_memo`."""
         problems = []
-        config, family = self.config, self.family().describe()
+        config, family = self.config, _family(self.config).describe()
         if config["family"] != family:
             problems.append(
                 f"FAMILY MISMATCH: the report names {config['family']!r}, "
@@ -263,24 +258,20 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
-        """Load a report; a malformed one, or one whose model and range
-        name no family or whose field is none, raises ValueError."""
+        """Load a report; a malformed one raises ValueError, and so does
+        one whose ``config`` :func:`_check_config` refuses, the check of a
+        new sweep's configuration."""
         import json
 
         data = json.loads(text)
         _check_shape(data, REPORT_SCHEMA, "report")
-        config = data["config"]
-        _check_budget(config.get("space_budget_s"), "report.config.space_budget_s")
-        _check_size(config["nmax"], config["dmax"], config["extra_degree_tuples"], "report.config")
-        report = cls(
-            config=config,
+        _check_config(data["config"], "report.config")
+        return cls(
+            config=data["config"],
             spaces=data["spaces"],
             summary=data["summary"],
             timings=data["timings"],
         )
-        report.family()
-        Field.from_spec(config["field"])
-        return report
 
 
 # JSON Schema scalar type -> test; a JSON boolean is not an integer.
@@ -441,8 +432,8 @@ def _space_entries(config: SweepConfig, tuples: Sequence[tuple], memo: SpanMemo)
     """The entries of a run of the sweep's degree tuples, in order. The
     model is resolved once over the memo's field, and the sweep's
     :class:`~wittid.tideal.SpanMemo` serves every component of the run."""
-    model = parse_model(config.model, memo.field)
-    return [_entry(model, degrees, config.space_budget_s, memo) for degrees in tuples]
+    model = parse_model(config["model"], memo.field)
+    return [_entry(model, degrees, config["space_budget_s"], memo) for degrees in tuples]
 
 
 def _entry(model, degrees, budget_s, memo: SpanMemo) -> dict:
@@ -499,12 +490,13 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
     report keeps the requested ``workers``.
     """
     start = time.monotonic()
-    tuples = list(sweep_tuples(config.nmax, config.dmax, config.extra_degree_tuples))
-    memo = SpanMemo(config.family(), Field.from_spec(config.field), largest=max(map(len, tuples)))
+    tuples = list(sweep_tuples(config["nmax"], config["dmax"], config["extra_degree_tuples"]))
+    field = Field.from_spec(config["field"])
+    memo = SpanMemo(_family(config), field, largest=max(map(len, tuples)))
     entries = _sweep_entries(config, tuples, memo)
     timings = {"total_s": round(time.monotonic() - start, 3)}
     return VerificationReport(
-        config=config.to_dict(), spaces=entries, summary=summarize(entries), timings=timings
+        config=dict(config), spaces=entries, summary=summarize(entries), timings=timings
     )
 
 
@@ -518,7 +510,7 @@ def _usable_cpus() -> int:
 
 def _sweep_entries(config: SweepConfig, tuples: list, memo: SpanMemo) -> list:
     """:func:`_space_entries` of the whole sweep, on at most
-    ``config.workers`` processes and no more than the CPUs this process
+    ``config["workers"]`` processes and no more than the CPUs this process
     may use. The parent first fills ``memo`` with the canonical
     components narrower than nmax, a prefix of the sweep that holds the
     sub-spans of the canonical nmax components. The rest, those nmax
@@ -533,10 +525,10 @@ def _sweep_entries(config: SweepConfig, tuples: list, memo: SpanMemo) -> list:
     again in the parent, and a child that exits without sending raises
     RuntimeError. Children still running when the sweep fails are
     terminated, and every child is joined."""
-    narrow = sweep_size(config.nmax - 1, config.dmax)
+    narrow = sweep_size(config["nmax"] - 1, config["dmax"])
     entries = _space_entries(config, tuples[:narrow], memo)
     rest = tuples[narrow:]
-    count = min(config.workers, _usable_cpus(), len(rest))
+    count = min(config["workers"], _usable_cpus(), len(rest))
     cuts = [len(rest) * i // count for i in range(count + 1)]
     shares = [rest[a:b] for a, b in zip(cuts, cuts[1:])]
     children = []
@@ -595,7 +587,9 @@ def revalidate_entry(entry: dict, config: dict, memo: Optional[SpanMemo] = None)
     of its dimensions and of its soundness and completeness flags. A
     completeness witness must then be an identity of the model that row
     reduction leaves outside the consequence span; a soundness witness must lie
-    in the consequence span yet take a nonzero value in the model.
+    in the consequence span yet take a nonzero value in the model. A witness
+    that is not a polynomial of the entry's component (unparsable, or in a
+    variable or degree it does not have) is refused, not raised.
 
     The entries of one report may share ``memo``
     (:meth:`VerificationReport.span_memo`, as wide as the widest entry),
@@ -614,7 +608,7 @@ def revalidate_entry(entry: dict, config: dict, memo: Optional[SpanMemo] = None)
     if entry.get("skipped"):
         return True
     model = parse_model(config["model"], field)
-    family = family_for(config["model"], config.get("range"))
+    family = _family(config)
     ident = identity_subspace(model, space)
     cons = consequence_subspace(family, space, memo=memo)
     sound = subspace_contains(ident, cons)
@@ -630,8 +624,11 @@ def revalidate_entry(entry: dict, config: dict, memo: Optional[SpanMemo] = None)
     witness_text = entry.get("witness")
     if not witness_text:
         return False
-    witness = parse_polynomial(witness_text, field)
-    coords = space.coordinates(witness)
+    try:
+        witness = parse_polynomial(witness_text, field)
+        coords = space.coordinates(witness)
+    except ValueError:  # not a polynomial of this component
+        return False
     if not sound:
         return cons.contains_vector(coords) and not satisfies_multilinear(model, witness)
     return (
@@ -820,7 +817,7 @@ def minimality_sweep(
     single_rows = [variable_independence_check(c, separation_bound, field) for c in singles]
     reports = {}
     if family.has_singletons:
-        reports = {config.family_range: verify_basis_theorem(config) for config in configs}
+        reports = {config["range"]: verify_basis_theorem(config) for config in configs}
     sound = all(e.get("sound") is not False for report in reports.values() for e in report.spaces)
     return {
         "model": model_name,

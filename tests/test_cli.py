@@ -445,7 +445,7 @@ def test_minimality_verb(capsys):
 @pytest.mark.parametrize(
     "argv, want",
     [(["minimality", "--model", "u1", "--nmax", "99", "--dmax", "-5"],
-      "need nmax >= 1 and dmax >= 0"),
+      "the sweep.dmax is less than the minimum of 0"),
      (["minimality", "--model", "w1", "--nmax", "9"], "reaches a component of 9 variables"),
      (["minimality", "--model", "u1", "--nmax", "4", "--dmax", "40"],
       "components; at most 10,000 are supported")],
@@ -621,9 +621,7 @@ def test_report_with_missing_key_exits_two(capsys, tmp_path, path):
 
 # Each case sets its keys of the first entry, or of the config, to the
 # value; the first key is the one refused. A sweep refuses the same
-# nmax and dmax ("need nmax >= 1 and dmax >= 0"), the same workers
-# ("need workers >= 1") and the same empty extra tuple ("an extra degree
-# tuple needs at least one degree").
+# values with the same messages, "the sweep" in place of "report.config".
 @pytest.mark.parametrize(
     "keys",
     [("n", "orbit", "dimP"), ("orbit",), ("dimP",),
@@ -782,6 +780,30 @@ def test_report_revalidate_refuses_forged_shape(capsys, tmp_path, key, value):
     out_path.write_text(json.dumps(data))
     code, out, _ = run(capsys, "report", str(out_path))
     assert code == 0  # only the revalidation recomputes the entry
+    code, out, _ = run(capsys, "report", str(out_path), "--revalidate")
+    assert code == 1
+    assert "INVALID witnesses at [[-1, 1]]" in out
+
+
+@pytest.mark.parametrize(
+    "witness",
+    ["[x1^-1, x2", "[x1^-1, x3^1]", "[x1^-1, x2^3]", "1/2*[x1^-1, x2^1]"],
+    ids=["syntax", "foreign-variable", "wrong-degree", "fraction-over-gf2"],
+)
+def test_report_revalidate_rejects_a_malformed_witness(capsys, tmp_path, witness):
+    # A witness that is not a polynomial of its component is a rejected
+    # witness (exit 1), not a malformed file (exit 2).
+    out_path = tmp_path / "report.json"
+    run(capsys, "--out", str(out_path), "verify-basis", "--model", "w1", "--range", "tight",
+        "--nmax", "2", "--dmax", "1")
+    data = json.loads(out_path.read_text())
+    (entry,) = [e for e in data["spaces"] if "witness" in e]
+    assert entry["degrees"] == [-1, 1]
+    entry["witness"] = witness
+    out_path.write_text(json.dumps(data))
+    assert verify.VerificationReport.from_json(out_path.read_text()).audit(True) == (
+        [], [[-1, 1]]
+    )
     code, out, _ = run(capsys, "report", str(out_path), "--revalidate")
     assert code == 1
     assert "INVALID witnesses at [[-1, 1]]" in out

@@ -63,7 +63,7 @@ def test_config_validation():
     for budget in (-1.0, -1e-9, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="budget"):
             SweepConfig(space_budget_s=budget)
-    assert SweepConfig(space_budget_s=0.0).space_budget_s == 0.0
+    assert SweepConfig(space_budget_s=0.0)["space_budget_s"] == 0.0
     config = SweepConfig(model="w1", family_range="tight")
     assert config.family().bracket_lower_bound == 0
     with pytest.raises(ValueError, match="unknown family range 'bogus'"):
@@ -74,7 +74,7 @@ def test_config_refuses_an_empty_extra_tuple(monkeypatch):
     # refused when the config is built, before any component is computed
     monkeypatch.setattr(verify, "identity_subspace", _no_span)
     for extras in ([()], [(1, 1), []]):
-        with pytest.raises(ValueError, match="an extra degree tuple needs at least one degree"):
+        with pytest.raises(ValueError, match=r"^the sweep.extra_degree_tuples\[.\] has fewer"):
             SweepConfig(nmax=1, dmax=0, extra_degree_tuples=extras)
 
 
@@ -113,7 +113,7 @@ def test_config_refuses_too_many_components(monkeypatch):
             SweepConfig(nmax=nmax, dmax=dmax, extra_degree_tuples=extras)
     # The widest documented sweeps, and the cap itself, are accepted.
     for nmax, dmax, extras in [(6, 4, ()), (8, 3, ()), (1, 4999, [(0, 1), (1, 0), (1,)])]:
-        assert SweepConfig(nmax=nmax, dmax=dmax, extra_degree_tuples=extras).dmax == dmax
+        assert SweepConfig(nmax=nmax, dmax=dmax, extra_degree_tuples=extras)["dmax"] == dmax
 
 
 def test_component_cap_holds_where_a_report_is_loaded(monkeypatch):
@@ -128,7 +128,45 @@ def test_component_cap_holds_where_a_report_is_loaded(monkeypatch):
         SweepConfig(nmax=1, dmax=0, extra_degree_tuples=extras)
     # Both accept the cap itself.
     assert VerificationReport.from_json(hand_report(1, extras[:-1])).config["dmax"] == 0
-    assert SweepConfig(nmax=1, dmax=0, extra_degree_tuples=extras[:-1]).dmax == 0
+    assert SweepConfig(nmax=1, dmax=0, extra_degree_tuples=extras[:-1])["dmax"] == 0
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", "x"), ("space_budget_s", True), ("workers", True), ("nmax", True),
+     ("dmax", False), ("extra_degree_tuples", [(1.0,)]), ("nmax", 0), ("workers", 0),
+     ("extra_degree_tuples", [()]), ("space_budget_s", float("nan"))],
+)
+def test_one_check_for_new_and_saved_configs(key, value):
+    # A value a new sweep refuses is refused, with the same message, in a
+    # saved report's config, so every sweep it accepts writes a report that
+    # loads.
+    with pytest.raises(ValueError) as refused:
+        SweepConfig(**{"model": "u1", "nmax": 2, "dmax": 1, key: value})
+    message = str(refused.value)
+    assert message.startswith("the sweep")
+    data = json.loads(hand_report(2))
+    data["config"][key] = [list(t) for t in value] if key == "extra_degree_tuples" else value
+    with pytest.raises(ValueError) as loaded:
+        VerificationReport.from_json(json.dumps(data))
+    assert str(loaded.value) == "report.config" + message[len("the sweep"):]
+
+
+@pytest.mark.parametrize(
+    "model, family_range, extra", [("u1", "wide", (1, -1, 1)), ("w1", "tight", (3, -1))]
+)
+def test_a_new_config_is_the_saved_one(model, family_range, extra):
+    config = SweepConfig(
+        model=model, family_range=family_range, nmax=2, dmax=1, extra_degree_tuples=[extra]
+    )
+    report = verify_basis_theorem(config)
+    assert type(report.config) is dict and report.config == config
+    again = VerificationReport.from_json(report.to_json())
+    assert again.to_json_dict() == report.to_json_dict()
+    # A spawned worker gets the config by pickle, which skips __init__.
+    copy = pickle.loads(pickle.dumps(config))
+    assert type(copy) is SweepConfig and copy == config
+    assert copy.family() == config.family()
 
 
 @pytest.mark.parametrize(
@@ -212,14 +250,14 @@ def test_size_cap_refuses_nine_variables(nmax, extras, widest):
 
 def test_size_cap_keeps_eight_variables():
     assert verify.MAX_VARIABLES == 8
-    assert SweepConfig(nmax=8).nmax == 8
-    assert SweepConfig(nmax=2, extra_degree_tuples=[[0] * 8]).extra_degree_tuples == ((0,) * 8,)
+    assert SweepConfig(nmax=8)["nmax"] == 8
+    assert SweepConfig(nmax=2, extra_degree_tuples=[[0] * 8])["extra_degree_tuples"] == [[0] * 8]
     assert VerificationReport.from_json(hand_report(8, [(0,) * 8])).config["nmax"] == 8
 
 
 def _entries(config, tuples):
     """The sweep's entries of ``tuples``, on a memo of their own."""
-    field = Field.from_spec(config.field)
+    field = Field.from_spec(config["field"])
     memo = verify.SpanMemo(config.family(), field, largest=max(map(len, tuples)))
     return verify._space_entries(config, tuples, memo)
 
@@ -242,8 +280,8 @@ def test_space_entry_at_720_columns(model, family_range, degrees, dims, complete
     assert (entry["sound"], entry["complete"]) == (True, complete)
     assert ("witness" in entry) is not complete
     if not complete:
-        assert revalidate_entry(entry, config.to_dict())
-        assert not revalidate_entry({**entry, "witness": ""}, config.to_dict())
+        assert revalidate_entry(entry, config)
+        assert not revalidate_entry({**entry, "witness": ""}, config)
 
 
 def _modules_added_by_import() -> set:
@@ -1074,7 +1112,7 @@ def test_minimality_ok_reads_both_sweeps(monkeypatch, wide, tight, ok):
     half: no unsound entry in either sweep, and a passing wide sweep; a
     sound but incomplete tight sweep is the expected outcome."""
     sweeps = {"wide": _sweep_of(wide, PASSED), "tight": _sweep_of(PASSED, tight)}
-    monkeypatch.setattr(verify, "verify_basis_theorem", lambda config: sweeps[config.family_range])
+    monkeypatch.setattr(verify, "verify_basis_theorem", lambda config: sweeps[config["range"]])
     report = minimality_sweep("w1", member_bound=0, separation_bound=2, nmax=1, dmax=0)
     assert all(row["ok"] for row in report["member_rows"] + report["single_rows"])
     assert report["probes"]["tight"][1]["degrees"] == [-1, 3]
