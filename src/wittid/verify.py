@@ -30,7 +30,8 @@ Reports serialize to JSON with a stable field layout; identical
 configurations produce byte-identical reports once the wall-clock
 timings section is excluded. :meth:`VerificationReport.audit` is the one
 consistency check of a saved report: family, summary, coverage and,
-optionally, a recomputation of every entry.
+optionally, a recomputation of every entry. One listing of the configured
+sweep gives coverage and membership: an entry off it is not recomputed.
 """
 
 from __future__ import annotations
@@ -210,8 +211,10 @@ class VerificationReport:
     def audit(self, revalidate: bool = False) -> tuple:
         """``(problems, invalid)``. ``problems``: the lines of the family,
         summary and coverage checks that fail, in that order. ``invalid``:
-        None, or with ``revalidate`` the degrees of the entries that
-        :func:`revalidate_entry` refuses, all through one :meth:`span_memo`."""
+        None, or with ``revalidate`` the degrees of the entries off the
+        configured sweep, not computed, and of those :func:`revalidate_entry`
+        refuses, all through one :meth:`span_memo`. One listing of the sweep
+        serves coverage and membership."""
         problems = []
         config, family = self.config, _family(self.config).describe()
         if config["family"] != family:
@@ -226,7 +229,7 @@ class VerificationReport:
                 + ", ".join(f"{key} {value}" for key, value in recount.items())
             )
         expected = sweep_tuples(config["nmax"], config["dmax"], config["extra_degree_tuples"])
-        listed = (tuple(entry["degrees"]) for entry in self.spaces)
+        listed = [tuple(entry["degrees"]) for entry in self.spaces]
         for i, (want, got) in enumerate(itertools.zip_longest(expected, listed)):
             if want != got:
                 got, want = ("nothing" if d is None else list(d) for d in (got, want))
@@ -237,9 +240,10 @@ class VerificationReport:
                 break
         if not revalidate:
             return problems, None
-        memo = self.span_memo()
+        swept, memo = set(expected), self.span_memo()
         return problems, [
-            e["degrees"] for e in self.spaces if not revalidate_entry(e, config, memo)
+            e["degrees"] for e, degrees in zip(self.spaces, listed)
+            if degrees not in swept or not revalidate_entry(e, config, memo)
         ]
 
     def to_json_dict(self, with_timings: bool = True) -> dict:
@@ -376,37 +380,25 @@ def canonical_degree_tuples(n: int, dmax: int):
     return itertools.combinations_with_replacement(range(-dmax, dmax + 1), n)
 
 
-def sweep_tuples(nmax: int, dmax: int, extra_degree_tuples=()):
+def _extra_tuples(nmax: int, dmax: int, extra_degree_tuples) -> list:
+    """The tuples a sweep lists after its canonical ones: each extra tuple,
+    sorted, unless it is canonical for some n = 1..nmax or listed earlier."""
+    extras = dict.fromkeys(tuple(sorted(t)) for t in extra_degree_tuples)
+    return [t for t in extras if not (0 < len(t) <= nmax and all(abs(d) <= dmax for d in t))]
+
+
+def sweep_tuples(nmax: int, dmax: int, extra_degree_tuples=()) -> list:
     """The degree tuples a sweep covers, in sweep order: the canonical
-    tuples for n = 1..nmax, then each extra tuple, sorted, unless it is
-    already listed. A generator, so a check can stop at a mismatch."""
-    seen = set()
-    for n in range(1, nmax + 1):
-        for degrees in canonical_degree_tuples(n, dmax):
-            seen.add(degrees)
-            yield degrees
-    for extra in extra_degree_tuples:
-        key = tuple(sorted(extra))
-        if key not in seen:
-            seen.add(key)
-            yield key
+    tuples for n = 1..nmax, then :func:`_extra_tuples`."""
+    tuples = [t for n in range(1, nmax + 1) for t in canonical_degree_tuples(n, dmax)]
+    return tuples + _extra_tuples(nmax, dmax, extra_degree_tuples)
 
 
 def sweep_size(nmax: int, dmax: int, extra_degree_tuples=()) -> int:
     """The number of tuples :func:`sweep_tuples` lists, in closed form: the
     nondecreasing n-tuples from 2·dmax + 1 degrees number C(2·dmax + n, n)."""
-    extras = {tuple(sorted(t)) for t in extra_degree_tuples}
-    outside = sum(not in_sweep(t, nmax, dmax) for t in extras)
-    return sum(comb(2 * dmax + n, n) for n in range(1, nmax + 1)) + outside
-
-
-def in_sweep(degrees: Sequence[int], nmax: int, dmax: int, extra_degree_tuples=()) -> bool:
-    """Whether :func:`sweep_tuples` lists the degree tuple, decided without
-    enumerating the sweep, whose ``dmax`` may come from a report."""
-    degrees = tuple(degrees)
-    if 0 < len(degrees) <= nmax and all(abs(d) <= dmax for d in degrees):
-        return degrees == tuple(sorted(degrees))
-    return any(degrees == tuple(sorted(extra)) for extra in extra_degree_tuples)
+    canonical = sum(comb(2 * dmax + n, n) for n in range(1, nmax + 1))
+    return canonical + len(_extra_tuples(nmax, dmax, extra_degree_tuples))
 
 
 def orbit_size(degrees: Sequence[int]) -> int:
@@ -490,7 +482,7 @@ def verify_basis_theorem(config: SweepConfig) -> VerificationReport:
     report keeps the requested ``workers``.
     """
     start = time.monotonic()
-    tuples = list(sweep_tuples(config["nmax"], config["dmax"], config["extra_degree_tuples"]))
+    tuples = sweep_tuples(config["nmax"], config["dmax"], config["extra_degree_tuples"])
     field = Field.from_spec(config["field"])
     memo = SpanMemo(_family(config), field, largest=max(map(len, tuples)))
     entries = _sweep_entries(config, tuples, memo)
@@ -580,11 +572,13 @@ def _send_entries(config: SweepConfig, share: list, memo: SpanMemo, send) -> Non
 def revalidate_entry(entry: dict, config: dict, memo: Optional[SpanMemo] = None) -> bool:
     """Independently re-check one report entry.
 
-    An entry off the configured sweep, or of more than :data:`MAX_VARIABLES`
-    variables, is refused before anything is computed. Every entry must match
-    the ``n``, ``dimP`` and ``orbit`` of its degrees; beyond that, skipped
-    entries revalidate trivially. Every other entry must match a recomputation
-    of its dimensions and of its soundness and completeness flags. A
+    An entry of more than :data:`MAX_VARIABLES` variables is refused before
+    anything is computed; one off the configured sweep is refused by
+    :meth:`VerificationReport.audit`, which does not call this for it. Every
+    entry must match the ``n``, ``dimP`` and ``orbit`` of its degrees; beyond
+    that, a skipped entry revalidates if it has no witness. Every other entry
+    must match a recomputation of its dimensions and of its soundness and
+    completeness flags, and has a witness exactly when a flag is false. A
     completeness witness must then be an identity of the model that row
     reduction leaves outside the consequence span; a soundness witness must lie
     in the consequence span yet take a nonzero value in the model. A witness
@@ -596,8 +590,7 @@ def revalidate_entry(entry: dict, config: dict, memo: Optional[SpanMemo] = None)
     which only recomputation fills.
     """
     degrees = entry["degrees"]
-    sweep = (config["nmax"], config["dmax"], config["extra_degree_tuples"])
-    if len(degrees) > MAX_VARIABLES or not in_sweep(degrees, *sweep):
+    if len(degrees) > MAX_VARIABLES:
         return False
     field = Field.from_spec(config["field"])
     space = MultilinearSpace.for_degrees(degrees, field)
@@ -606,7 +599,7 @@ def revalidate_entry(entry: dict, config: dict, memo: Optional[SpanMemo] = None)
     ):
         return False
     if entry.get("skipped"):
-        return True
+        return "witness" not in entry
     model = parse_model(config["model"], field)
     family = _family(config)
     ident = identity_subspace(model, space)
@@ -620,7 +613,7 @@ def revalidate_entry(entry: dict, config: dict, memo: Optional[SpanMemo] = None)
     if stored != (ident.dim, cons.dim, sound, complete):
         return False
     if sound and complete:
-        return True
+        return "witness" not in entry
     witness_text = entry.get("witness")
     if not witness_text:
         return False
@@ -771,8 +764,8 @@ def minimality_sweep(
     components, where the tight range may span a proper subspace of the
     identities; those dimensions are reported, not asserted. ``ok`` needs
     every row ok, no unsound entry in either sweep, and a passing wide
-    sweep. The sweep options are refused, for either model, before any
-    certificate is made.
+    sweep. Bad bounds (a separation bound below the member bound too) and
+    sweep options are refused, for either model, before any certificate.
     """
     if member_bound < 0:
         raise ValueError("member bound must be nonnegative")
@@ -781,6 +774,11 @@ def minimality_sweep(
     if family.has_singletons and separation_bound < 2:
         raise ValueError(
             "separation bound must be at least 2 to reach the single-variable members x^c, c <= -2"
+        )
+    if separation_bound < member_bound:
+        raise ValueError(
+            f"separation bound must cover the member bound: --separation-bound "
+            f"{separation_bound} is below --bound {member_bound}"
         )
     # Built, and so checked, for either model; only w1 runs them.
     configs = [

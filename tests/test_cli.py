@@ -448,8 +448,12 @@ def test_minimality_verb(capsys):
       "the sweep.dmax is less than the minimum of 0"),
      (["minimality", "--model", "w1", "--nmax", "9"], "reaches a component of 9 variables"),
      (["minimality", "--model", "u1", "--nmax", "4", "--dmax", "40"],
-      "components; at most 10,000 are supported")],
-    ids=["u1", "w1", "u1-components"],
+      "components; at most 10,000 are supported"),
+     (["minimality", "--model", "u1", "--bound", "3", "--separation-bound", "2"],
+      "separation bound must cover the member bound: --separation-bound 2 is below --bound 3"),
+     (["minimality", "--model", "w1", "--bound", "3", "--separation-bound", "2"],
+      "separation bound must cover the member bound: --separation-bound 2 is below --bound 3")],
+    ids=["u1", "w1", "u1-components", "u1-separation-bound", "w1-separation-bound"],
 )
 def test_minimality_refuses_sweep_options_first(capsys, monkeypatch, argv, want):
     # Refused before the first separation check, for either model.

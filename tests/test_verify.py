@@ -29,7 +29,6 @@ from wittid.verify import (
     VerificationReport,
     canonical_degree_tuples,
     char_contrast,
-    in_sweep,
     independence_check,
     leading_family_members,
     minimality_sweep,
@@ -738,6 +737,10 @@ def _off_sweep(data):
     }]
 
 
+def _witness_on_a_pass(data):
+    data["spaces"][4]["witness"] = "garbage((("
+
+
 def _cut_and_renamed(data):
     data["spaces"] = data["spaces"][:1]
     data["config"]["family"] = "anything"
@@ -771,7 +774,8 @@ _W1_FAMILY = "brackets of equal parity with degrees >= -1, plus single variables
        "its model and range give 'brackets of equal parity'",
        "SUMMARY MISMATCH: the entries count passed 1, failed 0, skipped 0",
        "COVERAGE MISMATCH: at entry 1 the report has nothing and the configured sweep has [0]"],
-      [])],
+      []),
+     ("u1", _witness_on_a_pass, [], [[-1, 0]])],
 )
 def test_audit_finds_what_the_report_verb_prints(
     capsys, tmp_path, monkeypatch, model, edit, problems, invalid
@@ -813,6 +817,21 @@ def test_audit_builds_one_span_memo(monkeypatch):
     assert report.audit() == ([], None) and memos == []
     assert report.audit(True) == ([], [])
     assert len(memos) == 1 and used == {id(memos[0])}
+
+
+def test_audit_lists_the_sweep_once(monkeypatch):
+    # Coverage and membership read one listing, so an audit is linear in
+    # the report, however many extra tuples it has.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sweep_tuples(*args)
+
+    report = VerificationReport.from_json(json.dumps(_small_report("w1")))
+    monkeypatch.setattr(verify, "sweep_tuples", counted)
+    assert report.audit() == ([], None) and len(calls) == 1
+    assert report.audit(True) == ([], []) and len(calls) == 2
 
 
 def test_pool_is_clamped_to_the_cores(monkeypatch):
@@ -873,6 +892,8 @@ def test_skipped_entries_revalidate_unless_their_shape_is_forged():
         assert revalidate_entry(entry, report.config)
         for key in ("n", "dimP", "orbit"):
             assert not revalidate_entry({**entry, key: entry[key] + 1}, report.config)
+        # the sweep writes a witness only with a false flag, never on a skip
+        assert not revalidate_entry({**entry, "witness": "x1^-1"}, report.config)
 
 def test_extra_degree_tuples_are_included_once():
     config = SweepConfig(
@@ -892,7 +913,7 @@ def test_extra_degree_tuples_are_included_once():
     [(0, 1, ()), (2, 0, ((3, -1), (0,))), (2, 1, ((-1, 3), (1, -1), (2, 2, 2, 2))),
      (3, 2, ((0, 0, 0, 0, 5),)), (1, -1, ((1,),))],
 )
-def test_in_sweep_matches_sweep_tuples(nmax, dmax, extras):
+def test_audit_refuses_exactly_what_sweep_tuples_omits(monkeypatch, nmax, dmax, extras):
     listed = set(sweep_tuples(nmax, dmax, extras))
     # in a range past dmax: every tuple of up to two degrees and every sorted
     # one of up to nmax + 2; and the extras, as given and reversed
@@ -901,8 +922,23 @@ def test_in_sweep_matches_sweep_tuples(nmax, dmax, extras):
                   if n <= 2 or t == tuple(sorted(t))}
     candidates |= {tuple(e) for e in extras} | {tuple(e)[::-1] for e in extras}
     assert listed <= candidates
-    for degrees in candidates:
-        assert in_sweep(degrees, nmax, dmax, extras) == (degrees in listed), degrees
+    candidates = sorted(candidates)
+    # A hand-made config: nmax 0 and dmax -1 are out of a saved report's range.
+    config = {"model": "u1", "family": "brackets of equal parity", "field": "gf2",
+              "nmax": nmax, "dmax": dmax, "extra_degree_tuples": [list(e) for e in extras]}
+    spaces = [{"degrees": list(t)} for t in candidates]
+    report = VerificationReport(config, spaces, summarize(spaces))
+    checked = []
+
+    def accept(entry, config, memo=None):
+        checked.append(tuple(entry["degrees"]))
+        return True
+
+    monkeypatch.setattr(verify, "revalidate_entry", accept)
+    _, invalid = report.audit(revalidate=True)
+    assert invalid == [list(t) for t in candidates if t not in listed]
+    # an entry off the sweep is refused without being recomputed
+    assert checked == [t for t in candidates if t in listed]
 
 
 DATA = Path(__file__).parent / "data"
@@ -1087,6 +1123,16 @@ def test_minimality_refuses_bounds_below_the_single_members(separation_bound):
     # below 2 no x^c, c <= -2, is in range, so no single member would be checked
     with pytest.raises(ValueError, match="separation bound"):
         minimality_sweep("w1", member_bound=0, separation_bound=separation_bound, nmax=1, dmax=0)
+
+
+def test_minimality_checks_its_bounds_in_order():
+    # The member bound, then w1's single members, then the separation bound.
+    with pytest.raises(ValueError, match="nonnegative"):
+        minimality_sweep("w1", member_bound=-1, separation_bound=-5)
+    with pytest.raises(ValueError, match="at least 2"):
+        minimality_sweep("w1", member_bound=3, separation_bound=1)
+    with pytest.raises(ValueError, match="--separation-bound 1 is below --bound 3"):
+        minimality_sweep("u1", member_bound=3, separation_bound=1)
 
 
 def _sweep_of(*entries):
